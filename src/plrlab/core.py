@@ -277,10 +277,19 @@ def validate_support(w: PseudoLabelMatrix, s: CandidateMatrix) -> None:
         raise ShapeMismatch(
             f"pseudo-labels {w.values.shape} vs candidates {s.bits.shape}"
         )
-    outside = w.values * (1.0 - s.bits)
-    if np.any(outside > 0.0):
+    _check_support(w.values, s.bits)
+
+
+def _check_support(w: np.ndarray, bits: np.ndarray) -> None:
+    """Array form of :func:`validate_support` for same-shape plain arrays.
+
+    Raises SupportViolation for the first (row-major) entry with positive
+    mass where ``bits`` is zero.
+    """
+    outside = (w > 0.0) & (bits == 0.0)
+    if outside.any():
         i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
-        raise SupportViolation(int(i), int(j), float(outside[i, j]))
+        raise SupportViolation(int(i), int(j), float(w[i, j]))
 
 
 def clamp_prior(raw) -> ClassPrior:

@@ -8,7 +8,6 @@ unreliable pseudo-labels admit fewer samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,6 @@ def rho_at(cfg: SelectionConfig, epoch: int) -> float:
     return cfg.rho_start + (cfg.rho_end - cfg.rho_start) * epoch / cfg.ramp_epochs
 
 
-def _cap(budget: float) -> int:
-    # Ceiling with a relative guard so exact-integer budgets computed in
-    # floating point (0.2 * 0.5 * 10, say) do not round up an extra slot.
-    return int(math.ceil(budget * (1.0 - 1e-12)))
-
-
 def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,
                     rho: float) -> np.ndarray:
     """Indices of the per-class smallest-loss samples, sorted ascending.
@@ -62,17 +55,23 @@ def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,
         raise ShapeMismatch(f"pseudo-labels have {w.n_classes} classes, prior {r.n_classes}")
     if np.any(losses < 0.0):
         raise ValueError("losses must be nonnegative")
+    return _select_rows(np.argmax(w.values, axis=1), losses, r.values, rho)
 
-    batch = w.n_samples
-    labels = np.argmax(w.values, axis=1)
-    kept = []
-    for k in np.unique(labels):
-        bucket = np.flatnonzero(labels == k)
-        quota = min(bucket.size, _cap(rho * r.values[k] * batch))
-        if quota <= 0:
-            continue
-        order = np.lexsort((bucket, losses[bucket]))
-        kept.append(bucket[order[:quota]])
-    if not kept:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(kept)).astype(np.int64)
+
+def _select_rows(labels: np.ndarray, losses: np.ndarray, r: np.ndarray,
+                 rho: float) -> np.ndarray:
+    """The :func:`select_reliable` kernel on plain arrays.
+
+    ``labels`` holds each row's pseudo-label argmax. Rows are sorted by
+    (label, loss, index); a row is kept when its rank inside its label
+    group is below the group's cap. The rank is below the group size, so
+    comparing with the cap alone applies min(group size, cap).
+    """
+    batch = labels.size
+    order = np.lexsort((np.arange(batch), losses, labels))
+    grouped = labels[order]
+    rank = np.arange(batch) - np.searchsorted(grouped, grouped)
+    # Ceiling with a relative guard so exact-integer budgets computed in
+    # floating point (0.2 * 0.5 * 10, say) do not round up an extra slot.
+    cap = np.ceil(rho * r * batch * (1.0 - 1e-12))
+    return np.sort(order[rank < cap[grouped]])

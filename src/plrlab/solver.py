@@ -104,17 +104,27 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
     validate_candidates(s)
-    kernel = np.maximum(f.values, PROB_EPS) ** h.lam
-    kernel *= r.values ** (-h.m)
-    kernel *= s.bits
+    return PseudoLabelMatrix(_plr_weights(f.values, s.bits, r.values, h.lam, h.m))
+
+
+def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
+                 lam: float, m: float) -> np.ndarray:
+    """The :func:`plr_update` kernel on plain arrays.
+
+    Expects what ``plr_update`` validates: matching shapes, row-stochastic
+    ``f``, a clamped prior ``r`` and no empty candidate row.
+    """
+    kernel = np.maximum(f, PROB_EPS) ** lam
+    kernel *= r ** (-m)
+    kernel *= bits
     sums = kernel.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(sums)) or np.any(sums == 0.0):
-        z = log_kernel(f.values, s.bits, r.values, h.lam, h.m)
+        z = log_kernel(f, bits, r, lam, m)
         z = z - z.max(axis=1, keepdims=True)
         kernel = np.exp(z)
         sums = kernel.sum(axis=1, keepdims=True)
     kernel /= sums
-    return PseudoLabelMatrix(kernel)
+    return kernel
 
 
 def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:

@@ -5,6 +5,10 @@ solved in closed form from the weak-view predictions and the current class
 prior, then used three ways: a classification loss on the whole batch, a
 consistency loss on strong-view predictions of the reliably selected
 samples, and a mixup loss on convex combinations of the selected samples.
+One SGD step runs two forward passes (the weak view, then the strong
+selected rows stacked with the mixed rows) and a single backward pass over
+all three row blocks, each loss's weight and mean folded into the
+gradient at the logits.
 The prior is re-estimated once per epoch from full-train-set weak-view
 predictions. Training runs in two stages: a short pre-estimation stage
 whose only output is a coarse prior, after which the model is
@@ -31,7 +35,9 @@ from .core import (
     PseudoLabelMatrix,
     Rng,
     ShapeMismatch,
+    _check_support,
     clamp_prior,
+    validate_candidates,
 )
 from .datagen import PartialDataset
 from .prior import (
@@ -42,9 +48,9 @@ from .prior import (
     update_soft_pred,
 )
 from .report import group_accuracy
-from .selection import SelectionConfig, rho_at, select_reliable
+from .selection import SelectionConfig, _select_rows, rho_at
 from .sinkhorn import SinkhornConfig, solar_update
-from .solver import plr_update
+from .solver import _plr_weights
 
 __all__ = [
     "ModelParams",
@@ -72,6 +78,11 @@ class ModelParams:
     vel_b: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
+        # Owned float64 copies: sgd_momentum_step updates them in place.
+        self.weights = [np.array(w, dtype=np.float64) for w in self.weights]
+        self.biases = [np.array(b, dtype=np.float64) for b in self.biases]
+        self.vel_w = [np.array(v, dtype=np.float64) for v in self.vel_w]
+        self.vel_b = [np.array(v, dtype=np.float64) for v in self.vel_b]
         if len(self.weights) != len(self.biases):
             raise ShapeMismatch("weights and biases must pair up")
         for w, b in zip(self.weights, self.biases):
@@ -199,29 +210,40 @@ def _backward(params: ModelParams, acts: list[np.ndarray],
     return gw, gb
 
 
-def soft_ce(probs: PredictionMatrix, w: PseudoLabelMatrix) -> np.ndarray:
-    """Per-sample cross entropy of predictions against soft targets."""
+def _check_targets(probs: PredictionMatrix, w: PseudoLabelMatrix) -> None:
     if probs.values.shape != w.values.shape:
         raise ShapeMismatch(f"predictions {probs.values.shape} vs targets {w.values.shape}")
-    logp = np.log(np.maximum(probs.values, PROB_EPS))
-    return -(w.values * logp).sum(axis=1)
+
+
+def soft_ce(probs: PredictionMatrix, w: PseudoLabelMatrix) -> np.ndarray:
+    """Per-sample cross entropy of predictions against soft targets."""
+    _check_targets(probs, w)
+    return _soft_ce(probs.values, w.values)
+
+
+def _soft_ce(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return -(w * np.log(np.maximum(p, PROB_EPS))).sum(axis=1)
 
 
 def grad_logits_soft_ce(probs: PredictionMatrix, w: PseudoLabelMatrix) -> np.ndarray:
     """Gradient of the mean soft cross entropy with respect to the logits."""
-    if probs.values.shape != w.values.shape:
-        raise ShapeMismatch(f"predictions {probs.values.shape} vs targets {w.values.shape}")
-    return (probs.values - w.values) / probs.values.shape[0]
+    _check_targets(probs, w)
+    return _grad_logits_soft_ce(probs.values, w.values, 1.0 / probs.n_samples)
+
+
+def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale) -> np.ndarray:
+    """Gradient of sum_i scale_i * soft_ce_i at the logits; ``scale`` is a
+    scalar or a column of per-row weights."""
+    return (p - w) * scale
 
 
 def sgd_momentum_step(params: ModelParams, grads, lr: float, momentum: float) -> ModelParams:
     """In-place SGD with momentum: buf = momentum*buf + grad; p -= lr*buf."""
     gw, gb = grads
-    for i in range(len(params.weights)):
-        params.vel_w[i] = momentum * params.vel_w[i] + gw[i]
-        params.vel_b[i] = momentum * params.vel_b[i] + gb[i]
-        params.weights[i] = params.weights[i] - lr * params.vel_w[i]
-        params.biases[i] = params.biases[i] - lr * params.vel_b[i]
+    for p, v, g in zip(params.weights + params.biases, params.vel_w + params.vel_b, gw + gb):
+        v *= momentum
+        v += g
+        p -= lr * v
     return params
 
 
@@ -255,24 +277,44 @@ def mixup_batch(x: np.ndarray, w: PseudoLabelMatrix, alpha: float, rng: Rng,
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != w.n_samples:
         raise ShapeMismatch(f"{x.shape[0]} inputs vs {w.n_samples} targets")
+    x_mix, w_mix = _mixup(x, w.values, alpha, rng, lam_mix, perm)
+    return x_mix, PseudoLabelMatrix(w_mix)
+
+
+def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng,
+           lam_mix: float | None = None, perm: np.ndarray | None = None):
     if lam_mix is None:
         lam_mix = rng.beta(alpha, alpha)
     if perm is None:
         perm = rng.permutation(x.shape[0])
-    x_mix = lam_mix * x + (1.0 - lam_mix) * x[perm]
-    w_mix = lam_mix * w.values + (1.0 - lam_mix) * w.values[perm]
-    return x_mix, PseudoLabelMatrix(w_mix)
+    return (lam_mix * x + (1.0 - lam_mix) * x[perm],
+            lam_mix * w + (1.0 - lam_mix) * w[perm])
 
 
-def _pseudo_labels(probs: PredictionMatrix, s, est: PriorEstimator,
-                   cfg: TrainConfig) -> PseudoLabelMatrix:
+def _pseudo_labels(probs: np.ndarray, bits: np.ndarray, est: PriorEstimator,
+                   cfg: TrainConfig) -> np.ndarray:
+    """Pseudo-label array for validated-upstream predictions and candidate rows."""
     if cfg.solver == "sinkhorn":
-        return solar_update(probs, s, est.r, cfg.sinkhorn).w
-    return plr_update(probs, s, est.r, cfg.plr)
+        return solar_update(PredictionMatrix(probs), CandidateMatrix(bits), est.r,
+                            cfg.sinkhorn).w.values
+    return _plr_weights(probs, bits, est.r.values, cfg.plr.lam, cfg.plr.m)
 
 
-def _candidate_rows(ds: PartialDataset, idx: np.ndarray) -> CandidateMatrix:
-    return CandidateMatrix(ds.candidates.bits[idx])
+def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
+                loss_weights: tuple[float, float, float]) -> np.ndarray:
+    """Per-row weight of the stacked [weak; strong_sel; mix] rows in dlogits.
+
+    Each loss is its weight times the mean over its rows: ``cls_rows`` of
+    the weak block (rows outside it get weight zero), and the whole of the
+    two ``n_selected``-row blocks.
+    """
+    weight_cls, weight_cons, weight_mix = loss_weights
+    scale = np.zeros(batch + 2 * n_selected)
+    scale[cls_rows] = weight_cls / cls_rows.size
+    if n_selected:
+        scale[batch : batch + n_selected] = weight_cons / n_selected
+        scale[batch + n_selected :] = weight_mix / n_selected
+    return scale
 
 
 def _check_finite(name: str, value: float, epoch: int, batch: int) -> None:
@@ -284,7 +326,6 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                metrics_out: list | None, test: PartialDataset | None,
                truth: np.ndarray | None):
-    weights_cls, weights_cons, weights_mix = cfg.loss_weights
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
@@ -294,72 +335,55 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         counts = np.zeros(3)
         pseudo_seconds = 0.0
 
-        for start in range(0, ds.n_samples, cfg.batch_size):
+        for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb = ds.features[idx]
-            sb = _candidate_rows(ds, idx)
+            bits = ds.candidates.bits[idx]
             weak = augment(xb, ep_rng, "weak", cfg)
             strong = augment(xb, ep_rng, "strong", cfg)
 
-            acts_w, _, probs_w_raw = _forward_cached(params, weak)
-            if not np.all(np.isfinite(probs_w_raw)):
+            acts, _, probs = _forward_cached(params, weak)
+            if not np.all(np.isfinite(probs)):
                 raise NonFiniteLoss(
                     f"predictions went non-finite at epoch {epoch}, "
-                    f"batch {start // cfg.batch_size}; try a smaller learning rate")
-            probs_w = PredictionMatrix(probs_w_raw)
+                    f"batch {batch}; try a smaller learning rate")
             t0 = time.perf_counter() if cfg.timing else 0.0
-            w = _pseudo_labels(probs_w, sb, est, cfg)
+            w = _pseudo_labels(probs, bits, est, cfg)
             if cfg.timing:
                 pseudo_seconds += time.perf_counter() - t0
-            assert not np.any(w.values[sb.bits == 0.0] > 0.0)
+            _check_support(w, bits)
 
-            sample_losses = soft_ce(probs_w, w)
-            selected = select_reliable(w, sample_losses, est.r, rho)
+            losses = _soft_ce(probs, w)
+            selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
+            k = selected.size
+            cls_rows = selected if cfg.restrict_all_losses and k else np.arange(idx.size)
+            loss_cls = float(losses[cls_rows].mean())
+            _check_finite("classification", loss_cls, epoch, batch)
+            sums[0] += loss_cls * cls_rows.size
+            counts[0] += cls_rows.size
 
-            if cfg.restrict_all_losses and selected.size:
-                loss_cls = float(sample_losses[selected].mean())
-                d_cls = np.zeros_like(probs_w_raw)
-                d_cls[selected] = (probs_w_raw[selected] - w.values[selected]) / selected.size
-                n_cls = selected.size
-            else:
-                loss_cls = float(sample_losses.mean())
-                d_cls = grad_logits_soft_ce(probs_w, w)
-                n_cls = idx.size
-            _check_finite("classification", loss_cls, epoch, start // cfg.batch_size)
-            gw, gb = _backward(params, acts_w, weights_cls * d_cls)
-            sums[0] += loss_cls * n_cls
-            counts[0] += n_cls
+            targets = w
+            if k:
+                w_sel = w[selected]
+                x_mix, w_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, ep_rng)
+                acts_sm, _, probs_sm = _forward_cached(
+                    params, np.concatenate((strong[selected], x_mix)))
+                targets_sm = np.concatenate((w_sel, w_mix))
+                losses_sm = _soft_ce(probs_sm, targets_sm)
+                loss_cons = float(losses_sm[:k].mean())
+                loss_mix = float(losses_sm[k:].mean())
+                _check_finite("consistency", loss_cons, epoch, batch)
+                _check_finite("mixup", loss_mix, epoch, batch)
+                sums[1] += loss_cons * k
+                sums[2] += loss_mix * k
+                counts[1:] += k
+                acts = [np.concatenate(pair) for pair in zip(acts, acts_sm)]
+                probs = np.concatenate((probs, probs_sm))
+                targets = np.concatenate((w, targets_sm))
 
-            if selected.size:
-                w_sel = PseudoLabelMatrix(w.values[selected])
-                x_mix, w_mix = mixup_batch(weak[selected], w_sel,
-                                           cfg.mixup_alpha, ep_rng)
-
-                acts_s, _, probs_s_raw = _forward_cached(params, strong[selected])
-                probs_s = PredictionMatrix(probs_s_raw)
-                cons_losses = soft_ce(probs_s, w_sel)
-                loss_cons = float(cons_losses.mean())
-                _check_finite("consistency", loss_cons, epoch, start // cfg.batch_size)
-                gw2, gb2 = _backward(params, acts_s,
-                                     weights_cons * grad_logits_soft_ce(probs_s, w_sel))
-
-                acts_m, _, probs_m_raw = _forward_cached(params, x_mix)
-                probs_m = PredictionMatrix(probs_m_raw)
-                mix_losses = soft_ce(probs_m, w_mix)
-                loss_mix = float(mix_losses.mean())
-                _check_finite("mixup", loss_mix, epoch, start // cfg.batch_size)
-                gw3, gb3 = _backward(params, acts_m,
-                                     weights_mix * grad_logits_soft_ce(probs_m, w_mix))
-
-                for i in range(len(gw)):
-                    gw[i] = gw[i] + gw2[i] + gw3[i]
-                    gb[i] = gb[i] + gb2[i] + gb3[i]
-                sums[1] += loss_cons * selected.size
-                counts[1] += selected.size
-                sums[2] += loss_mix * selected.size
-                counts[2] += selected.size
-
-            sgd_momentum_step(params, (gw, gb), lr, cfg.momentum)
+            scale = _row_scales(idx.size, cls_rows, k, cfg.loss_weights)
+            grads = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
+            sgd_momentum_step(params, grads, lr, cfg.momentum)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         full_weak = augment(ds.features, ep_rng, "weak", cfg)
@@ -369,10 +393,10 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                 est = update_soft_pred(est, probs_full)
             elif est.rule == "hard-pseudo":
                 t0 = time.perf_counter() if cfg.timing else 0.0
-                w_full = _pseudo_labels(probs_full, ds.candidates, est, cfg)
+                w_full = _pseudo_labels(probs_full.values, ds.candidates.bits, est, cfg)
                 if cfg.timing:
                     pseudo_seconds += time.perf_counter() - t0
-                est = update_hard_pseudo(est, w_full)
+                est = update_hard_pseudo(est, PseudoLabelMatrix(w_full))
             else:
                 est = update_hard_pred(est, probs_full)
 
@@ -401,6 +425,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     Returns the trained parameters, per-epoch metrics for the second
     stage, and the final prior estimator.
     """
+    validate_candidates(ds.candidates)
     rng = Rng(cfg.seed)
     c = ds.n_classes
     truth = None

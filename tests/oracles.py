@@ -83,3 +83,27 @@ def random_feasible_rows(f_row: np.ndarray, cand: np.ndarray, rng, count: int) -
     out = np.zeros((count, f_row.size))
     out[:, idx] = raw
     return out
+
+
+def select_reliable_loop(w: np.ndarray, losses: np.ndarray, r: np.ndarray,
+                         rho: float) -> np.ndarray:
+    """Per-class small-loss selection, one class at a time.
+
+    Each argmax bucket keeps its lowest-loss rows (ties toward the smaller
+    index) up to min(bucket size, ceil(rho * r_k * batch)), with the
+    ceiling guarded so exact-integer budgets do not round up.
+    """
+    batch = w.shape[0]
+    labels = np.argmax(w, axis=1)
+    kept = []
+    for k in np.unique(labels):
+        bucket = np.flatnonzero(labels == k)
+        cap = int(np.ceil(rho * r[k] * batch * (1.0 - 1e-12)))
+        quota = min(bucket.size, cap)
+        if quota <= 0:
+            continue
+        order = np.lexsort((bucket, losses[bucket]))
+        kept.append(bucket[order[:quota]])
+    if not kept:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(kept)).astype(np.int64)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plrlab.core import PseudoLabelMatrix, ShapeMismatch, clamp_prior
 from plrlab.selection import SelectionConfig, rho_at, select_reliable
+
+from oracles import select_reliable_loop
 
 
 class TestRhoAt:
@@ -121,3 +125,36 @@ class TestSelectReliable:
         w = _one_hot_rows([0, 1], 2)
         with pytest.raises(ShapeMismatch):
             select_reliable(w, np.array([1.0]), clamp_prior(np.ones(2)), 0.5)
+
+
+@st.composite
+def _selection_inputs(draw):
+    c = draw(st.sampled_from([1, 2, 3, 10, 100, 1000]))
+    batch = draw(st.integers(1, 80))
+    # Few distinct labels and losses, so absent classes and loss ties are common.
+    used = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(used), min_size=batch, max_size=batch))
+    losses = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.5]) | st.floats(0.0, 10.0),
+                           min_size=batch, max_size=batch))
+    masses = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1e-3, 1.0, c)
+    rho = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return labels, losses, masses, rho
+
+
+@settings(deadline=None)
+@given(_selection_inputs())
+# Exact-integer budgets: 0.2 * 0.5 * 10 = 1 slot, and 0.2 * 0.2 * 50, which
+# evaluates to 2.0000000000000004 and must still give 2 slots.
+@example(([0, 0, 0, 1, 1, 0, 1, 1, 0, 1], [5.0, 1.0, 4.0, 0.5, 3.0, 2.0, 0.7, 9.0, 6.0, 8.0],
+          np.array([1.0, 1.0]), 0.2))
+@example(([0] * 50, [1.0] * 50, np.ones(5), 0.2))
+def test_vectorized_selection_matches_the_per_class_loop(case):
+    labels, losses, masses, rho = case
+    c = masses.size
+    w = _one_hot_rows(labels, c)
+    losses = np.asarray(losses, dtype=np.float64)
+    r = clamp_prior(masses)
+    got = select_reliable(w, losses, r, rho)
+    expected = select_reliable_loop(w.values, losses, r.values, rho)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)

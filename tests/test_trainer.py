@@ -21,7 +21,7 @@ from plrlab.trainer import (
     soft_ce,
     train,
 )
-from plrlab.trainer import _backward, _forward_cached
+from plrlab.trainer import _backward, _forward_cached, _row_scales
 
 
 def _quick_cfg(**overrides):
@@ -165,7 +165,80 @@ def test_full_network_gradient_matches_central_differences():
     assert worst <= 1e-4
 
 
+def _random_targets(rng, n, c):
+    vals = rng.uniform(0.05, 1.0, (n, c))
+    return vals / vals.sum(axis=1, keepdims=True)
+
+
+class TestStackedBackward:
+    def test_one_stacked_pass_equals_the_sum_of_block_passes(self):
+        rng = Rng(81)
+        params = init_params(6, (9, 7), 4, rng.child(0))
+        blocks = [rng.normal(size=(n, 6)) for n in (12, 5, 5)]
+        scales = (0.7 / 12, 1.3 / 5, 0.4 / 5)
+        per_block, stacked_acts, stacked_d = [], [], []
+        for x, scale in zip(blocks, scales):
+            acts, _, probs = _forward_cached(params, x)
+            d = (probs - _random_targets(rng, x.shape[0], 4)) * scale
+            per_block.append(_backward(params, acts, d))
+            stacked_acts.append(acts)
+            stacked_d.append(d)
+        acts = [np.concatenate(layer) for layer in zip(*stacked_acts)]
+        gw, gb = _backward(params, acts, np.concatenate(stacked_d))
+        for i in range(len(gw)):
+            np.testing.assert_allclose(gw[i], sum(g[0][i] for g in per_block), rtol=1e-12)
+            np.testing.assert_allclose(gb[i], sum(g[1][i] for g in per_block), rtol=1e-12)
+
+    def test_restricted_row_weights_match_the_zeroed_gradient(self):
+        # restrict_all_losses puts the classification loss on the selected
+        # rows only; as a row weight it must reproduce the old formula, a
+        # zeroed gradient with the selected rows over k.
+        rng = Rng(82)
+        params = init_params(6, (9,), 4, rng.child(0))
+        batch, selected = 10, np.array([1, 4, 5, 8])
+        k = selected.size
+        acts, _, probs = _forward_cached(params, rng.normal(size=(batch, 6)))
+        w = _random_targets(rng, batch, 4)
+        weights = (0.8, 1.0, 1.0)
+
+        d_old = np.zeros_like(probs)
+        d_old[selected] = (probs[selected] - w[selected]) / k
+        gw_old, gb_old = _backward(params, acts, weights[0] * d_old)
+
+        weak_block = _row_scales(batch, selected, k, weights)[:batch]
+        gw, gb = _backward(params, acts, (probs - w) * weak_block[:, None])
+        for i in range(len(gw)):
+            np.testing.assert_allclose(gw[i], gw_old[i], rtol=1e-12)
+            np.testing.assert_allclose(gb[i], gb_old[i], rtol=1e-12)
+
+
 class TestSgdMomentum:
+    def test_in_place_update_is_bit_identical_to_the_out_of_place_formula(self):
+        rng = Rng(91)
+        params = init_params(5, (8,), 3, rng.child(0))
+        weights = [w.copy() for w in params.weights + params.biases]
+        vel = [np.zeros_like(w) for w in weights]
+        for step in range(5):
+            grads = ([rng.normal(size=w.shape) for w in params.weights],
+                     [rng.normal(size=b.shape) for b in params.biases])
+            sgd_momentum_step(params, grads, lr=0.05, momentum=0.9)
+            for i, g in enumerate(grads[0] + grads[1]):
+                vel[i] = 0.9 * vel[i] + g
+                weights[i] = weights[i] - 0.05 * vel[i]
+            for got, want in zip(params.weights + params.biases, weights):
+                np.testing.assert_array_equal(got, want)
+
+    def test_caller_arrays_are_left_untouched(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([0.5, 0.5])
+        vw, vb = np.array([[0.1, 0.1]]), np.array([0.2, 0.2])
+        params = ModelParams([w], [b], [vw], [vb])
+        sgd_momentum_step(params, ([np.ones((1, 2))], [np.ones(2)]), lr=0.1, momentum=0.9)
+        np.testing.assert_array_equal(w, [[1.0, 2.0]])
+        np.testing.assert_array_equal(b, [0.5, 0.5])
+        np.testing.assert_array_equal(vw, [[0.1, 0.1]])
+        np.testing.assert_array_equal(vb, [0.2, 0.2])
+        assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 1.09)
+
     def test_plain_step_without_momentum(self):
         params = ModelParams([np.array([[1.0]])], [np.array([0.5])])
         grads = ([np.array([[0.25]])], [np.array([0.1])])
@@ -319,6 +392,31 @@ class TestTrain:
         ds, test = _tiny_dataset()
         _, metrics, _ = train(ds, _quick_cfg(restrict_all_losses=True), test)
         assert len(metrics) == 3
+
+    def test_support_leak_raises_typed_error(self, monkeypatch):
+        import plrlab.trainer as trainer_module
+        from plrlab.core import SupportViolation
+
+        def leaky(f, bits, r, lam, m):
+            return np.full_like(f, 1.0 / f.shape[1])
+
+        monkeypatch.setattr(trainer_module, "_plr_weights", leaky)
+        ds, test = _tiny_dataset()
+        with pytest.raises(SupportViolation) as exc:
+            train(ds, _quick_cfg(), test)
+        assert exc.value.mass == pytest.approx(0.25)
+
+    def test_empty_candidate_row_raises(self):
+        from plrlab.core import CandidateMatrix, EmptyCandidateRow
+
+        ds, test = _tiny_dataset()
+        bits = ds.candidates.bits.copy()
+        bits[7] = 0.0
+        # PartialDataset rejects this, so forge it past the constructor.
+        object.__setattr__(ds, "candidates", CandidateMatrix(bits))
+        with pytest.raises(EmptyCandidateRow) as exc:
+            train(ds, _quick_cfg(), test)
+        assert exc.value.row == 7
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
