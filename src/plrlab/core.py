@@ -9,6 +9,7 @@ clamped simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +144,9 @@ class PredictionMatrix:
             raise ValueError("prediction entries must be nonnegative")
         if values.shape[0] > 0:
             sums = values.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-                raise ValueError("prediction rows must sum to 1 within 1e-9")
+            # Negated, so a NaN row sum fails too.
+            if not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
+                raise ValueError("prediction rows must be finite and sum to 1 within 1e-9")
         _freeze(self, values=values)
 
     @property
@@ -173,8 +175,8 @@ class PseudoLabelMatrix:
             raise ValueError("pseudo-label entries must lie in [0, 1]")
         if values.shape[0] > 0:
             sums = values.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-                raise ValueError("pseudo-label rows must sum to 1 within 1e-9")
+            if not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
+                raise ValueError("pseudo-label rows must be finite and sum to 1 within 1e-9")
         _freeze(self, values=values)
 
     @property
@@ -203,8 +205,8 @@ class ClassPrior:
             raise ShapeMismatch("class prior must be a nonempty vector")
         if np.any(values < PRIOR_EPS * (1.0 - 1e-4)):
             raise ValueError("class prior entries must be at least 1e-8")
-        if abs(values.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError("class prior must sum to 1 within 1e-9")
+        if not abs(values.sum() - 1.0) <= ROW_SUM_TOL:
+            raise ValueError("class prior must be finite and sum to 1 within 1e-9")
         _freeze(self, values=values)
 
     @property
@@ -220,10 +222,10 @@ class PlrHyperparams:
     m: float = 2.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 <= self.m < math.inf:
+            raise ValueError("m must be nonnegative and finite")
 
 
 class Rng:
@@ -297,6 +299,8 @@ def clamp_prior(raw) -> ClassPrior:
     raw = np.ascontiguousarray(raw, dtype=np.float64)
     if raw.ndim != 1 or raw.shape[0] < 1:
         raise ShapeMismatch("prior must be a nonempty vector")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("prior masses must be finite")
     if np.any(raw < 0.0):
         raise ValueError("prior masses must be nonnegative")
     total = raw.sum()

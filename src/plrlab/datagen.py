@@ -259,6 +259,7 @@ def read_dataset(path) -> PartialDataset:
     features = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64)
     bits = np.zeros((n, c))
+    record_lines = []
     row = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
@@ -285,9 +286,14 @@ def read_dataset(path) -> PartialDataset:
             raise FormatError(lineno, "candidate ids must be strictly ascending and in range")
         labels[row] = label
         bits[row, cands] = 1.0
+        record_lines.append(lineno)
         row += 1
     if row != n:
         raise FormatError(len(lines), f"expected N={n} records, found {row}")
+    # One check over the parsed block rather than one per field.
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
     try:
         return PartialDataset.from_arrays(features, labels, CandidateMatrix(bits))
     except (ValueError, ShapeMismatch) as exc:

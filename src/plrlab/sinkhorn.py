@@ -11,6 +11,7 @@ iteration cap, the row-renormalized iterate is returned with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ class SinkhornConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +76,6 @@ def marginal_errors(w: PseudoLabelMatrix, r: ClassPrior) -> tuple[float, float]:
     return row_err, col_err
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.exp(a - amax).sum(axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
-
-
 def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                  cfg: SinkhornConfig) -> SinkhornResult:
     """Alternate row/column scaling of S * f^lam toward both marginal sets.
@@ -99,34 +92,76 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
         raise ShapeMismatch(f"predictions have {f.n_classes} classes, prior {r.n_classes}")
     validate_candidates(s)
 
-    n, _ = f.values.shape
-    log_k = log_kernel(f.values, s.bits, r.values, cfg.lam, 0.0)
-    col_target = n * r.values
-    feasible_col = s.bits.sum(axis=0) > 0
-    infeasible = tuple(int(j) for j in np.flatnonzero(~feasible_col))
-
-    log_v = np.zeros(f.n_classes)
-    history = []
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        log_u = -_logsumexp(log_k + log_v[None, :], axis=1)
-        scaled = np.exp(log_u[:, None] + log_k + log_v[None, :])
-        col_err = float(np.abs(scaled.sum(axis=0) - col_target).max() / n)
-        history.append(col_err)
-        if col_err <= cfg.tol:
-            break
-        log_col = _logsumexp(log_u[:, None] + log_k, axis=0)
-        log_v = np.where(feasible_col, np.log(col_target) - log_col, log_v)
-
-    # Final row renormalization; row scalings cancel, so only the latest
-    # column scaling matters (includes the pending one on the relaxed path).
-    z = log_k + log_v[None, :]
-    z = z - z.max(axis=1, keepdims=True)
-    out = np.exp(z)
-    out /= out.sum(axis=1, keepdims=True)
+    out, iterations, history = _solar_weights(f.values, s.bits, r.values, cfg)
     w = PseudoLabelMatrix(out)
     row_err, col_err = marginal_errors(w, r)
+    infeasible = tuple(int(j) for j in np.flatnonzero(~s.bits.any(axis=0)))
     relaxed = bool(infeasible) or col_err > cfg.tol
     return SinkhornResult(w, iterations, row_err, col_err, relaxed,
                           infeasible, np.asarray(history))
+
+
+def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
+                   cfg: SinkhornConfig) -> tuple[np.ndarray, int, list[float]]:
+    """The :func:`solar_update` scaling loop on plain arrays.
+
+    Expects what ``solar_update`` validates: matching shapes, row-stochastic
+    ``f``, 0/1 ``bits`` with no empty row and a clamped prior ``r``.
+    Returns the row-renormalized weights, the iterations used and the
+    column error of each iteration.
+
+    Two exp passes per iteration: the row logsumexp gives log u, the
+    column logsumexp of log u + log K gives log_col, and the column sums
+    of the row-scaled kernel are exp(log_col + log v), a length-c vector.
+    The loop's B x c work reuses one buffer, and the -inf entries of log K
+    off the candidate sets never reach np.exp (see :func:`_support_exp`).
+    """
+    n = f.shape[0]
+    log_k = log_kernel(f, bits, r, cfg.lam, 0.0)
+    support = bits > 0.0
+    col_target = n * r
+    log_target = np.log(col_target)
+    feasible = support.any(axis=0)
+
+    log_v = np.zeros(r.shape[0])
+    work = np.empty_like(log_k)
+    history = []
+    # log(0) = -inf is the column logsumexp of an infeasible column; its
+    # target is dropped, so the -inf never reaches log_v.
+    with np.errstate(divide="ignore"):
+        for iterations in range(1, cfg.max_iters + 1):
+            np.add(log_k, log_v, out=work)
+            row_max = work.max(axis=1, keepdims=True)
+            work -= row_max
+            log_u = -(np.log(_support_exp(work, support).sum(axis=1)) + row_max[:, 0])
+            np.add(log_u[:, None], log_k, out=work)
+            col_max = np.where(feasible, work.max(axis=0), 0.0)
+            work -= col_max
+            log_col = np.log(_support_exp(work, support).sum(axis=0)) + col_max
+            col_err = float(np.abs(np.exp(log_col + log_v) - col_target).max() / n)
+            history.append(col_err)
+            if col_err <= cfg.tol:
+                break
+            log_v = np.where(feasible, log_target - log_col, log_v)
+
+    # Final row renormalization; row scalings cancel, so only the latest
+    # column scaling matters (includes the pending one on the relaxed path).
+    np.add(log_k, log_v, out=work)
+    work -= work.max(axis=1, keepdims=True)
+    out = _support_exp(work, support)
+    out /= out.sum(axis=1, keepdims=True)
+    return out, iterations, history
+
+
+def _support_exp(x: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """exp(np.where(support, x, 0.0)) * support, computed in place in ``x``.
+
+    Off the support a log-domain kernel holds -inf, and np.exp is several
+    times slower on -inf lanes than on finite ones; those lanes go through
+    exp as 0 and are zeroed after. Entries on the support get exactly
+    np.exp(x).
+    """
+    np.putmask(x, ~support, 0.0)
+    np.exp(x, out=x)
+    x *= support
+    return x

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     PROB_EPS,
-    CandidateMatrix,
     NonFiniteLoss,
     PlrHyperparams,
     PredictionMatrix,
@@ -49,7 +48,7 @@ from .prior import (
 )
 from .report import group_accuracy
 from .selection import SelectionConfig, _select_rows, rho_at
-from .sinkhorn import SinkhornConfig, solar_update
+from .sinkhorn import SinkhornConfig, _solar_weights
 from .solver import _plr_weights
 
 __all__ = [
@@ -187,11 +186,17 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionMatrix]:
-    """Logits and row-softmax probabilities for a feature batch."""
+    """Logits and row-softmax probabilities for a feature batch.
+
+    Raises NonFiniteLoss when the probabilities are not finite, as they
+    are once training has diverged.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} vs input dim {params.weights[0].shape[0]}")
     _, logits, probs = _forward_cached(params, x)
+    if not np.all(np.isfinite(probs)):
+        raise NonFiniteLoss("forward pass gave non-finite predictions")
     return logits, PredictionMatrix(probs)
 
 
@@ -295,8 +300,7 @@ def _pseudo_labels(probs: np.ndarray, bits: np.ndarray, est: PriorEstimator,
                    cfg: TrainConfig) -> np.ndarray:
     """Pseudo-label array for validated-upstream predictions and candidate rows."""
     if cfg.solver == "sinkhorn":
-        return solar_update(PredictionMatrix(probs), CandidateMatrix(bits), est.r,
-                            cfg.sinkhorn).w.values
+        return _solar_weights(probs, bits, est.r.values, cfg.sinkhorn)[0]
     return _plr_weights(probs, bits, est.r.values, cfg.plr.lam, cfg.plr.m)
 
 

@@ -107,3 +107,48 @@ def select_reliable_loop(w: np.ndarray, losses: np.ndarray, r: np.ndarray,
     if not kept:
         return np.empty(0, dtype=np.int64)
     return np.sort(np.concatenate(kept)).astype(np.int64)
+
+
+def solar_update_loop(f: np.ndarray, bits: np.ndarray, r: np.ndarray, lam: float,
+                      max_iters: int, tol: float):
+    """Sinkhorn scaling with three full exp passes per iteration.
+
+    Each iteration takes a row logsumexp, materializes the row-scaled kernel
+    to measure the column error from its column sums, and then takes a
+    column logsumexp for the column scaling; exp runs over the -inf
+    entries off the candidate sets. Returns (w, iterations used, relaxed,
+    infeasible columns, column-error history).
+    """
+    def logsumexp(a, axis):
+        amax = np.max(a, axis=axis, keepdims=True)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.exp(a - amax).sum(axis=axis)) + np.squeeze(amax, axis=axis)
+
+    n = f.shape[0]
+    log_k = np.where(bits > 0.0, lam * np.log(np.maximum(f, 1e-12)), -np.inf)
+    col_target = n * r
+    feasible_col = bits.sum(axis=0) > 0
+    infeasible = tuple(int(j) for j in np.flatnonzero(~feasible_col))
+
+    log_v = np.zeros(f.shape[1])
+    history = []
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        log_u = -logsumexp(log_k + log_v[None, :], axis=1)
+        scaled = np.exp(log_u[:, None] + log_k + log_v[None, :])
+        col_err = float(np.abs(scaled.sum(axis=0) - col_target).max() / n)
+        history.append(col_err)
+        if col_err <= tol:
+            break
+        log_col = logsumexp(log_u[:, None] + log_k, axis=0)
+        log_v = np.where(feasible_col, np.log(col_target) - log_col, log_v)
+
+    z = log_k + log_v[None, :]
+    z = z - z.max(axis=1, keepdims=True)
+    out = np.exp(z)
+    out /= out.sum(axis=1, keepdims=True)
+    col_err = float(np.abs(out.sum(axis=0) - col_target).max() / max(n, 1))
+    relaxed = bool(infeasible) or col_err > tol
+    return out, iterations, relaxed, infeasible, np.asarray(history)

@@ -178,6 +178,17 @@ class TestEval:
                       out0.read_text().splitlines()[-1].split(" "))
         assert float(fields["acc_all"]) == pytest.approx(acc.overall)
 
+    def test_nan_prior_in_model_file_exits_one(self, tmp_path, capsys):
+        # Used to exit 0, predicting class 0 for every sample.
+        _gen(tmp_path)
+        model_path = tmp_path / "model.txt"
+        params = ModelParams([np.ones((5, 6))], [np.zeros(6)])
+        write_model(params, ClassPrior(np.full(6, 1.0 / 6)), model_path)
+        text = model_path.read_text()
+        model_path.write_text(text.replace("prior 0.16666666666666666", "prior nan", 1))
+        assert main(["eval", "-m", str(model_path), "-d", str(tmp_path / "ds_test.txt")]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_phi_never_touches_the_model_file(self, tmp_path):
         ds = _gen(tmp_path)
         _, model_path = _train(tmp_path, ds)

@@ -8,6 +8,7 @@ import pytest
 from plrlab.core import (
     AllZeroPrior,
     CandidateMatrix,
+    ClassPrior,
     EmptyCandidateRow,
     PlrHyperparams,
     PredictionMatrix,
@@ -67,6 +68,12 @@ class TestClampPrior:
         with pytest.raises(ValueError):
             clamp_prior(np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_mass_rejected_before_the_zero_test(self, bad):
+        # [inf, 0.5] used to give an all-NaN prior and [nan, 0.5] AllZeroPrior.
+        with pytest.raises(ValueError, match="finite"):
+            clamp_prior(np.array([bad, 0.5]))
+
 
 class TestRowNormalize:
     def test_even_row(self):
@@ -99,6 +106,16 @@ class TestMatrixTypes:
         with pytest.raises(ValueError):
             PseudoLabelMatrix(np.array([[0.7, 0.7]]))
 
+    @pytest.mark.parametrize("build", [PredictionMatrix, PseudoLabelMatrix])
+    def test_matrices_reject_nan(self, build):
+        # A NaN row sum slipped through the old "> tol" row-sum test.
+        with pytest.raises(ValueError, match="finite"):
+            build(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
+    def test_prior_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            ClassPrior(np.array([np.nan, 0.5]))
+
     def test_arrays_frozen_after_construction(self):
         f = PredictionMatrix(np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
@@ -118,6 +135,12 @@ class TestMatrixTypes:
         with pytest.raises(ValueError):
             PlrHyperparams(lam=1.0, m=-0.5)
         assert PlrHyperparams(lam=1.0, m=0.0).m == 0.0
+
+    @pytest.mark.parametrize("kwargs", [dict(lam=np.inf), dict(lam=np.nan),
+                                        dict(m=np.inf), dict(m=np.nan)])
+    def test_hyperparams_reject_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            PlrHyperparams(**kwargs)
 
 
 class TestValidateSupport:

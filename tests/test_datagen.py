@@ -228,6 +228,20 @@ class TestDatasetFile:
             read_dataset(path)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line_number(self, tmp_path, token):
+        train, _ = gen_dataset(DatasetSpec(n_classes=3, head_count=10, seed=6))
+        path = tmp_path / "ds.txt"
+        write_dataset(train, path)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split("\t")
+        fields[2] = token
+        lines[5] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="finite") as exc:
+            read_dataset(path)
+        assert exc.value.line == 6
+
     def test_dataset_bytes_stable_across_runs(self, tmp_path):
         spec = DatasetSpec(n_classes=4, head_count=12, flip_prob=0.2, seed=9)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

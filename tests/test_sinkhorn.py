@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plrlab.core import (
     CandidateMatrix,
@@ -12,6 +14,8 @@ from plrlab.core import (
 )
 from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
 from plrlab.solver import proden_update
+
+from oracles import solar_update_loop
 
 
 def _full_feasible(rng, n, c):
@@ -96,6 +100,45 @@ class TestSolarUpdate:
             solar_update(f, s, r, SinkhornConfig())
 
 
+@st.composite
+def _sinkhorn_inputs(draw):
+    c = draw(st.sampled_from([1, 2, 10, 100]))
+    batch = draw(st.integers(1, 80))
+    # A few classes carry every sample's true label, so absent (infeasible)
+    # classes are common; extra candidates come in at a drawn density.
+    used = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=4, unique=True))
+    density = draw(st.sampled_from([0.0, 0.06, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.uniform(size=(batch, c)) < density).astype(np.float64)
+    bits[np.arange(batch), rng.choice(used, size=batch)] = 1.0
+    sharpness = draw(st.sampled_from([1.0, 4.0]))
+    f = row_normalize(rng.uniform(0.01, 1.0, (batch, c)) ** sharpness)
+    masses = rng.uniform(1e-3, 1.0, c)
+    lam = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    max_iters = draw(st.sampled_from([1, 2, 3, 7, 50]))
+    tol = draw(st.sampled_from([1e-3, 1e-6]))
+    return f, bits, masses, SinkhornConfig(max_iters=max_iters, tol=tol, lam=lam)
+
+
+@settings(deadline=None)
+@given(_sinkhorn_inputs())
+@example((np.array([[0.5, 0.5]] * 2), np.ones((2, 2)), np.ones(2), SinkhornConfig()))
+@example((np.array([[0.7, 0.3], [0.6, 0.4]]), np.array([[1.0, 0.0], [1.0, 0.0]]),
+          np.ones(2), SinkhornConfig(max_iters=1)))
+def test_scaling_loop_matches_the_three_pass_loop(case):
+    f, bits, masses, cfg = case
+    r = clamp_prior(masses)
+    got = solar_update(PredictionMatrix(f), CandidateMatrix(bits), r, cfg)
+    w, iterations, relaxed, infeasible, history = solar_update_loop(
+        f, bits, r.values, cfg.lam, cfg.max_iters, cfg.tol)
+    np.testing.assert_array_equal(got.w.values, w)
+    assert got.iterations_used == iterations
+    assert got.relaxed == relaxed
+    assert got.infeasible_columns == infeasible
+    assert got.col_err_history.shape == history.shape
+    np.testing.assert_allclose(got.col_err_history, history, rtol=0.0, atol=1e-12)
+
+
 class TestMarginalErrors:
     def test_scaled_output_has_tight_marginals(self):
         rng = np.random.default_rng(10)
@@ -157,3 +200,9 @@ class TestSinkhornConfig:
             SinkhornConfig(tol=0.0)
         with pytest.raises(ValueError):
             SinkhornConfig(lam=0.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(lam=np.inf), dict(lam=np.nan),
+                                        dict(tol=np.inf), dict(tol=np.nan)])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SinkhornConfig(**kwargs)

@@ -58,6 +58,14 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, np.ones((2, 5)))
 
+    def test_non_finite_predictions_raise_numeric_error(self):
+        from plrlab.core import NonFiniteLoss
+
+        params = init_params(6, (9,), 4, Rng(1))
+        params.weights[0][2, 3] = np.nan  # as a diverged SGD step leaves it
+        with pytest.raises(NonFiniteLoss):
+            forward(params, np.ones((2, 6)))
+
 
 class TestSoftCe:
     def test_matching_one_hot_is_zero(self):
@@ -381,6 +389,22 @@ class TestTrain:
         ds, test = _tiny_dataset()
         _, metrics, _ = train(ds, _quick_cfg(epochs=2, solver="sinkhorn"), test)
         assert len(metrics) == 2
+
+    def test_sinkhorn_pseudo_labels_equal_the_public_update(self):
+        from plrlab.core import PredictionMatrix, clamp_prior
+        from plrlab.prior import PriorEstimator
+        from plrlab.sinkhorn import SinkhornConfig, solar_update
+        from plrlab.trainer import _pseudo_labels
+
+        ds, _ = _tiny_dataset()
+        rng = np.random.default_rng(3)
+        probs = rng.uniform(0.05, 1.0, ds.candidates.bits.shape)
+        probs /= probs.sum(axis=1, keepdims=True)
+        est = PriorEstimator(clamp_prior(rng.uniform(0.1, 1.0, ds.n_classes)))
+        cfg = _quick_cfg(solver="sinkhorn", sinkhorn=SinkhornConfig(max_iters=7, lam=2.0))
+        got = _pseudo_labels(probs, ds.candidates.bits, est, cfg)
+        expected = solar_update(PredictionMatrix(probs), ds.candidates, est.r, cfg.sinkhorn)
+        np.testing.assert_array_equal(got, expected.w.values)
 
     def test_m_zero_differs_from_m_two_on_imbalanced_data(self):
         ds, test = _tiny_dataset(flip=0.5)
