@@ -14,9 +14,7 @@ from plrlab import (
     clamp_prior,
     init_uniform,
     prior_error,
-    update_hard_pred,
-    update_hard_pseudo,
-    update_soft_pred,
+    update_prior,
 )
 from plrlab.core import Rng
 
@@ -38,18 +36,13 @@ print("truth:    ", truth.values)
 print("empirical:", empirical.values)
 print()
 
-rules = {
-    "hard-pred": (init_uniform(c, mu=0.5, rule="hard-pred"),
-                  lambda est: update_hard_pred(est, probs)),
-    "soft-pred": (init_uniform(c, mu=0.5, rule="soft-pred"),
-                  lambda est: update_soft_pred(est, probs)),
-    "hard-pseudo": (init_uniform(c, mu=0.5, rule="hard-pseudo"),
-                    lambda est: update_hard_pseudo(est, pseudo)),
-}
-for rule, (est, step) in rules.items():
+# hard-pseudo reads pseudo-labels; the two other rules read predictions.
+sources = {"hard-pred": probs, "soft-pred": probs, "hard-pseudo": pseudo}
+for rule, source in sources.items():
+    est = init_uniform(c, mu=0.5, rule=rule)
     errors = []
     for _ in range(8):
-        est = step(est)
+        est = update_prior(est, source)
         errors.append(prior_error(est, empirical))
     print(f"{rule:12s} estimate {est.r.values}")
     print(f"{'':12s} max error per update: {np.array(errors)}")

@@ -35,22 +35,15 @@ from .datagen import (
     PartialDataset,
     gen_candidates,
     gen_dataset,
-    gen_features,
     group_split,
     longtail_counts,
     read_dataset,
     write_dataset,
 )
-from .prior import (
-    PriorEstimator,
-    init_uniform,
-    prior_error,
-    update_hard_pred,
-    update_hard_pseudo,
-    update_soft_pred,
-)
+from .prior import PriorEstimator, init_uniform, prior_error, update_prior
 from .report import (
     BenchRecord,
+    EpochMetrics,
     GroupAccuracy,
     bench_pseudo,
     emit_bench,
@@ -71,7 +64,6 @@ from .solver import (
     proden_update,
 )
 from .trainer import (
-    EpochMetrics,
     ModelParams,
     TrainConfig,
     augment,

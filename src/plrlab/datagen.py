@@ -29,7 +29,6 @@ __all__ = [
     "DatasetSpec",
     "PartialDataset",
     "longtail_counts",
-    "gen_features",
     "gen_candidates",
     "group_split",
     "gen_dataset",
@@ -157,36 +156,30 @@ def _sample_split(means: np.ndarray, counts: np.ndarray, rng: Rng) -> tuple[np.n
     return feats, labels
 
 
-def gen_features(spec: DatasetSpec, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Training-split features and labels for a spec (class means from rng)."""
-    means = _class_means(spec, rng.child(0))
-    counts = longtail_counts(spec.head_count, spec.imbalance_ratio, spec.n_classes)
-    return _sample_split(means, counts, rng.child(1))
-
-
 def gen_candidates(true_labels, flip_prob: float, hierarchy, rng: Rng,
-                   n_classes: int | None = None) -> CandidateMatrix:
+                   n_classes: int) -> CandidateMatrix:
     """Candidate sets: the true label plus independently flipped negatives.
 
     With a hierarchy, labels outside the true label's superclass never
-    become candidates. n_classes defaults to the largest label + 1.
+    become candidates. Labels and hierarchy entries must lie in
+    range(n_classes), and the hierarchy must cover every class.
     """
     if not 0.0 <= flip_prob < 1.0:
         raise ValueError("flip_prob must lie in [0, 1)")
     labels = np.asarray(true_labels, dtype=np.int64)
-    c = n_classes if n_classes is not None else (int(labels.max()) + 1 if labels.size else 1)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"true labels must lie in range({n_classes})")
+    bits = (rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob).astype(np.float64)
     if hierarchy is not None:
-        c = max(c, max(j for group in hierarchy for j in group) + 1)
-    bits = (rng.uniform(size=(labels.shape[0], c)) < flip_prob).astype(np.float64)
-    if hierarchy is not None:
-        group_of = np.full(c, -1, dtype=np.int64)
+        group_of = np.full(n_classes, -1, dtype=np.int64)
         for g, group in enumerate(hierarchy):
             for j in group:
+                if not 0 <= j < n_classes:
+                    raise ValueError(f"hierarchy names class {j}, outside range({n_classes})")
                 group_of[j] = g
         if np.any(group_of < 0):
             raise ValueError("hierarchy must cover every class")
-        same_group = group_of[labels][:, None] == group_of[None, :]
-        bits *= same_group
+        bits *= group_of[labels][:, None] == group_of[None, :]
     bits[np.arange(labels.shape[0]), labels] = 1.0
     return CandidateMatrix(bits)
 

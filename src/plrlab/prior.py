@@ -26,9 +26,7 @@ __all__ = [
     "RULES",
     "PriorEstimator",
     "init_uniform",
-    "update_hard_pred",
-    "update_soft_pred",
-    "update_hard_pseudo",
+    "update_prior",
     "prior_error",
 ]
 
@@ -57,46 +55,31 @@ def init_uniform(c: int, mu: float = 0.1, rule: str = "hard-pred") -> PriorEstim
     return PriorEstimator(ClassPrior(np.full(c, 1.0 / c)), mu, rule)
 
 
-def _blend(est: PriorEstimator, empirical: np.ndarray) -> PriorEstimator:
+def update_prior(est: PriorEstimator,
+                 source: PredictionMatrix | PseudoLabelMatrix) -> PriorEstimator:
+    """Blend the estimate with the empirical component its rule names.
+
+    ``hard-pred`` and ``soft-pred`` read a PredictionMatrix (its argmax
+    histogram or its column means); ``hard-pseudo`` reads a
+    PseudoLabelMatrix (its argmax histogram). Any other source type
+    raises ValueError.
+    """
+    kind = PseudoLabelMatrix if est.rule == "hard-pseudo" else PredictionMatrix
+    if not isinstance(source, kind):
+        raise ValueError(f"rule {est.rule!r} updates from a {kind.__name__}, "
+                         f"not a {type(source).__name__}")
+    if source.n_classes != est.r.n_classes:
+        raise ShapeMismatch(f"source has {source.n_classes} classes, prior {est.r.n_classes}")
+    if source.n_samples == 0:
+        raise EmptyBatch("cannot update the prior from an empty batch")
+    if est.rule == "soft-pred":
+        empirical = source.values.mean(axis=0)
+    else:
+        # np.argmax breaks ties toward the smallest class index.
+        picks = np.argmax(source.values, axis=1)
+        empirical = np.bincount(picks, minlength=source.n_classes) / source.n_samples
     mixed = est.mu * est.r.values + (1.0 - est.mu) * empirical
     return replace(est, r=clamp_prior(mixed))
-
-
-def _argmax_histogram(values: np.ndarray, c: int) -> np.ndarray:
-    if values.shape[0] == 0:
-        raise EmptyBatch("cannot update the prior from an empty batch")
-    # np.argmax breaks ties toward the smallest class index.
-    picks = np.argmax(values, axis=1)
-    return np.bincount(picks, minlength=c) / values.shape[0]
-
-
-def update_hard_pred(est: PriorEstimator, p: PredictionMatrix) -> PriorEstimator:
-    """Blend with the histogram of predicted (argmax) classes."""
-    if est.rule != "hard-pred":
-        raise ValueError(f"estimator rule is {est.rule!r}, not 'hard-pred'")
-    if p.n_classes != est.r.n_classes:
-        raise ShapeMismatch(f"predictions have {p.n_classes} classes, prior {est.r.n_classes}")
-    return _blend(est, _argmax_histogram(p.values, p.n_classes))
-
-
-def update_soft_pred(est: PriorEstimator, p: PredictionMatrix) -> PriorEstimator:
-    """Blend with the column means of the predicted probabilities."""
-    if est.rule != "soft-pred":
-        raise ValueError(f"estimator rule is {est.rule!r}, not 'soft-pred'")
-    if p.n_classes != est.r.n_classes:
-        raise ShapeMismatch(f"predictions have {p.n_classes} classes, prior {est.r.n_classes}")
-    if p.n_samples == 0:
-        raise EmptyBatch("cannot update the prior from an empty batch")
-    return _blend(est, p.values.mean(axis=0))
-
-
-def update_hard_pseudo(est: PriorEstimator, w: PseudoLabelMatrix) -> PriorEstimator:
-    """Blend with the histogram of pseudo-label argmax classes."""
-    if est.rule != "hard-pseudo":
-        raise ValueError(f"estimator rule is {est.rule!r}, not 'hard-pseudo'")
-    if w.n_classes != est.r.n_classes:
-        raise ShapeMismatch(f"pseudo-labels have {w.n_classes} classes, prior {est.r.n_classes}")
-    return _blend(est, _argmax_histogram(w.values, w.n_classes))
 
 
 def prior_error(est: PriorEstimator, truth: ClassPrior) -> float:

@@ -6,13 +6,15 @@ line-oriented::
     plrlab-metrics v1
     epoch=<int> lr=<g> loss_cls=<g> ... prior_err=<g> pseudo_ms=<g>
 
-and the benchmark file is plain CSV with header
+with one key per ``EpochMetrics`` field, in field order, and the
+benchmark file is plain CSV with header
 ``method,batch,classes,reps,mean_s,std_s``. Floats are printed at full
 precision so parsing recovers them exactly. '#' lines are comments.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ import numpy as np
 from .core import (
     CandidateMatrix,
     ClassPrior,
+    FormatError,
     PlrHyperparams,
     PredictionMatrix,
     Rng,
@@ -34,6 +37,7 @@ from .sinkhorn import SinkhornConfig, solar_update
 from .solver import plr_update, proden_update
 
 __all__ = [
+    "EpochMetrics",
     "GroupAccuracy",
     "BenchRecord",
     "group_accuracy",
@@ -43,6 +47,23 @@ __all__ = [
     "read_metrics",
     "emit_bench",
 ]
+
+
+@dataclass(frozen=True)
+class EpochMetrics:
+    """Per-epoch observables recorded during stage-2 training."""
+
+    epoch: int
+    lr: float
+    loss_cls: float
+    loss_cons: float
+    loss_mix: float
+    acc_all: float
+    acc_many: float
+    acc_med: float
+    acc_few: float
+    prior_err: float
+    pseudo_ms: float
 
 
 @dataclass(frozen=True)
@@ -142,9 +163,7 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     return records
 
 
-_METRIC_FIELDS = ("epoch", "lr", "loss_cls", "loss_cons", "loss_mix",
-                  "acc_all", "acc_many", "acc_med", "acc_few",
-                  "prior_err", "pseudo_ms")
+_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
 
 
 def emit_metrics(metrics, path, comments=()) -> None:
@@ -154,20 +173,13 @@ def emit_metrics(metrics, path, comments=()) -> None:
         for line in comments:
             fh.write(f"# {line}\n")
         for m in metrics:
-            values = (m.epoch, m.lr, m.loss_cls, m.loss_cons, m.loss_mix,
-                      m.acc_all, m.acc_many, m.acc_med, m.acc_few,
-                      m.prior_err, m.pseudo_ms)
-            parts = []
-            for key, val in zip(_METRIC_FIELDS, values):
-                parts.append(f"{key}={val:d}" if key == "epoch" else f"{key}={val:.17g}")
+            parts = [f"epoch={m.epoch:d}"]
+            parts += [f"{key}={getattr(m, key):.17g}" for key in _METRIC_FIELDS[1:]]
             fh.write(" ".join(parts) + "\n")
 
 
-def read_metrics(path):
+def read_metrics(path) -> list[EpochMetrics]:
     """Parse a metrics file back into EpochMetrics records."""
-    from .core import FormatError
-    from .trainer import EpochMetrics
-
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().split("\n")
     if not lines or lines[0] != "plrlab-metrics v1":

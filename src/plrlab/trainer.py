@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     PROB_EPS,
+    ClassPrior,
     NonFiniteLoss,
     PlrHyperparams,
     PredictionMatrix,
@@ -39,14 +40,8 @@ from .core import (
     validate_candidates,
 )
 from .datagen import PartialDataset
-from .prior import (
-    PriorEstimator,
-    init_uniform,
-    update_hard_pred,
-    update_hard_pseudo,
-    update_soft_pred,
-)
-from .report import group_accuracy
+from .prior import PriorEstimator, init_uniform, prior_error, update_prior
+from .report import EpochMetrics, group_accuracy
 from .selection import SelectionConfig, _select_rows, rho_at
 from .sinkhorn import SinkhornConfig, _solar_weights
 from .solver import _plr_weights
@@ -54,7 +49,6 @@ from .solver import _plr_weights
 __all__ = [
     "ModelParams",
     "TrainConfig",
-    "EpochMetrics",
     "init_params",
     "forward",
     "soft_ce",
@@ -140,23 +134,6 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative")
         if self.solver not in ("plr", "sinkhorn"):
             raise ValueError("solver must be 'plr' or 'sinkhorn'")
-
-
-@dataclass(frozen=True)
-class EpochMetrics:
-    """Per-epoch observables recorded during stage-2 training."""
-
-    epoch: int
-    lr: float
-    loss_cls: float
-    loss_cons: float
-    loss_mix: float
-    acc_all: float
-    acc_many: float
-    acc_med: float
-    acc_few: float
-    prior_err: float
-    pseudo_ms: float
 
 
 def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
@@ -329,7 +306,7 @@ def _check_finite(name: str, value: float, epoch: int, batch: int) -> None:
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                metrics_out: list | None, test: PartialDataset | None,
-               truth: np.ndarray | None):
+               truth: ClassPrior | None):
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
@@ -393,16 +370,14 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         full_weak = augment(ds.features, ep_rng, "weak", cfg)
         _, probs_full = forward(params, full_weak)
         if not cfg.freeze_prior:
-            if est.rule == "soft-pred":
-                est = update_soft_pred(est, probs_full)
-            elif est.rule == "hard-pseudo":
+            source = probs_full
+            if est.rule == "hard-pseudo":
                 t0 = time.perf_counter() if cfg.timing else 0.0
                 w_full = _pseudo_labels(probs_full.values, ds.candidates.bits, est, cfg)
                 if cfg.timing:
                     pseudo_seconds += time.perf_counter() - t0
-                est = update_hard_pseudo(est, PseudoLabelMatrix(w_full))
-            else:
-                est = update_hard_pred(est, probs_full)
+                source = PseudoLabelMatrix(w_full)
+            est = update_prior(est, source)
 
         if metrics_out is not None:
             if test is not None:
@@ -412,7 +387,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                 accs = (acc.overall, acc.many, acc.medium, acc.few)
             else:
                 accs = (math.nan,) * 4
-            prior_err = float(np.abs(est.r.values - truth).max()) if truth is not None else math.nan
+            prior_err = prior_error(est, truth) if truth is not None else math.nan
             means = [sums[i] / counts[i] if counts[i] else 0.0 for i in range(3)]
             metrics_out.append(EpochMetrics(
                 epoch, lr, means[0], means[1], means[2],
@@ -434,7 +409,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     c = ds.n_classes
     truth = None
     if ds.class_counts.sum() > 0:
-        truth = clamp_prior(ds.class_counts.astype(np.float64)).values
+        truth = clamp_prior(ds.class_counts.astype(np.float64))
 
     est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
     if cfg.pre_epochs > 0 and not cfg.freeze_prior:

@@ -24,9 +24,7 @@ from plrlab.datagen import DatasetSpec, gen_dataset, read_dataset, write_dataset
 from plrlab.prior import (
     init_uniform,
     prior_error,
-    update_hard_pred,
-    update_hard_pseudo,
-    update_soft_pred,
+    update_prior,
 )
 from plrlab.report import (
     bench_pseudo,
@@ -260,18 +258,12 @@ def test_criterion_8_prior_estimation_convergence():
 
     p = PredictionMatrix(one_hot)
     w = PseudoLabelMatrix(one_hot)
-    estimators = {
-        "hard-pred": (init_uniform(c, mu=0.1, rule="hard-pred"),
-                      lambda est: update_hard_pred(est, p)),
-        "soft-pred": (init_uniform(c, mu=0.1, rule="soft-pred"),
-                      lambda est: update_soft_pred(est, p)),
-        "hard-pseudo": (init_uniform(c, mu=0.1, rule="hard-pseudo"),
-                        lambda est: update_hard_pseudo(est, w)),
-    }
-    for rule, (est, step) in estimators.items():
+    sources = {"hard-pred": p, "soft-pred": p, "hard-pseudo": w}
+    for rule, source in sources.items():
+        est = init_uniform(c, mu=0.1, rule=rule)
         converged_at = None
         for k in range(1, 71):
-            est = step(est)
+            est = update_prior(est, source)
             assert abs(est.r.values.sum() - 1.0) <= 1e-9
             assert est.r.values.min() >= 1e-8 * (1 - 1e-4)
             if converged_at is None and prior_error(est, truth) <= 1e-3:

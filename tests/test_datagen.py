@@ -9,7 +9,6 @@ from plrlab.datagen import (
     PartialDataset,
     gen_candidates,
     gen_dataset,
-    gen_features,
     group_split,
     longtail_counts,
     read_dataset,
@@ -40,21 +39,6 @@ class TestLongtailCounts:
 
 
 class TestGenFeatures:
-    def test_deterministic(self):
-        spec = DatasetSpec(n_classes=5, head_count=30, imbalance_ratio=10.0,
-                           feature_dim=4, seed=42)
-        x1, y1 = gen_features(spec, Rng(spec.seed))
-        x2, y2 = gen_features(spec, Rng(spec.seed))
-        np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(y1, y2)
-
-    def test_counts_match_profile(self):
-        spec = DatasetSpec(n_classes=6, head_count=50, imbalance_ratio=25.0,
-                           feature_dim=3, seed=1)
-        _, y = gen_features(spec, Rng(1))
-        expected = longtail_counts(50, 25.0, 6)
-        np.testing.assert_array_equal(np.bincount(y, minlength=6), expected)
-
     def test_zero_separation_means_no_signal(self):
         spec = DatasetSpec(n_classes=3, head_count=60, class_separation=0.0,
                            feature_dim=4, flip_prob=0.0, test_per_class=30, seed=2)
@@ -132,6 +116,20 @@ class TestGenCandidates:
         labels = np.array([0, 1, 2])
         with pytest.raises(ValueError):
             gen_candidates(labels, 0.3, ((0, 1),), Rng(0), n_classes=3)
+
+    def test_hierarchy_beyond_class_count_rejected(self):
+        # Class 3 does not exist among three classes; it must not widen
+        # the matrix to four columns.
+        labels = np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="class 3"):
+            gen_candidates(labels, 0.3, ((0, 1), (2, 3)), Rng(0), n_classes=3)
+        with pytest.raises(ValueError, match="class -1"):
+            gen_candidates(labels, 0.3, ((0, 1, -1), (2,)), Rng(0), n_classes=3)
+
+    def test_label_outside_class_count_rejected(self):
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="range"):
+                gen_candidates(np.array(labels), 0.3, None, Rng(0), n_classes=3)
 
 
 class TestGroupSplit:

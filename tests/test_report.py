@@ -5,6 +5,7 @@ import pytest
 
 from plrlab.core import Rng, ShapeMismatch, TooFewReps, clamp_prior
 from plrlab.report import (
+    EpochMetrics,
     bench_pseudo,
     emit_bench,
     emit_metrics,
@@ -12,7 +13,6 @@ from plrlab.report import (
     logits_adjust_predict,
     read_metrics,
 )
-from plrlab.trainer import EpochMetrics
 
 
 class TestGroupAccuracy:

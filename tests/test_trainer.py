@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plrlab.core import PlrHyperparams, PseudoLabelMatrix, Rng, ShapeMismatch
+from plrlab.core import PlrHyperparams, PseudoLabelMatrix, Rng, ShapeMismatch, clamp_prior
 from plrlab.datagen import DatasetSpec, gen_dataset
+from plrlab.prior import RULES, prior_error
 from plrlab.selection import SelectionConfig
 from plrlab.trainer import (
     ModelParams,
@@ -384,6 +385,17 @@ class TestTrain:
         assert 0.0 <= m.acc_few <= 100.0
         assert m.pseudo_ms == 0.0  # timing disabled in the quick config
         assert m.prior_err >= 0.0
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_prior_rule_refreshes_the_prior(self, rule):
+        # update_prior raises on a source of the wrong type, so this also
+        # checks that the trainer builds pseudo-labels for hard-pseudo only.
+        ds, test = _tiny_dataset()
+        _, metrics, est = train(ds, _quick_cfg(prior_rule=rule), test)
+        assert est.rule == rule
+        assert not np.allclose(est.r.values, 1.0 / ds.n_classes)
+        truth = clamp_prior(ds.class_counts.astype(np.float64))
+        assert metrics[-1].prior_err == prior_error(est, truth)
 
     def test_sinkhorn_solver_path_runs(self):
         ds, test = _tiny_dataset()
