@@ -31,6 +31,7 @@ from .core import (
     PlrError,
     PlrHyperparams,
     Rng,
+    read_ascii,
 )
 from .datagen import DatasetSpec, gen_dataset, read_dataset, write_dataset
 from .report import bench_pseudo, emit_bench, emit_metrics, group_accuracy, logits_adjust_predict
@@ -56,8 +57,7 @@ def write_model(params: ModelParams, prior: ClassPrior, path, comments=()) -> No
 
 def read_model(path) -> tuple[ModelParams, ClassPrior]:
     """Parse a model file back into parameters and prior."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
+    lines = [ln for ln in read_ascii(path).split("\n") if ln]
     if not lines or not lines[0].startswith("plrlab-model v1 dims="):
         raise FormatError(1, "bad model header")
     try:
@@ -75,15 +75,18 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
             fields[key] = np.array([float(x) for x in rest.split()])
         except ValueError:
             raise FormatError(lineno, f"bad numbers under {key!r}") from None
+        if not np.isfinite(fields[key]).all():
+            raise FormatError(lineno, f"non-finite numbers under {key!r}")
     try:
         prior = ClassPrior(fields["prior"])
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             weights.append(fields[f"W{i}"].reshape(fan_in, fan_out))
             biases.append(fields[f"b{i}"])
-    except (KeyError, ValueError) as exc:
+        params = ModelParams(weights, biases)
+    except (KeyError, ValueError, PlrError) as exc:
         raise FormatError(len(lines), f"model fields inconsistent: {exc}") from None
-    return ModelParams(weights, biases), prior
+    return params, prior
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,15 +220,14 @@ def _add_options(parser: argparse.ArgumentParser, opts) -> None:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise FormatError(lineno, f"expected 'key = value', got {raw.strip()!r}")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(read_ascii(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(lineno, f"expected 'key = value', got {raw.strip()!r}")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

@@ -3,8 +3,8 @@
 Everything downstream (solvers, prior estimation, training) works on the
 four matrix/vector types defined here. All types are immutable after
 construction and carry their invariants: predictions and pseudo-labels are
-row-stochastic, candidate sets are binary, class priors live on the
-clamped simplex.
+row-stochastic, candidate sets are binary with no empty row, class priors
+live on the clamped simplex.
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ def _freeze(obj, **arrays) -> None:
 class CandidateMatrix:
     """Binary indicator of which labels are plausible for each sample.
 
-    Row nonemptiness is checked by :func:`validate_candidates`, which the
-    solvers call on entry; the constructor only enforces structure.
+    Every row must hold at least one candidate: the constructor raises
+    EmptyCandidateRow naming the first empty row, so no solver needs to
+    check again.
     """
 
     bits: np.ndarray
@@ -121,6 +122,9 @@ class CandidateMatrix:
             raise ShapeMismatch("candidate matrix must have at least one row")
         if not np.all((bits == 0.0) | (bits == 1.0)):
             raise ValueError("candidate matrix entries must be 0 or 1")
+        nonempty = bits.any(axis=1)
+        if not nonempty.all():
+            raise EmptyCandidateRow(int(np.argmin(nonempty)))
         _freeze(self, bits=bits)
 
     @property
@@ -265,14 +269,6 @@ class Rng:
         return f"Rng(seed={self.seed}, key={self._key})"
 
 
-def validate_candidates(s: CandidateMatrix) -> None:
-    """Raise EmptyCandidateRow if any sample has no candidate label."""
-    row_counts = s.bits.sum(axis=1)
-    empty = np.flatnonzero(row_counts == 0)
-    if empty.size:
-        raise EmptyCandidateRow(int(empty[0]))
-
-
 def validate_support(w: PseudoLabelMatrix, s: CandidateMatrix) -> None:
     """Raise SupportViolation if w carries mass outside the candidate set."""
     if w.values.shape != s.bits.shape:
@@ -330,3 +326,13 @@ def xlogx(v: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(v > 0.0, v * np.log(v), 0.0)
     return out
+
+
+def read_ascii(path) -> str:
+    """A file's text; a non-ASCII byte raises FormatError naming its line."""
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        text = fh.read()
+    bad = text.find("\ufffd")
+    if bad >= 0:
+        raise FormatError(text.count("\n", 0, bad) + 1, "non-ASCII byte")
+    return text

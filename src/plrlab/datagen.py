@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CandidateMatrix, FormatError, Rng, ShapeMismatch
+from .core import CandidateMatrix, FormatError, Rng, ShapeMismatch, _freeze, read_ascii
 
 __all__ = [
     "DatasetSpec",
@@ -101,12 +101,7 @@ class PartialDataset:
         counts = np.ascontiguousarray(self.class_counts, dtype=np.int64)
         if np.any(np.diff(counts) > 0):
             raise ValueError("class counts must be non-increasing (head classes first)")
-        feats.setflags(write=False)
-        labels.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "true_labels", labels)
-        object.__setattr__(self, "class_counts", counts)
+        _freeze(self, features=feats, true_labels=labels, class_counts=counts)
 
     @classmethod
     def from_arrays(cls, features, true_labels, candidates: CandidateMatrix) -> "PartialDataset":
@@ -240,8 +235,7 @@ _HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=(\d+)$")
 
 def read_dataset(path) -> PartialDataset:
     """Parse a dataset file, raising FormatError with the offending line number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = read_ascii(path).split("\n")
     if not lines or not lines[0]:
         raise FormatError(1, "missing header")
     match = _HEADER_RE.match(lines[0])

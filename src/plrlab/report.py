@@ -30,6 +30,7 @@ from .core import (
     ShapeMismatch,
     TooFewReps,
     clamp_prior,
+    read_ascii,
     row_normalize,
 )
 from .datagen import longtail_counts
@@ -180,8 +181,7 @@ def emit_metrics(metrics, path, comments=()) -> None:
 
 def read_metrics(path) -> list[EpochMetrics]:
     """Parse a metrics file back into EpochMetrics records."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = read_ascii(path).split("\n")
     if not lines or lines[0] != "plrlab-metrics v1":
         raise FormatError(1, "bad metrics header")
     out = []

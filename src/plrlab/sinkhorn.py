@@ -21,10 +21,8 @@ from .core import (
     ClassPrior,
     PredictionMatrix,
     PseudoLabelMatrix,
-    ShapeMismatch,
-    validate_candidates,
 )
-from .solver import log_kernel
+from .solver import _check_pair, _check_prior, log_kernel
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
 
@@ -68,8 +66,7 @@ class SinkhornResult:
 
 def marginal_errors(w: PseudoLabelMatrix, r: ClassPrior) -> tuple[float, float]:
     """Worst row deviation from 1 and worst column deviation from N*r_j (per sample)."""
-    if w.n_classes != r.n_classes:
-        raise ShapeMismatch(f"pseudo-labels have {w.n_classes} classes, prior {r.n_classes}")
+    _check_prior(w.n_classes, r)
     n = w.n_samples
     row_err = float(np.abs(w.values.sum(axis=1) - 1.0).max()) if n else 0.0
     col_err = float(np.abs(w.values.sum(axis=0) - n * r.values).max() / max(n, 1))
@@ -86,11 +83,8 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     iterations; either way a final row renormalization is applied.
     Scaling runs in log space; non-candidate entries stay exactly zero.
     """
-    if f.values.shape != s.bits.shape:
-        raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
-    if f.n_classes != r.n_classes:
-        raise ShapeMismatch(f"predictions have {f.n_classes} classes, prior {r.n_classes}")
-    validate_candidates(s)
+    _check_pair(f, s)
+    _check_prior(f.n_classes, r)
 
     out, iterations, history = _solar_weights(f.values, s.bits, r.values, cfg)
     w = PseudoLabelMatrix(out)
@@ -106,7 +100,7 @@ def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     """The :func:`solar_update` scaling loop on plain arrays.
 
     Expects what ``solar_update`` validates: matching shapes, row-stochastic
-    ``f``, 0/1 ``bits`` with no empty row and a clamped prior ``r``.
+    ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
     Returns the row-renormalized weights, the iterations used and the
     column error of each iteration.
 

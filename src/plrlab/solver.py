@@ -30,7 +30,6 @@ from .core import (
     PseudoLabelMatrix,
     ShapeMismatch,
     row_normalize,
-    validate_candidates,
     xlogx,
 )
 
@@ -103,7 +102,6 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
-    validate_candidates(s)
     return PseudoLabelMatrix(_plr_weights(f.values, s.bits, r.values, h.lam, h.m))
 
 
@@ -112,7 +110,7 @@ def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     """The :func:`plr_update` kernel on plain arrays.
 
     Expects what ``plr_update`` validates: matching shapes, row-stochastic
-    ``f``, a clamped prior ``r`` and no empty candidate row.
+    ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
     """
     kernel = np.maximum(f, PROB_EPS) ** lam
     kernel *= r ** (-m)
@@ -130,7 +128,6 @@ def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
 def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
     """Masked renormalization of predictions over the candidate sets."""
     _check_pair(f, s)
-    validate_candidates(s)
     masked = s.bits * np.maximum(f.values, PROB_EPS)
     return PseudoLabelMatrix(row_normalize(masked))
 
@@ -164,7 +161,6 @@ def kkt_residual(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
     _check_prior(f.n_classes, r)
     if w.values.shape != f.values.shape:
         raise ShapeMismatch(f"pseudo-labels {w.values.shape} vs predictions {f.values.shape}")
-    validate_candidates(s)
     support = s.bits > 0.0
     on_support = w.values[support]
     if np.any(on_support <= 0.0):

@@ -37,7 +37,6 @@ from .core import (
     ShapeMismatch,
     _check_support,
     clamp_prior,
-    validate_candidates,
 )
 from .datagen import PartialDataset
 from .prior import PriorEstimator, init_uniform, prior_error, update_prior
@@ -51,12 +50,9 @@ __all__ = [
     "TrainConfig",
     "init_params",
     "forward",
-    "soft_ce",
-    "grad_logits_soft_ce",
     "sgd_momentum_step",
     "cosine_lr",
     "augment",
-    "mixup_batch",
     "train",
 ]
 
@@ -81,7 +77,6 @@ class ModelParams:
         for w, b in zip(self.weights, self.biases):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeMismatch("layer weight/bias shapes disagree")
-        for w, b in zip(self.weights, self.biases):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("model parameters must be finite")
         if not self.vel_w:
@@ -122,6 +117,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.pre_epochs < 0:
             raise ValueError("epochs and batch_size must be positive, pre_epochs nonnegative")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden layer widths must be at least 1")
         if not self.lr0 > 0 or not 0.0 <= self.momentum < 1.0:
             raise ValueError("need lr0 > 0 and momentum in [0, 1)")
         if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
@@ -192,25 +189,9 @@ def _backward(params: ModelParams, acts: list[np.ndarray],
     return gw, gb
 
 
-def _check_targets(probs: PredictionMatrix, w: PseudoLabelMatrix) -> None:
-    if probs.values.shape != w.values.shape:
-        raise ShapeMismatch(f"predictions {probs.values.shape} vs targets {w.values.shape}")
-
-
-def soft_ce(probs: PredictionMatrix, w: PseudoLabelMatrix) -> np.ndarray:
-    """Per-sample cross entropy of predictions against soft targets."""
-    _check_targets(probs, w)
-    return _soft_ce(probs.values, w.values)
-
-
 def _soft_ce(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-sample cross entropy of predictions ``p`` against soft targets ``w``."""
     return -(w * np.log(np.maximum(p, PROB_EPS))).sum(axis=1)
-
-
-def grad_logits_soft_ce(probs: PredictionMatrix, w: PseudoLabelMatrix) -> np.ndarray:
-    """Gradient of the mean soft cross entropy with respect to the logits."""
-    _check_targets(probs, w)
-    return _grad_logits_soft_ce(probs.values, w.values, 1.0 / probs.n_samples)
 
 
 def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale) -> np.ndarray:
@@ -247,24 +228,14 @@ def augment(x: np.ndarray, rng: Rng, kind: str, cfg: TrainConfig) -> np.ndarray:
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-def mixup_batch(x: np.ndarray, w: PseudoLabelMatrix, alpha: float, rng: Rng,
-                lam_mix: float | None = None,
-                perm: np.ndarray | None = None) -> tuple[np.ndarray, PseudoLabelMatrix]:
+def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng,
+           lam_mix: float | None = None, perm: np.ndarray | None = None):
     """Convex combination of the batch with a permuted copy of itself.
 
     The coefficient is Beta(alpha, alpha) and the partner permutation is
     uniform; both can be forced for tests and ablations. Target rows stay
     on the simplex because the combination is convex.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != w.n_samples:
-        raise ShapeMismatch(f"{x.shape[0]} inputs vs {w.n_samples} targets")
-    x_mix, w_mix = _mixup(x, w.values, alpha, rng, lam_mix, perm)
-    return x_mix, PseudoLabelMatrix(w_mix)
-
-
-def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng,
-           lam_mix: float | None = None, perm: np.ndarray | None = None):
     if lam_mix is None:
         lam_mix = rng.beta(alpha, alpha)
     if perm is None:
@@ -367,13 +338,13 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             sgd_momentum_step(params, grads, lr, cfg.momentum)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
-        full_weak = augment(ds.features, ep_rng, "weak", cfg)
-        _, probs_full = forward(params, full_weak)
+        # Each epoch draws from its own child rng, so skipping these draws
+        # under a frozen prior leaves every later epoch unchanged.
         if not cfg.freeze_prior:
-            source = probs_full
+            _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
                 t0 = time.perf_counter() if cfg.timing else 0.0
-                w_full = _pseudo_labels(probs_full.values, ds.candidates.bits, est, cfg)
+                w_full = _pseudo_labels(source.values, ds.candidates.bits, est, cfg)
                 if cfg.timing:
                     pseudo_seconds += time.perf_counter() - t0
                 source = PseudoLabelMatrix(w_full)
@@ -404,7 +375,6 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     Returns the trained parameters, per-epoch metrics for the second
     stage, and the final prior estimator.
     """
-    validate_candidates(ds.candidates)
     rng = Rng(cfg.seed)
     c = ds.n_classes
     truth = None
@@ -422,4 +392,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     metrics: list[EpochMetrics] = []
     est = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3),
                      metrics, test, truth)
+    # With a frozen prior and no test set, nothing else checks the last step.
+    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+        raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")
     return params, metrics, est

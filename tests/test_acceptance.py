@@ -34,8 +34,8 @@ from plrlab.report import (
 )
 from plrlab.sinkhorn import SinkhornConfig, solar_update
 from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
-from plrlab.trainer import TrainConfig, forward, grad_logits_soft_ce, train
-from plrlab.trainer import _backward, _forward_cached
+from plrlab.trainer import TrainConfig, forward, train
+from plrlab.trainer import _backward, _forward_cached, _grad_logits_soft_ce
 
 from oracles import grid_min_objective, row_objective
 
@@ -123,10 +123,11 @@ def test_criterion_4_full_mlp_gradient_check():
     x = rng.normal(size=(4, 5))
     wvals = rng.uniform(0.05, 1.0, (4, 3))
     wvals /= wvals.sum(axis=1, keepdims=True)
-    w = PseudoLabelMatrix(wvals)
 
     acts, _, probs = _forward_cached(params, x)
-    gw, gb = _backward(params, acts, grad_logits_soft_ce(PredictionMatrix(probs), w))
+    # The per-row weights of a mean over the batch, as the SGD step passes them.
+    row_scale = np.full((x.shape[0], 1), 1.0 / x.shape[0])
+    gw, gb = _backward(params, acts, _grad_logits_soft_ce(probs, wvals, row_scale))
 
     def loss_with(weights, biases):
         out = x

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plrlab.cli import main, read_model, write_model
+from plrlab.cli import _parse_config_file, main, read_model, write_model
 from plrlab.core import ClassPrior, FormatError
 from plrlab.datagen import read_dataset
 from plrlab.report import read_metrics
@@ -136,6 +136,22 @@ class TestTrain:
         header = (tmp_path / "ds_metrics.txt").read_text().splitlines()
         assert "# lam = 1.5" in header  # config key survived
         assert "# seed = 9" in header
+
+    def test_zero_hidden_width_exits_one(self, tmp_path, capsys):
+        # Used to die with a ZeroDivisionError traceback in init_params.
+        ds = _gen(tmp_path)
+        assert main(["train", "-d", str(ds), "--hidden", "0"]) == 1
+        assert "error: hidden layer widths must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lineno", [1, 2, 3])
+    def test_config_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
+        cfg = tmp_path / "run.cfg"
+        lines = [b"epochs = 2", b"# comment", b"seed = 9"]
+        lines[lineno - 1] += b" \xe9"
+        cfg.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match="non-ASCII") as exc:
+            _parse_config_file(str(cfg))
+        assert exc.value.line == lineno
 
     def test_unknown_config_key_rejected(self, tmp_path):
         ds = _gen(tmp_path)
@@ -276,3 +292,24 @@ class TestModelFile:
         path.write_text("not a model\n")
         with pytest.raises(FormatError):
             read_model(path)
+
+    # Lines: 1 header, 2 prior, 3 W0, 4 b0, 5 W1, 6 b1. ``token`` replaces the
+    # first value of line ``edit``, or drops it when empty.
+    @pytest.mark.parametrize("edit, token, match, line", [
+        (3, b"nan", "finite", 3),
+        (6, b"-inf", "finite", 6),
+        (1, b"\xe9", "non-ASCII", 1),
+        (5, b"0.5\xe9", "non-ASCII", 5),
+        (4, b"", "inconsistent", 6),
+    ])
+    def test_hostile_file_reports_line_number(self, tmp_path, edit, token, match, line):
+        params = ModelParams([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])
+        path = tmp_path / "model.txt"
+        write_model(params, ClassPrior(np.array([1.0])), path)
+        lines = path.read_bytes().split(b"\n")
+        key, _, *rest = lines[edit - 1].split(b" ")
+        lines[edit - 1] = b" ".join([key] + ([token] if token else []) + rest)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match=match) as exc:
+            read_model(path)
+        assert exc.value.line == line

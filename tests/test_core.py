@@ -19,24 +19,24 @@ from plrlab.core import (
     ZeroRowSum,
     clamp_prior,
     row_normalize,
-    validate_candidates,
     validate_support,
     xlogx,
 )
 
 
 class TestValidateCandidates:
+    """CandidateMatrix is the one place that checks for empty rows."""
+
     def test_identity_like_rows_pass(self):
-        validate_candidates(CandidateMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        CandidateMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_empty_row_reported_with_index(self):
-        s = CandidateMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(EmptyCandidateRow) as exc:
-            validate_candidates(s)
+            CandidateMatrix(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
         assert exc.value.row == 1
 
     def test_full_row_passes(self):
-        validate_candidates(CandidateMatrix(np.array([[1.0, 1.0, 1.0]])))
+        CandidateMatrix(np.array([[1.0, 1.0, 1.0]]))
 
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,18 @@ class TestDatasetFile:
             read_dataset(path)
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize("lineno", [1, 2, 4])
+    def test_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
+        train, _ = gen_dataset(DatasetSpec(n_classes=3, head_count=10, seed=6))
+        path = tmp_path / "ds.txt"
+        write_dataset(train, path, comments=["note"])
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="non-ASCII") as exc:
+            read_dataset(path)
+        assert exc.value.line == lineno
+
     def test_dataset_bytes_stable_across_runs(self, tmp_path):
         spec = DatasetSpec(n_classes=4, head_count=12, flip_prob=0.2, seed=9)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

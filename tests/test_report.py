@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plrlab.core import Rng, ShapeMismatch, TooFewReps, clamp_prior
+from plrlab.core import FormatError, Rng, ShapeMismatch, TooFewReps, clamp_prior
 from plrlab.report import (
     EpochMetrics,
     bench_pseudo,
@@ -145,6 +145,18 @@ class TestMetricsFile:
         path = tmp_path / "m.txt"
         emit_metrics([ugly], path)
         assert read_metrics(path)[0] == ugly
+
+
+    @pytest.mark.parametrize("lineno", [1, 2, 4])
+    def test_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
+        path = tmp_path / "m.txt"
+        emit_metrics(_toy_metrics(), path, comments=["seed = 7"])
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="non-ASCII") as exc:
+            read_metrics(path)
+        assert exc.value.line == lineno
 
 
 class TestBenchFile:

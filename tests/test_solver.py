@@ -72,11 +72,11 @@ class TestPlrUpdate:
         assert abs(best - w.values[0, 0]) < 1e-4
 
     def test_empty_candidate_row_propagates(self):
-        f = PredictionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        s = CandidateMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        r = clamp_prior(np.array([0.5, 0.5]))
-        with pytest.raises(EmptyCandidateRow):
-            plr_update(f, s, r, PlrHyperparams())
+        # plr_update cannot be handed an empty row: the CandidateMatrix it
+        # takes rejects one when it is built.
+        with pytest.raises(EmptyCandidateRow) as exc:
+            CandidateMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert exc.value.row == 1
 
     def test_shape_mismatch(self):
         f = PredictionMatrix(np.array([[0.5, 0.5]]))

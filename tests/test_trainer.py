@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plrlab.core import PlrHyperparams, PseudoLabelMatrix, Rng, ShapeMismatch, clamp_prior
+from plrlab.core import PlrHyperparams, Rng, ShapeMismatch, clamp_prior
 from plrlab.datagen import DatasetSpec, gen_dataset
 from plrlab.prior import RULES, prior_error
 from plrlab.selection import SelectionConfig
@@ -15,14 +15,18 @@ from plrlab.trainer import (
     augment,
     cosine_lr,
     forward,
-    grad_logits_soft_ce,
     init_params,
-    mixup_batch,
     sgd_momentum_step,
-    soft_ce,
     train,
 )
-from plrlab.trainer import _backward, _forward_cached, _row_scales
+from plrlab.trainer import (
+    _backward,
+    _forward_cached,
+    _grad_logits_soft_ce,
+    _mixup,
+    _row_scales,
+    _soft_ce,
+)
 
 
 def _quick_cfg(**overrides):
@@ -68,51 +72,46 @@ class TestForward:
             forward(params, np.ones((2, 6)))
 
 
+def _mean_scale(n_rows):
+    """The per-row weights of a mean over the batch, as the SGD step passes them."""
+    return np.full((n_rows, 1), 1.0 / n_rows)
+
+
 class TestSoftCe:
     def test_matching_one_hot_is_zero(self):
-        from plrlab.core import PredictionMatrix
-
-        probs = PredictionMatrix(np.array([[1.0, 0.0]]))
-        w = PseudoLabelMatrix(np.array([[1.0, 0.0]]))
-        assert soft_ce(probs, w)[0] == pytest.approx(0.0, abs=1e-10)
+        probs = np.array([[1.0, 0.0]])
+        w = np.array([[1.0, 0.0]])
+        assert _soft_ce(probs, w)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_half_probability_costs_log_two(self):
-        from plrlab.core import PredictionMatrix
-
-        probs = PredictionMatrix(np.array([[0.5, 0.5]]))
-        w = PseudoLabelMatrix(np.array([[1.0, 0.0]]))
-        assert soft_ce(probs, w)[0] == pytest.approx(np.log(2.0))
+        probs = np.array([[0.5, 0.5]])
+        w = np.array([[1.0, 0.0]])
+        assert _soft_ce(probs, w)[0] == pytest.approx(np.log(2.0))
 
     def test_uniform_target_on_even_candidates(self):
-        from plrlab.core import PredictionMatrix
-
-        probs = PredictionMatrix(np.array([[0.5, 0.5]]))
-        w = PseudoLabelMatrix(np.array([[0.5, 0.5]]))
-        assert soft_ce(probs, w)[0] == pytest.approx(np.log(2.0))
+        probs = np.array([[0.5, 0.5]])
+        w = np.array([[0.5, 0.5]])
+        assert _soft_ce(probs, w)[0] == pytest.approx(np.log(2.0))
 
 
 class TestGradLogits:
     def test_zero_at_match(self):
-        from plrlab.core import PredictionMatrix
-
-        probs = PredictionMatrix(np.array([[0.3, 0.7]]))
-        w = PseudoLabelMatrix(np.array([[0.3, 0.7]]))
-        np.testing.assert_allclose(grad_logits_soft_ce(probs, w), 0.0, atol=1e-15)
+        probs = np.array([[0.3, 0.7]])
+        w = np.array([[0.3, 0.7]])
+        np.testing.assert_allclose(_grad_logits_soft_ce(probs, w, _mean_scale(1)), 0.0,
+                                   atol=1e-15)
 
     def test_rows_sum_to_zero_for_one_hot_targets(self):
-        from plrlab.core import PredictionMatrix
-
-        probs = PredictionMatrix(np.array([[0.2, 0.5, 0.3]]))
-        w = PseudoLabelMatrix(np.array([[0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(grad_logits_soft_ce(probs, w).sum(axis=1), 0.0,
-                                   atol=1e-15)
+        probs = np.array([[0.2, 0.5, 0.3]])
+        w = np.array([[0.0, 1.0, 0.0]])
+        np.testing.assert_allclose(
+            _grad_logits_soft_ce(probs, w, _mean_scale(1)).sum(axis=1), 0.0, atol=1e-15)
 
     def test_matches_finite_differences_at_logit_level(self):
         rng = Rng(33)
         logits = rng.normal(size=(4, 3))
         wvals = rng.uniform(0.1, 1.0, (4, 3))
         wvals /= wvals.sum(axis=1, keepdims=True)
-        w = PseudoLabelMatrix(wvals)
 
         def loss_at(z):
             shifted = z - z.max(axis=1, keepdims=True)
@@ -120,12 +119,10 @@ class TestGradLogits:
             p /= p.sum(axis=1, keepdims=True)
             return float(-(wvals * np.log(p)).sum(axis=1).mean())
 
-        from plrlab.core import PredictionMatrix
-
         shifted = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
-        analytic = grad_logits_soft_ce(PredictionMatrix(p), w)
+        analytic = _grad_logits_soft_ce(p, wvals, _mean_scale(4))
 
         h = 1e-6
         for i in range(4):
@@ -145,12 +142,9 @@ def test_full_network_gradient_matches_central_differences():
     x = rng.normal(size=(4, 5))
     wvals = rng.uniform(0.05, 1.0, (4, 3))
     wvals /= wvals.sum(axis=1, keepdims=True)
-    w = PseudoLabelMatrix(wvals)
 
     acts, _, probs = _forward_cached(params, x)
-    from plrlab.core import PredictionMatrix
-
-    gw, gb = _backward(params, acts, grad_logits_soft_ce(PredictionMatrix(probs), w))
+    gw, gb = _backward(params, acts, _grad_logits_soft_ce(probs, wvals, _mean_scale(4)))
 
     def loss_with(params_mod):
         _, _, p = _forward_cached(params_mod, x)
@@ -316,27 +310,26 @@ class TestAugment:
 class TestMixup:
     def test_forced_identity_coefficient(self):
         x = np.arange(8.0).reshape(2, 4)
-        w = PseudoLabelMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        x2, w2 = mixup_batch(x, w, 4.0, Rng(0), lam_mix=1.0)
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x2, w2 = _mixup(x, w, 4.0, Rng(0), lam_mix=1.0)
         np.testing.assert_array_equal(x2, x)
-        np.testing.assert_array_equal(w2.values, w.values)
+        np.testing.assert_array_equal(w2, w)
 
     def test_even_mix_of_swapped_pair_is_the_mean(self):
         x = np.array([[0.0, 2.0], [4.0, 6.0]])
-        w = PseudoLabelMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        x2, w2 = mixup_batch(x, w, 4.0, Rng(0), lam_mix=0.5, perm=np.array([1, 0]))
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x2, w2 = _mixup(x, w, 4.0, Rng(0), lam_mix=0.5, perm=np.array([1, 0]))
         np.testing.assert_allclose(x2, [[2.0, 4.0], [2.0, 4.0]])
-        np.testing.assert_allclose(w2.values, 0.5)
+        np.testing.assert_allclose(w2, 0.5)
 
     def test_rows_stay_on_simplex(self):
         rng = Rng(9)
         x = rng.normal(size=(10, 3))
         vals = rng.uniform(0.01, 1.0, (10, 4))
         vals /= vals.sum(axis=1, keepdims=True)
-        w = PseudoLabelMatrix(vals)
         for _ in range(20):
-            _, w2 = mixup_batch(x, w, 4.0, rng)
-            np.testing.assert_allclose(w2.values.sum(axis=1), 1.0, atol=1e-12)
+            _, w2 = _mixup(x, vals, 4.0, rng)
+            np.testing.assert_allclose(w2.sum(axis=1), 1.0, atol=1e-12)
 
 
 def _tiny_dataset(seed=0, separation=6.0, flip=0.4):
@@ -443,15 +436,15 @@ class TestTrain:
         assert exc.value.mass == pytest.approx(0.25)
 
     def test_empty_candidate_row_raises(self):
+        # train() cannot be handed an empty row: the CandidateMatrix its
+        # dataset holds rejects one when it is built.
         from plrlab.core import CandidateMatrix, EmptyCandidateRow
 
-        ds, test = _tiny_dataset()
+        ds, _ = _tiny_dataset()
         bits = ds.candidates.bits.copy()
         bits[7] = 0.0
-        # PartialDataset rejects this, so forge it past the constructor.
-        object.__setattr__(ds, "candidates", CandidateMatrix(bits))
         with pytest.raises(EmptyCandidateRow) as exc:
-            train(ds, _quick_cfg(), test)
+            CandidateMatrix(bits)
         assert exc.value.row == 7
 
     def test_config_validation(self):
@@ -462,6 +455,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             _quick_cfg(momentum=1.5)
 
+    @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-3,)])
+    def test_hidden_width_below_one_rejected(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            _quick_cfg(hidden=hidden)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_aborts_with_numeric_error(self):
@@ -470,6 +468,19 @@ class TestTrain:
         ds, test = _tiny_dataset()
         with pytest.raises(NonFiniteLoss):
             train(ds, _quick_cfg(lr0=1e28, epochs=5), test)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_frozen_prior_divergence_without_test_set_aborts(self):
+        # One SGD step to non-finite weights that no later pass looks at: no
+        # second batch, no prior refresh (frozen) and no test set.
+        from plrlab.core import NonFiniteLoss
+
+        ds, _ = _tiny_dataset()
+        cfg = _quick_cfg(lr0=1e308, epochs=1, pre_epochs=0, freeze_prior=True,
+                         batch_size=ds.n_samples)
+        with pytest.raises(NonFiniteLoss):
+            train(ds, cfg)
 
 
 def test_train_metrics_are_dataclass_rows():
