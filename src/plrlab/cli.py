@@ -77,6 +77,8 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
             raise FormatError(lineno, f"bad numbers under {key!r}") from None
         if not np.isfinite(fields[key]).all():
             raise FormatError(lineno, f"non-finite numbers under {key!r}")
+        if key == "prior" and fields[key].size != dims[-1]:
+            raise FormatError(lineno, f"{fields[key].size} prior entries for {dims[-1]} classes")
     try:
         prior = ClassPrior(fields["prior"])
         weights, biases = [], []
@@ -137,43 +139,57 @@ _GEN_OPTS = [
          "output path for the test split (default: <out stem>_test<ext>)"),
 ]
 
+# Train and bench defaults come from the config dataclasses, so each lives
+# in one place. gen keeps its literals: they are the acceptance dataset,
+# whose gamma and psi differ from DatasetSpec's defaults.
+_TRAIN = TrainConfig()
+
 _TRAIN_OPTS = [
     _opt(["-d", "--data"], "data", str, None, "training dataset file (required)"),
     _opt(["--test"], "test", str, None,
          "test dataset file for per-epoch metrics (default: <data stem>_test<ext> if present)"),
-    _opt(["--lambda"], "lam", float, 3.0, "entropy temperature of the pseudo-label solver"),
-    _opt(["--m"], "m", float, 2.0, "prior-penalty exponent of the pseudo-label solver"),
-    _opt(["--epochs"], "epochs", int, 100, "training epochs (after pre-estimation)"),
-    _opt(["--pre-epochs"], "pre_epochs", int, 20, "prior pre-estimation epochs"),
-    _opt(["--batch"], "batch", int, 256, "batch size"),
-    _opt(["--lr"], "lr", float, 0.01, "initial learning rate (cosine-decayed)"),
-    _opt(["--momentum"], "momentum", float, 0.9, "SGD momentum"),
-    _opt(["--hidden"], "hidden", _int_list, (64, 64), "hidden layer sizes, comma-separated"),
-    _opt(["--solver"], "solver", str, "plr", "pseudo-label solver: plr or sinkhorn"),
-    _opt(["--sk-iters"], "sk_iters", int, 50, "Sinkhorn iteration cap"),
-    _opt(["--sk-tol"], "sk_tol", float, 1e-3, "Sinkhorn marginal tolerance"),
-    _opt(["--sk-lambda"], "sk_lambda", float, 1.0, "Sinkhorn prediction temperature"),
-    _opt(["--prior-rule"], "prior_rule", str, "hard-pred",
+    _opt(["--lambda"], "lam", float, _TRAIN.plr.lam,
+         "entropy temperature of the pseudo-label solver"),
+    _opt(["--m"], "m", float, _TRAIN.plr.m, "prior-penalty exponent of the pseudo-label solver"),
+    _opt(["--epochs"], "epochs", int, _TRAIN.epochs, "training epochs (after pre-estimation)"),
+    _opt(["--pre-epochs"], "pre_epochs", int, _TRAIN.pre_epochs, "prior pre-estimation epochs"),
+    _opt(["--batch"], "batch", int, _TRAIN.batch_size, "batch size"),
+    _opt(["--lr"], "lr", float, _TRAIN.lr0, "initial learning rate (cosine-decayed)"),
+    _opt(["--momentum"], "momentum", float, _TRAIN.momentum, "SGD momentum"),
+    _opt(["--hidden"], "hidden", _int_list, _TRAIN.hidden, "hidden layer sizes, comma-separated"),
+    _opt(["--solver"], "solver", str, _TRAIN.solver, "pseudo-label solver: plr or sinkhorn"),
+    _opt(["--sk-iters"], "sk_iters", int, _TRAIN.sinkhorn.max_iters, "Sinkhorn iteration cap"),
+    _opt(["--sk-tol"], "sk_tol", float, _TRAIN.sinkhorn.tol, "Sinkhorn marginal tolerance"),
+    _opt(["--sk-lambda"], "sk_lambda", float, _TRAIN.sinkhorn.lam,
+         "Sinkhorn prediction temperature"),
+    _opt(["--prior-rule"], "prior_rule", str, _TRAIN.prior_rule,
          "prior estimation rule: hard-pred, soft-pred, or hard-pseudo"),
-    _opt(["--mu1"], "mu1", float, 0.1, "moving-average coefficient, pre-estimation stage"),
-    _opt(["--mu2"], "mu2", float, 0.01, "moving-average coefficient, main stage"),
-    _opt(["--rho-start"], "rho_start", float, 0.2, "selection fraction at epoch 0"),
-    _opt(["--rho-end"], "rho_end", float, 0.5, "selection fraction after the ramp"),
-    _opt(["--ramp-epochs"], "ramp_epochs", int, 50, "epochs over which rho ramps up"),
-    _opt(["--weak-sigma"], "weak_sigma", float, 0.05, "weak-view noise sigma"),
-    _opt(["--strong-sigma"], "strong_sigma", float, 0.2, "strong-view noise sigma"),
-    _opt(["--dropout"], "dropout", float, 0.2, "strong-view coordinate dropout probability"),
-    _opt(["--mixup-alpha"], "mixup_alpha", float, 4.0, "Beta(alpha, alpha) mixup coefficient"),
-    _opt(["--w-cls"], "w_cls", float, 1.0, "classification loss weight"),
-    _opt(["--w-cons"], "w_cons", float, 1.0, "consistency loss weight"),
-    _opt(["--w-mix"], "w_mix", float, 1.0, "mixup loss weight"),
-    _opt(["--freeze-prior"], "freeze_prior", _bool, False,
+    _opt(["--mu1"], "mu1", float, _TRAIN.mu_schedule[0],
+         "moving-average coefficient, pre-estimation stage"),
+    _opt(["--mu2"], "mu2", float, _TRAIN.mu_schedule[1], "moving-average coefficient, main stage"),
+    _opt(["--rho-start"], "rho_start", float, _TRAIN.selection.rho_start,
+         "selection fraction at epoch 0"),
+    _opt(["--rho-end"], "rho_end", float, _TRAIN.selection.rho_end,
+         "selection fraction after the ramp"),
+    _opt(["--ramp-epochs"], "ramp_epochs", int, _TRAIN.selection.ramp_epochs,
+         "epochs over which rho ramps up"),
+    _opt(["--weak-sigma"], "weak_sigma", float, _TRAIN.weak_noise_sigma, "weak-view noise sigma"),
+    _opt(["--strong-sigma"], "strong_sigma", float, _TRAIN.strong_noise_sigma,
+         "strong-view noise sigma"),
+    _opt(["--dropout"], "dropout", float, _TRAIN.strong_dropout_p,
+         "strong-view coordinate dropout probability"),
+    _opt(["--mixup-alpha"], "mixup_alpha", float, _TRAIN.mixup_alpha,
+         "Beta(alpha, alpha) mixup coefficient"),
+    _opt(["--w-cls"], "w_cls", float, _TRAIN.loss_weights[0], "classification loss weight"),
+    _opt(["--w-cons"], "w_cons", float, _TRAIN.loss_weights[1], "consistency loss weight"),
+    _opt(["--w-mix"], "w_mix", float, _TRAIN.loss_weights[2], "mixup loss weight"),
+    _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.freeze_prior,
          "keep the prior uniform instead of estimating it", flag=True),
-    _opt(["--restrict-losses"], "restrict_losses", _bool, False,
+    _opt(["--restrict-losses"], "restrict_losses", _bool, _TRAIN.restrict_all_losses,
          "apply the classification loss only to selected samples", flag=True),
-    _opt(["--timing"], "timing", _bool, True,
+    _opt(["--timing"], "timing", _bool, _TRAIN.timing,
          "record wall-clock pseudo-label time (off for byte-reproducible metrics)"),
-    _opt(["--seed"], "seed", int, 0, "training seed"),
+    _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
     _opt(["--metrics-out"], "metrics_out", str, None,
          "metrics file path (default: <data stem>_metrics.txt)"),
     _opt(["--model-out"], "model_out", str, None,
@@ -194,9 +210,10 @@ _BENCH_OPTS = [
     _opt(["--reps"], "reps", int, 10, "timed repetitions per method (min 3)"),
     _opt(["--methods"], "methods", str, "plr,proden,sinkhorn",
          "comma-separated subset of plr, proden, sinkhorn"),
-    _opt(["--lambda"], "lam", float, 3.0, "entropy temperature for the plr method"),
-    _opt(["--m"], "m", float, 2.0, "prior-penalty exponent for the plr method"),
-    _opt(["--sk-iters"], "sk_iters", int, 50, "Sinkhorn iteration cap"),
+    _opt(["--lambda"], "lam", float, PlrHyperparams().lam,
+         "entropy temperature for the plr method"),
+    _opt(["--m"], "m", float, PlrHyperparams().m, "prior-penalty exponent for the plr method"),
+    _opt(["--sk-iters"], "sk_iters", int, SinkhornConfig().max_iters, "Sinkhorn iteration cap"),
     _opt(["--seed"], "seed", int, 0, "benchmark data seed"),
     _opt(["-o", "--out"], "out", str, None, "benchmark CSV path (required)"),
 ]

@@ -137,20 +137,21 @@ class CandidateMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionMatrix:
-    """Row-stochastic classifier outputs, one probability row per sample."""
+class _RowStochastic:
+    """A matrix with entries in [0, 1] and rows that sum to 1."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_float_matrix(self.values, "prediction matrix")
-        if np.any(values < 0.0):
-            raise ValueError("prediction entries must be nonnegative")
+        name = type(self).__name__
+        values = _as_float_matrix(self.values, name)
         if values.shape[0] > 0:
+            # Negated, so a NaN entry fails too.
+            if not (values.min() >= 0.0 and values.max() <= 1.0):
+                raise ValueError(f"{name} entries must be finite and lie in [0, 1]")
             sums = values.sum(axis=1)
-            # Negated, so a NaN row sum fails too.
             if not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
-                raise ValueError("prediction rows must be finite and sum to 1 within 1e-9")
+                raise ValueError(f"{name} rows must sum to 1 within 1e-9")
         _freeze(self, values=values)
 
     @property
@@ -162,34 +163,17 @@ class PredictionMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoLabelMatrix:
+class PredictionMatrix(_RowStochastic):
+    """Row-stochastic classifier outputs, one probability row per sample."""
+
+
+class PseudoLabelMatrix(_RowStochastic):
     """Row-stochastic disambiguation weights over classes.
 
     Support containment (zero mass outside a candidate set) is relative to
-    a paired :class:`CandidateMatrix`; check it with
-    :func:`validate_support`.
+    a paired :class:`CandidateMatrix`, so it is not checked here; the
+    training loop checks it after every solve.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _as_float_matrix(self.values, "pseudo-label matrix")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("pseudo-label entries must lie in [0, 1]")
-        if values.shape[0] > 0:
-            sums = values.sum(axis=1)
-            if not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
-                raise ValueError("pseudo-label rows must be finite and sum to 1 within 1e-9")
-        _freeze(self, values=values)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,25 +253,22 @@ class Rng:
         return f"Rng(seed={self.seed}, key={self._key})"
 
 
-def validate_support(w: PseudoLabelMatrix, s: CandidateMatrix) -> None:
-    """Raise SupportViolation if w carries mass outside the candidate set."""
-    if w.values.shape != s.bits.shape:
-        raise ShapeMismatch(
-            f"pseudo-labels {w.values.shape} vs candidates {s.bits.shape}"
-        )
-    _check_support(w.values, s.bits)
-
-
 def _check_support(w: np.ndarray, bits: np.ndarray) -> None:
-    """Array form of :func:`validate_support` for same-shape plain arrays.
+    """Raise SupportViolation if ``w`` carries mass outside the candidate set.
 
-    Raises SupportViolation for the first (row-major) entry with positive
-    mass where ``bits`` is zero.
+    ``w`` and ``bits`` are same-shape plain arrays; the error names the
+    first (row-major) entry with positive mass where ``bits`` is zero.
     """
     outside = (w > 0.0) & (bits == 0.0)
     if outside.any():
         i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
         raise SupportViolation(int(i), int(j), float(w[i, j]))
+
+
+def _check_prior(c: int, r: ClassPrior) -> None:
+    """Raise ShapeMismatch unless the prior ``r`` covers ``c`` classes."""
+    if r.n_classes != c:
+        raise ShapeMismatch(f"prior has {r.n_classes} classes, expected {c}")
 
 
 def clamp_prior(raw) -> ClassPrior:

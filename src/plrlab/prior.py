@@ -18,7 +18,7 @@ from .core import (
     EmptyBatch,
     PredictionMatrix,
     PseudoLabelMatrix,
-    ShapeMismatch,
+    _check_prior,
     clamp_prior,
 )
 
@@ -68,8 +68,7 @@ def update_prior(est: PriorEstimator,
     if not isinstance(source, kind):
         raise ValueError(f"rule {est.rule!r} updates from a {kind.__name__}, "
                          f"not a {type(source).__name__}")
-    if source.n_classes != est.r.n_classes:
-        raise ShapeMismatch(f"source has {source.n_classes} classes, prior {est.r.n_classes}")
+    _check_prior(source.n_classes, est.r)
     if source.n_samples == 0:
         raise EmptyBatch("cannot update the prior from an empty batch")
     if est.rule == "soft-pred":
@@ -84,6 +83,5 @@ def update_prior(est: PriorEstimator,
 
 def prior_error(est: PriorEstimator, truth: ClassPrior) -> float:
     """Largest per-class gap between the estimate and a reference prior."""
-    if est.r.n_classes != truth.n_classes:
-        raise ShapeMismatch(f"estimate has {est.r.n_classes} classes, truth {truth.n_classes}")
+    _check_prior(est.r.n_classes, truth)
     return float(np.abs(est.r.values - truth.values).max())

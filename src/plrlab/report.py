@@ -130,8 +130,8 @@ def _bench_instance(batch_size: int, n_classes: int, rng: Rng):
 
 
 def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
-                 plr_params: PlrHyperparams | None = None,
-                 sinkhorn_cfg: SinkhornConfig | None = None) -> list[BenchRecord]:
+                 plr_params: PlrHyperparams = PlrHyperparams(),
+                 sinkhorn_cfg: SinkhornConfig = SinkhornConfig()) -> list[BenchRecord]:
     """Time each pseudo-label method on one shared random batch.
 
     Each method gets one untimed warm-up call, then ``reps`` timed calls
@@ -140,13 +140,11 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     """
     if reps < 3:
         raise TooFewReps(f"need at least 3 repetitions, got {reps}")
-    h = plr_params if plr_params is not None else PlrHyperparams()
-    cfg = sinkhorn_cfg if sinkhorn_cfg is not None else SinkhornConfig()
     f, s, r = _bench_instance(batch_size, n_classes, rng)
     calls = {
-        "plr": lambda: plr_update(f, s, r, h),
+        "plr": lambda: plr_update(f, s, r, plr_params),
         "proden": lambda: proden_update(f, s),
-        "sinkhorn": lambda: solar_update(f, s, r, cfg),
+        "sinkhorn": lambda: solar_update(f, s, r, sinkhorn_cfg),
     }
     records = []
     for name in methods:

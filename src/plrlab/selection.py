@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch
+from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior
 
 __all__ = ["SelectionConfig", "rho_at", "select_reliable"]
 
@@ -51,8 +51,7 @@ def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.shape[0] != w.n_samples:
         raise ShapeMismatch(f"losses shape {losses.shape} vs {w.n_samples} samples")
-    if w.n_classes != r.n_classes:
-        raise ShapeMismatch(f"pseudo-labels have {w.n_classes} classes, prior {r.n_classes}")
+    _check_prior(w.n_classes, r)
     if np.any(losses < 0.0):
         raise ValueError("losses must be nonnegative")
     return _select_rows(np.argmax(w.values, axis=1), losses, r.values, rho)

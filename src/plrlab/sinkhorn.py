@@ -21,8 +21,9 @@ from .core import (
     ClassPrior,
     PredictionMatrix,
     PseudoLabelMatrix,
+    _check_prior,
 )
-from .solver import _check_pair, _check_prior, log_kernel
+from .solver import _check_pair, log_kernel
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
 

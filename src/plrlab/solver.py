@@ -29,6 +29,7 @@ from .core import (
     PredictionMatrix,
     PseudoLabelMatrix,
     ShapeMismatch,
+    _check_prior,
     row_normalize,
     xlogx,
 )
@@ -72,11 +73,6 @@ class KktReport:
 def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
     if f.values.shape != s.bits.shape:
         raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
-
-
-def _check_prior(c: int, r: ClassPrior) -> None:
-    if r.n_classes != c:
-        raise ShapeMismatch(f"prior has {r.n_classes} classes, expected {c}")
 
 
 def log_kernel(f_values: np.ndarray, s_bits: np.ndarray, r_values: np.ndarray,

@@ -59,19 +59,15 @@ __all__ = [
 
 @dataclass
 class ModelParams:
-    """MLP weights/biases plus matching SGD momentum buffers."""
+    """MLP weights and biases, one pair per layer."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    vel_w: list[np.ndarray] = field(default_factory=list)
-    vel_b: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         # Owned float64 copies: sgd_momentum_step updates them in place.
         self.weights = [np.array(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.array(b, dtype=np.float64) for b in self.biases]
-        self.vel_w = [np.array(v, dtype=np.float64) for v in self.vel_w]
-        self.vel_b = [np.array(v, dtype=np.float64) for v in self.vel_b]
         if len(self.weights) != len(self.biases):
             raise ShapeMismatch("weights and biases must pair up")
         for w, b in zip(self.weights, self.biases):
@@ -79,9 +75,6 @@ class ModelParams:
                 raise ShapeMismatch("layer weight/bias shapes disagree")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("model parameters must be finite")
-        if not self.vel_w:
-            self.vel_w = [np.zeros_like(w) for w in self.weights]
-            self.vel_b = [np.zeros_like(b) for b in self.biases]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -119,23 +112,26 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive, pre_epochs nonnegative")
         if any(width < 1 for width in self.hidden):
             raise ValueError("hidden layer widths must be at least 1")
-        if not self.lr0 > 0 or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("need lr0 > 0 and momentum in [0, 1)")
-        if self.weak_noise_sigma < 0 or self.strong_noise_sigma < 0:
-            raise ValueError("noise sigmas must be nonnegative")
+        # Each test is negated, so NaN fails it too.
+        if not 0 < self.lr0 < math.inf or not 0.0 <= self.momentum < 1.0:
+            raise ValueError("need a finite lr0 > 0 and momentum in [0, 1)")
+        if not all(0.0 <= mu <= 1.0 for mu in self.mu_schedule):
+            raise ValueError("mu_schedule entries must lie in [0, 1]")
+        if not (0 <= self.weak_noise_sigma < math.inf and 0 <= self.strong_noise_sigma < math.inf):
+            raise ValueError("noise sigmas must be nonnegative and finite")
         if not 0.0 <= self.strong_dropout_p <= 1.0:
             raise ValueError("strong_dropout_p must lie in [0, 1]")
-        if not self.mixup_alpha > 0:
-            raise ValueError("mixup_alpha must be positive")
-        if any(wt < 0 for wt in self.loss_weights):
-            raise ValueError("loss weights must be nonnegative")
+        if not 0 < self.mixup_alpha < math.inf:
+            raise ValueError("mixup_alpha must be positive and finite")
+        if not all(0 <= wt < math.inf for wt in self.loss_weights) or not any(self.loss_weights):
+            raise ValueError("loss weights must be nonnegative and finite, and one positive")
         if self.solver not in ("plr", "sinkhorn"):
             raise ValueError("solver must be 'plr' or 'sinkhorn'")
 
 
 def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
                 rng: Rng) -> ModelParams:
-    """He-initialized weights, zero biases and momentum buffers."""
+    """He-initialized weights and zero biases."""
     dims = (input_dim,) + tuple(hidden) + (n_classes,)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -200,10 +196,16 @@ def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale) -> np.ndarray:
     return (p - w) * scale
 
 
-def sgd_momentum_step(params: ModelParams, grads, lr: float, momentum: float) -> ModelParams:
-    """In-place SGD with momentum: buf = momentum*buf + grad; p -= lr*buf."""
+def sgd_momentum_step(params: ModelParams, grads, velocity: list[np.ndarray],
+                      lr: float, momentum: float) -> ModelParams:
+    """In-place SGD with momentum: v = momentum*v + grad; p -= lr*v.
+
+    ``velocity`` holds one buffer per array of ``params.weights +
+    params.biases``, in that order; the caller owns it and it is updated
+    in place.
+    """
     gw, gb = grads
-    for p, v, g in zip(params.weights + params.biases, params.vel_w + params.vel_b, gw + gb):
+    for p, v, g in zip(params.weights + params.biases, velocity, gw + gb):
         v *= momentum
         v += g
         p -= lr * v
@@ -228,18 +230,15 @@ def augment(x: np.ndarray, rng: Rng, kind: str, cfg: TrainConfig) -> np.ndarray:
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng,
-           lam_mix: float | None = None, perm: np.ndarray | None = None):
+def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
     """Convex combination of the batch with a permuted copy of itself.
 
     The coefficient is Beta(alpha, alpha) and the partner permutation is
-    uniform; both can be forced for tests and ablations. Target rows stay
-    on the simplex because the combination is convex.
+    uniform. Target rows stay on the simplex because the combination is
+    convex.
     """
-    if lam_mix is None:
-        lam_mix = rng.beta(alpha, alpha)
-    if perm is None:
-        perm = rng.permutation(x.shape[0])
+    lam_mix = rng.beta(alpha, alpha)
+    perm = rng.permutation(x.shape[0])
     return (lam_mix * x + (1.0 - lam_mix) * x[perm],
             lam_mix * w + (1.0 - lam_mix) * w[perm])
 
@@ -278,6 +277,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                metrics_out: list | None, test: PartialDataset | None,
                truth: ClassPrior | None):
+    velocity = [np.zeros_like(p) for p in params.weights + params.biases]
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
@@ -335,7 +335,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
 
             scale = _row_scales(idx.size, cls_rows, k, cfg.loss_weights)
             grads = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
-            sgd_momentum_step(params, grads, lr, cfg.momentum)
+            sgd_momentum_step(params, grads, velocity, lr, cfg.momentum)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws

@@ -1,13 +1,16 @@
 """Subcommand behavior: flags, config precedence, exit codes, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from plrlab.cli import _parse_config_file, main, read_model, write_model
-from plrlab.core import ClassPrior, FormatError
+from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams
 from plrlab.datagen import read_dataset
 from plrlab.report import read_metrics
-from plrlab.trainer import ModelParams
+from plrlab.sinkhorn import SinkhornConfig
+from plrlab.trainer import ModelParams, TrainConfig
 
 
 def _gen(tmp_path, name="ds.txt", extra=()):
@@ -137,6 +140,26 @@ class TestTrain:
         assert "# lam = 1.5" in header  # config key survived
         assert "# seed = 9" in header
 
+    def test_defaults_are_the_train_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(ds, cfg, test=None):
+            seen.append(cfg)
+            raise PlrError("captured")
+
+        monkeypatch.setattr("plrlab.cli.train", capture)
+        ds = _gen(tmp_path)
+        assert main(["train", "-d", str(ds)]) == 1
+        assert seen == [TrainConfig()]
+
+    def test_infinite_learning_rate_exits_one(self, tmp_path, capsys):
+        # Used to train into three RuntimeWarnings and a numeric failure (exit 2).
+        ds = _gen(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "-d", str(ds), "--lr", "inf"]) == 1
+        assert "error: need a finite lr0" in capsys.readouterr().err
+
     def test_zero_hidden_width_exits_one(self, tmp_path, capsys):
         # Used to die with a ZeroDivisionError traceback in init_params.
         ds = _gen(tmp_path)
@@ -242,6 +265,17 @@ class TestBench:
         assert len(lines) == 3
         assert [l.split(",")[2] for l in lines[1:]] == ["4", "8"]
 
+    def test_defaults_are_the_solver_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(methods, batch_size, n_classes, reps, rng, plr_params, sinkhorn_cfg):
+            seen.append((plr_params, sinkhorn_cfg))
+            return []
+
+        monkeypatch.setattr("plrlab.cli.bench_pseudo", capture)
+        assert main(["bench", "-o", str(tmp_path / "b.csv")]) == 0
+        assert seen == [(PlrHyperparams(), SinkhornConfig())]
+
     def test_too_few_reps_exits_one(self, tmp_path):
         assert main(["bench", "--reps", "2", "-o", str(tmp_path / "b.csv")]) == 1
 
@@ -301,6 +335,7 @@ class TestModelFile:
         (1, b"\xe9", "non-ASCII", 1),
         (5, b"0.5\xe9", "non-ASCII", 5),
         (4, b"", "inconsistent", 6),
+        (2, b"0.5 0.5", "prior", 2),
     ])
     def test_hostile_file_reports_line_number(self, tmp_path, edit, token, match, line):
         params = ModelParams([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])

@@ -18,8 +18,8 @@ from plrlab.core import (
     SupportViolation,
     ZeroRowSum,
     clamp_prior,
+    _check_support,
     row_normalize,
-    validate_support,
     xlogx,
 )
 
@@ -112,6 +112,12 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="finite"):
             build(np.array([[0.5, 0.5], [np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("build", [PredictionMatrix, PseudoLabelMatrix])
+    def test_matrices_reject_entry_above_one(self, build):
+        # The row sums to 1 within tolerance; only the range test catches it.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            build(np.array([[1.0 + 5e-10, 0.0]]))
+
     def test_prior_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             ClassPrior(np.array([np.nan, 0.5]))
@@ -147,21 +153,15 @@ class TestValidateSupport:
     def test_contained_support_passes(self):
         w = PseudoLabelMatrix(np.array([[0.3, 0.7, 0.0]]))
         s = CandidateMatrix(np.array([[1.0, 1.0, 0.0]]))
-        validate_support(w, s)
+        _check_support(w.values, s.bits)
 
     def test_mass_outside_support_raises(self):
         w = PseudoLabelMatrix(np.array([[0.3, 0.3, 0.4]]))
         s = CandidateMatrix(np.array([[1.0, 1.0, 0.0]]))
         with pytest.raises(SupportViolation) as exc:
-            validate_support(w, s)
+            _check_support(w.values, s.bits)
         assert (exc.value.row, exc.value.col) == (0, 2)
         assert exc.value.mass == pytest.approx(0.4)
-
-    def test_shape_mismatch(self):
-        w = PseudoLabelMatrix(np.array([[1.0, 0.0]]))
-        s = CandidateMatrix(np.array([[1.0, 1.0, 1.0]]))
-        with pytest.raises(ShapeMismatch):
-            validate_support(w, s)
 
 
 class TestRng:
@@ -216,4 +216,4 @@ def test_pseudo_labels_built_by_operations_revalidate():
         masked = bits * rng.uniform(0.01, 1.0, size=(n, c))
         w = PseudoLabelMatrix(row_normalize(masked))
         PseudoLabelMatrix(w.values)
-        validate_support(w, CandidateMatrix(bits))
+        _check_support(w.values, CandidateMatrix(bits).bits)

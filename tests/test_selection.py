@@ -125,6 +125,8 @@ class TestSelectReliable:
         w = _one_hot_rows([0, 1], 2)
         with pytest.raises(ShapeMismatch):
             select_reliable(w, np.array([1.0]), clamp_prior(np.ones(2)), 0.5)
+        with pytest.raises(ShapeMismatch, match="prior has 3 classes"):
+            select_reliable(w, np.array([1.0, 1.0]), clamp_prior(np.ones(3)), 0.5)
 
 
 @st.composite

@@ -29,6 +29,10 @@ from plrlab.trainer import (
 )
 
 
+def _zero_velocity(params):
+    return [np.zeros_like(p) for p in params.weights + params.biases]
+
+
 def _quick_cfg(**overrides):
     base = dict(epochs=3, batch_size=64, pre_epochs=1, hidden=(16,),
                 selection=SelectionConfig(ramp_epochs=2), timing=False, seed=5)
@@ -221,10 +225,11 @@ class TestSgdMomentum:
         params = init_params(5, (8,), 3, rng.child(0))
         weights = [w.copy() for w in params.weights + params.biases]
         vel = [np.zeros_like(w) for w in weights]
+        velocity = _zero_velocity(params)
         for step in range(5):
             grads = ([rng.normal(size=w.shape) for w in params.weights],
                      [rng.normal(size=b.shape) for b in params.biases])
-            sgd_momentum_step(params, grads, lr=0.05, momentum=0.9)
+            sgd_momentum_step(params, grads, velocity, lr=0.05, momentum=0.9)
             for i, g in enumerate(grads[0] + grads[1]):
                 vel[i] = 0.9 * vel[i] + g
                 weights[i] = weights[i] - 0.05 * vel[i]
@@ -232,20 +237,23 @@ class TestSgdMomentum:
                 np.testing.assert_array_equal(got, want)
 
     def test_caller_arrays_are_left_untouched(self):
+        # The parameters are owned copies; the velocity is the caller's
+        # optimizer state and is updated in place.
         w, b = np.array([[1.0, 2.0]]), np.array([0.5, 0.5])
-        vw, vb = np.array([[0.1, 0.1]]), np.array([0.2, 0.2])
-        params = ModelParams([w], [b], [vw], [vb])
-        sgd_momentum_step(params, ([np.ones((1, 2))], [np.ones(2)]), lr=0.1, momentum=0.9)
+        velocity = [np.array([[0.1, 0.1]]), np.array([0.2, 0.2])]
+        params = ModelParams([w], [b])
+        sgd_momentum_step(params, ([np.ones((1, 2))], [np.ones(2)]), velocity,
+                          lr=0.1, momentum=0.9)
         np.testing.assert_array_equal(w, [[1.0, 2.0]])
         np.testing.assert_array_equal(b, [0.5, 0.5])
-        np.testing.assert_array_equal(vw, [[0.1, 0.1]])
-        np.testing.assert_array_equal(vb, [0.2, 0.2])
+        np.testing.assert_allclose(velocity[0], [[1.09, 1.09]])
+        np.testing.assert_allclose(velocity[1], [1.18, 1.18])
         assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 1.09)
 
     def test_plain_step_without_momentum(self):
         params = ModelParams([np.array([[1.0]])], [np.array([0.5])])
         grads = ([np.array([[0.25]])], [np.array([0.1])])
-        sgd_momentum_step(params, grads, lr=1.0, momentum=0.0)
+        sgd_momentum_step(params, grads, _zero_velocity(params), lr=1.0, momentum=0.0)
         assert params.weights[0][0, 0] == pytest.approx(0.75)
         assert params.biases[0][0] == pytest.approx(0.4)
 
@@ -253,9 +261,10 @@ class TestSgdMomentum:
         params = ModelParams([np.array([[0.0]])], [np.array([0.0])])
         g = ([np.array([[1.0]])], [np.array([0.0])])
         lr = 0.1
-        sgd_momentum_step(params, g, lr, 0.9)
+        velocity = _zero_velocity(params)
+        sgd_momentum_step(params, g, velocity, lr, 0.9)
         first = -params.weights[0][0, 0]
-        sgd_momentum_step(params, g, lr, 0.9)
+        sgd_momentum_step(params, g, velocity, lr, 0.9)
         second = -params.weights[0][0, 0] - first
         assert first == pytest.approx(lr)
         assert second == pytest.approx(1.9 * lr)
@@ -263,7 +272,7 @@ class TestSgdMomentum:
     def test_zero_lr_freezes_params(self):
         params = ModelParams([np.array([[2.0]])], [np.array([1.0])])
         g = ([np.array([[5.0]])], [np.array([5.0])])
-        sgd_momentum_step(params, g, 0.0, 0.9)
+        sgd_momentum_step(params, g, _zero_velocity(params), 0.0, 0.9)
         assert params.weights[0][0, 0] == 2.0
 
 
@@ -308,19 +317,18 @@ class TestAugment:
 
 
 class TestMixup:
-    def test_forced_identity_coefficient(self):
-        x = np.arange(8.0).reshape(2, 4)
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        x2, w2 = _mixup(x, w, 4.0, Rng(0), lam_mix=1.0)
-        np.testing.assert_array_equal(x2, x)
-        np.testing.assert_array_equal(w2, w)
-
-    def test_even_mix_of_swapped_pair_is_the_mean(self):
-        x = np.array([[0.0, 2.0], [4.0, 6.0]])
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        x2, w2 = _mixup(x, w, 4.0, Rng(0), lam_mix=0.5, perm=np.array([1, 0]))
-        np.testing.assert_allclose(x2, [[2.0, 4.0], [2.0, 4.0]])
-        np.testing.assert_allclose(w2, 0.5)
+    def test_mixes_with_the_drawn_coefficient_and_partner(self):
+        # The coefficient, then the permutation, from the stream handed in:
+        # a twin stream redraws both.
+        x = np.arange(15.0).reshape(5, 3)
+        w = np.eye(5)
+        x2, w2 = _mixup(x, w, 4.0, Rng(0))
+        twin = Rng(0)
+        lam_mix = twin.beta(4.0, 4.0)
+        perm = twin.permutation(5)
+        assert 0.0 < lam_mix < 1.0 and not np.array_equal(perm, np.arange(5))
+        np.testing.assert_array_equal(x2, lam_mix * x + (1.0 - lam_mix) * x[perm])
+        np.testing.assert_array_equal(w2, lam_mix * w + (1.0 - lam_mix) * w[perm])
 
     def test_rows_stay_on_simplex(self):
         rng = Rng(9)
@@ -454,6 +462,26 @@ class TestTrain:
             _quick_cfg(solver="newton")
         with pytest.raises(ValueError):
             _quick_cfg(momentum=1.5)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(lr0=np.inf), id="lr0-inf"),
+        pytest.param(dict(weak_noise_sigma=np.nan), id="weak-sigma-nan"),
+        pytest.param(dict(strong_noise_sigma=np.inf), id="strong-sigma-inf"),
+        pytest.param(dict(mixup_alpha=np.inf), id="mixup-alpha-inf"),
+        pytest.param(dict(loss_weights=(1.0, np.nan, 1.0)), id="loss-weight-nan"),
+        pytest.param(dict(loss_weights=(1.0, 1.0, np.inf)), id="loss-weight-inf"),
+        pytest.param(dict(loss_weights=(0.0, 0.0, 0.0)), id="loss-weights-zero"),
+        pytest.param(dict(mu_schedule=(np.nan, 0.01)), id="mu1-nan"),
+        pytest.param(dict(mu_schedule=(0.1, 1.5)), id="mu2-above-one"),
+        pytest.param(dict(mu_schedule=(-0.1, 0.01)), id="mu1-negative"),
+    ])
+    def test_non_finite_or_degenerate_settings_rejected(self, overrides):
+        # Each used to be accepted: training then ended in a numeric
+        # failure, returned the initial parameters unchanged (all loss
+        # weights zero), or, for a bad mu2, failed only after the whole
+        # pre-estimation stage.
+        with pytest.raises(ValueError):
+            _quick_cfg(**overrides)
 
     @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-3,)])
     def test_hidden_width_below_one_rejected(self, hidden):
