@@ -316,7 +316,35 @@ class TestAugment:
             augment(np.ones((1, 1)), Rng(0), "medium", _quick_cfg())
 
 
+class _FixedDraws:
+    """Stands in for Rng in _mixup: hands back a set coefficient and partner."""
+
+    def __init__(self, lam_mix, perm):
+        self.lam_mix, self.perm = lam_mix, np.asarray(perm)
+
+    def beta(self, a, b):
+        return self.lam_mix
+
+    def permutation(self, n):
+        assert n == self.perm.size
+        return self.perm
+
+
 class TestMixup:
+    def test_forced_identity_coefficient(self):
+        x = np.arange(8.0).reshape(2, 4)
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x2, w2 = _mixup(x, w, 4.0, _FixedDraws(1.0, [1, 0]))
+        np.testing.assert_array_equal(x2, x)
+        np.testing.assert_array_equal(w2, w)
+
+    def test_even_mix_of_swapped_pair_is_the_mean(self):
+        x = np.array([[0.0, 2.0], [4.0, 6.0]])
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x2, w2 = _mixup(x, w, 4.0, _FixedDraws(0.5, [1, 0]))
+        np.testing.assert_allclose(x2, [[2.0, 4.0], [2.0, 4.0]])
+        np.testing.assert_allclose(w2, 0.5)
+
     def test_mixes_with_the_drawn_coefficient_and_partner(self):
         # The coefficient, then the permutation, from the stream handed in:
         # a twin stream redraws both.
