@@ -14,6 +14,8 @@ Model files are line-oriented::
     W0 <fan_in*fan_out floats, row-major>
     b0 <floats>
     ...
+
+Each key appears once; blank and '#' lines are skipped.
 """
 
 from __future__ import annotations
@@ -56,9 +58,13 @@ def write_model(params: ModelParams, prior: ClassPrior, path, comments=()) -> No
 
 
 def read_model(path) -> tuple[ModelParams, ClassPrior]:
-    """Parse a model file back into parameters and prior."""
-    lines = [ln for ln in read_ascii(path).split("\n") if ln]
-    if not lines or not lines[0].startswith("plrlab-model v1 dims="):
+    """Parse a model file back into parameters and prior.
+
+    Each key (``prior``, then ``W<i>`` and ``b<i>`` per layer) must appear
+    exactly once; a repeated or unknown key raises FormatError naming its line.
+    """
+    lines = read_ascii(path).split("\n")
+    if not lines[0].startswith("plrlab-model v1 dims="):
         raise FormatError(1, "bad model header")
     try:
         dims = tuple(int(x) for x in lines[0].split("dims=", 1)[1].split(","))
@@ -66,11 +72,20 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
         raise FormatError(1, "bad dims in model header") from None
     if len(dims) < 2:
         raise FormatError(1, "model needs at least input and output dims")
+    keys = {"prior"} | {f"{p}{i}" for i in range(len(dims) - 1) for p in "Wb"}
     fields = {}
+    last = 1
     for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        last = lineno
         if line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
+        if key not in keys:
+            raise FormatError(lineno, f"unknown key {key!r}")
+        if key in fields:
+            raise FormatError(lineno, f"repeated key {key!r}")
         try:
             fields[key] = np.array([float(x) for x in rest.split()])
         except ValueError:
@@ -87,7 +102,7 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
             biases.append(fields[f"b{i}"])
         params = ModelParams(weights, biases)
     except (KeyError, ValueError, PlrError) as exc:
-        raise FormatError(len(lines), f"model fields inconsistent: {exc}") from None
+        raise FormatError(last, f"model fields inconsistent: {exc}") from None
     return params, prior
 
 

@@ -12,12 +12,20 @@ Datasets serialize to a line-oriented text format::
     plrlab-dataset v1 N=<int> c=<int> d=<int>
     <id> TAB f_1 ... TAB f_d TAB <true label> TAB <cand,cand,...>
 
-with features printed at full float64 precision so files round-trip
-exactly. Lines starting with '#' after the header are ignored.
+with features printed at full float64 precision (``%.17g``) so files
+round-trip exactly. The reader skips blank lines and lines starting with
+'#' anywhere after the header. It requires exactly N records with ids
+0..N-1 in order, d + 3 fields each, a label in [0, c), candidate ids
+strictly ascending in [0, c) and including the label, class sizes that
+do not increase from class 0 on, and finite features; anything else
+raises FormatError naming the line. Records are written and parsed in
+bulk; a block the bulk parser does not take is parsed line by line, and
+that loop alone defines what is accepted.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -54,16 +62,16 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_classes < 1 or self.head_count < 1 or self.feature_dim < 1:
             raise ValueError("n_classes, head_count and feature_dim must be positive")
-        if self.imbalance_ratio < 1.0:
-            raise ValueError("imbalance_ratio must be at least 1")
+        if not 1.0 <= self.imbalance_ratio < math.inf:
+            raise ValueError("imbalance_ratio must be finite and at least 1")
         if not 0.0 <= self.flip_prob < 1.0:
             raise ValueError("flip_prob must lie in [0, 1)")
         if round(self.head_count / self.imbalance_ratio) < 1:
             raise ValueError("tail class would be empty: head_count/imbalance_ratio < 0.5")
         if self.test_per_class < 1:
             raise ValueError("test_per_class must be positive")
-        if self.class_separation < 0.0:
-            raise ValueError("class_separation must be nonnegative")
+        if not 0.0 <= self.class_separation < math.inf:
+            raise ValueError("class_separation must be finite and nonnegative")
         if self.hierarchy is not None:
             flat = sorted(j for group in self.hierarchy for j in group)
             if flat != list(range(self.n_classes)):
@@ -129,8 +137,8 @@ def longtail_counts(head_count: int, imbalance_ratio: float, n_classes: int) -> 
     Endpoints are exact: class 0 gets head_count, the last class gets
     round(head_count / imbalance_ratio).
     """
-    if n_classes < 1 or head_count < 1 or imbalance_ratio < 1.0:
-        raise ValueError("need n_classes >= 1, head_count >= 1, imbalance_ratio >= 1")
+    if n_classes < 1 or head_count < 1 or not 1.0 <= imbalance_ratio < math.inf:
+        raise ValueError("need n_classes >= 1, head_count >= 1, finite imbalance_ratio >= 1")
     if n_classes == 1:
         return np.array([head_count], dtype=np.int64)
     exponents = np.arange(n_classes) / (n_classes - 1)
@@ -218,23 +226,39 @@ def gen_dataset(spec: DatasetSpec) -> tuple[PartialDataset, PartialDataset]:
 
 
 def write_dataset(ds: PartialDataset, path, comments=()) -> None:
-    """Serialize a dataset split; optional '#' comment lines follow the header."""
+    """Serialize a dataset split; optional '#' comment lines follow the header.
+
+    Records are formatted in bulk (one %-template per record, candidate ids
+    from one nonzero scan) and streamed one at a time: neither the file nor
+    a Python copy of the feature matrix is ever held whole.
+    """
     n, c, d = ds.n_samples, ds.n_classes, ds.feature_dim
+    # '%.17g' prints the same digits as f"{x:.17g}", so the bytes match a
+    # record-by-record f-string writer.
+    template = "%d\t" + "\t".join(["%.17g"] * d) + "\t%d\t%s\n"
+    rows, cols = np.nonzero(ds.candidates.bits)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    labels = ds.true_labels.tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"plrlab-dataset v1 N={n} c={c} d={d}\n")
         for line in comments:
             fh.write(f"# {line}\n")
-        for i in range(n):
-            feats = "\t".join(f"{x:.17g}" for x in ds.features[i])
-            cands = ",".join(str(j) for j in np.flatnonzero(ds.candidates.bits[i]))
-            fh.write(f"{i}\t{feats}\t{ds.true_labels[i]}\t{cands}\n")
+        fh.writelines(template % (i, *ds.features[i].tolist(), labels[i],
+                                  ",".join(map(str, cols[starts[i] : starts[i + 1]])))
+                      for i in range(n))
 
 
 _HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=(\d+)$")
 
 
 def read_dataset(path) -> PartialDataset:
-    """Parse a dataset file, raising FormatError with the offending line number."""
+    """Parse a dataset file, raising FormatError with the offending line number.
+
+    Well-formed files are parsed in bulk; anything the bulk parser does not
+    take goes through the line loop, which alone decides what is accepted
+    and which error is raised.
+    """
     lines = read_ascii(path).split("\n")
     if not lines or not lines[0]:
         raise FormatError(1, "missing header")
@@ -242,7 +266,22 @@ def read_dataset(path) -> PartialDataset:
     if match is None:
         raise FormatError(1, f"bad header {lines[0]!r}")
     n, c, d = (int(g) for g in match.groups())
+    parsed = _parse_records_bulk(lines, n, c, d)
+    if parsed is None:
+        parsed = _parse_records(lines, n, c, d)
+    features, labels, bits = parsed
+    try:
+        return PartialDataset.from_arrays(features, labels, CandidateMatrix(bits))
+    except (ValueError, ShapeMismatch) as exc:
+        raise FormatError(len(lines), str(exc)) from None
 
+
+def _parse_records(lines: list[str], n: int, c: int, d: int):
+    """Features, labels and candidate bits of the records after the header.
+
+    The definition of a valid record block: one line at a time, the first
+    fault raises FormatError naming its line.
+    """
     features = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64)
     bits = np.zeros((n, c))
@@ -281,7 +320,45 @@ def read_dataset(path) -> PartialDataset:
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
+    return features, labels, bits
+
+
+def _parse_records_bulk(lines: list[str], n: int, c: int, d: int):
+    """What _parse_records returns, parsed in bulk; None for any block it rejects.
+
+    Features go through numpy's C parser in one call, labels and candidate
+    ids through one split per line, and every check runs on whole arrays. It
+    takes a subset of what the line loop takes (record ids must be printed
+    as the writer prints them; '1_0' and other spellings only float()
+    reads fail here), so a None sends the block to the loop.
+    """
+    # n == 0 or d == 0 leaves np.loadtxt nothing to read, and it warns; the
+    # loop handles both.
+    if not n or not d:
+        return None
+    records = [line for line in lines[1:] if line and not line.startswith("#")]
+    # Ids must read 0..n-1 exactly as the writer prints them.
+    if len(records) != n or not all(
+        line.startswith(f"{i}\t") and line.count("\t") == d + 2
+        for i, line in enumerate(records)
+    ):
+        return None
+    # Only the label and candidate fields are kept, not whole split lines.
+    tails = [line.rsplit("\t", 2)[1:] for line in records]
     try:
-        return PartialDataset.from_arrays(features, labels, CandidateMatrix(bits))
-    except (ValueError, ShapeMismatch) as exc:
-        raise FormatError(len(lines), str(exc)) from None
+        features = np.loadtxt(records, delimiter="\t", comments=None,
+                              usecols=range(1, d + 1), ndmin=2)
+        labels = np.array([int(label) for label, _ in tails], dtype=np.int64)
+        cands = np.array([int(x) for x in ",".join([cs for _, cs in tails]).split(",")],
+                         dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    rows = np.repeat(np.arange(n), [cs.count(",") + 1 for _, cs in tails])
+    ascending = (np.diff(rows) > 0) | (np.diff(cands) > 0)
+    if (not np.isfinite(features).all()
+            or labels.min() < 0 or labels.max() >= c
+            or cands.min() < 0 or cands.max() >= c or not ascending.all()):
+        return None
+    bits = np.zeros((n, c))
+    bits[rows, cands] = 1.0
+    return features, labels, bits

@@ -152,3 +152,20 @@ def solar_update_loop(f: np.ndarray, bits: np.ndarray, r: np.ndarray, lam: float
     col_err = float(np.abs(out.sum(axis=0) - col_target).max() / max(n, 1))
     relaxed = bool(infeasible) or col_err > tol
     return out, iterations, relaxed, infeasible, np.asarray(history)
+
+
+def write_dataset_loop(ds, path, comments=()) -> None:
+    """The record-by-record dataset writer: one f-string per float.
+
+    The byte-level reference for ``datagen.write_dataset``, which formats in
+    bulk and must print the same bytes.
+    """
+    n, c, d = ds.n_samples, ds.n_classes, ds.feature_dim
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"plrlab-dataset v1 N={n} c={c} d={d}\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+        for i in range(n):
+            feats = "\t".join(f"{x:.17g}" for x in ds.features[i])
+            cands = ",".join(str(j) for j in np.flatnonzero(ds.candidates.bits[i]))
+            fh.write(f"{i}\t{feats}\t{ds.true_labels[i]}\t{cands}\n")

@@ -70,6 +70,16 @@ class TestGen:
         _gen(tmp_path, "same.txt")
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("flag, value", [("--sep", "nan"), ("--sep", "inf"),
+                                             ("--gamma", "nan"), ("--gamma", "inf")])
+    def test_non_finite_spec_exits_one_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        # --sep nan used to exit 0 and write all-nan features.
+        out = tmp_path / "bad.txt"
+        assert main(["gen", "--classes", "4", "--head", "60", flag, value,
+                     "-o", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_superclass_flag_respected(self, tmp_path):
         out = tmp_path / "h.txt"
         assert main(["gen", "--classes", "6", "--head", "30", "--psi", "0.5",
@@ -328,7 +338,8 @@ class TestModelFile:
             read_model(path)
 
     # Lines: 1 header, 2 prior, 3 W0, 4 b0, 5 W1, 6 b1. ``token`` replaces the
-    # first value of line ``edit``, or drops it when empty.
+    # first value of line ``edit``, or drops it when empty; newlines in it add
+    # lines. The last case puts a blank line 4 between W0 and ``b0 nan``.
     @pytest.mark.parametrize("edit, token, match, line", [
         (3, b"nan", "finite", 3),
         (6, b"-inf", "finite", 6),
@@ -336,6 +347,7 @@ class TestModelFile:
         (5, b"0.5\xe9", "non-ASCII", 5),
         (4, b"", "inconsistent", 6),
         (2, b"0.5 0.5", "prior", 2),
+        (3, b"1 1 1 1 1 1\n\nb0 nan", "finite", 5),
     ])
     def test_hostile_file_reports_line_number(self, tmp_path, edit, token, match, line):
         params = ModelParams([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])
@@ -348,3 +360,19 @@ class TestModelFile:
         with pytest.raises(FormatError, match=match) as exc:
             read_model(path)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("extra, match", [
+        (b"W0 0 0 0 0 0 0", "repeated key 'W0'"),
+        (b"prior 1", "repeated key 'prior'"),
+        (b"W7 1", "unknown key 'W7'"),
+        (b"bias 1", "unknown key 'bias'"),
+    ])
+    def test_repeated_or_unknown_key_rejected(self, tmp_path, extra, match):
+        # A second W0 used to replace the first one; an unknown key was skipped.
+        params = ModelParams([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])
+        path = tmp_path / "model.txt"
+        write_model(params, ClassPrior(np.array([1.0])), path)
+        path.write_bytes(path.read_bytes() + extra + b"\n")
+        with pytest.raises(FormatError, match=match) as exc:
+            read_model(path)
+        assert exc.value.line == 7

@@ -1,12 +1,19 @@
 """Long-tail profiles, candidate flipping, grouping, and the dataset file format."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from plrlab.core import FormatError, Rng
+from oracles import write_dataset_loop
+from plrlab.core import CandidateMatrix, FormatError, Rng, ShapeMismatch, read_ascii
 from plrlab.datagen import (
     DatasetSpec,
     PartialDataset,
+    _parse_records,
+    _parse_records_bulk,
     gen_candidates,
     gen_dataset,
     group_split,
@@ -36,6 +43,12 @@ class TestLongtailCounts:
 
     def test_single_class(self):
         np.testing.assert_array_equal(longtail_counts(9, 1.0, 1), [9])
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_ratio_rejected(self, gamma):
+        # An infinite ratio used to return [10, 0, 0]: two empty classes.
+        with pytest.raises(ValueError, match="finite imbalance_ratio"):
+            longtail_counts(10, gamma, 3)
 
 
 class TestGenFeatures:
@@ -175,6 +188,17 @@ class TestGenDataset:
             DatasetSpec(n_classes=3, head_count=5, hierarchy=((0, 1),))
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("class_separation", float("nan")), ("class_separation", float("inf")),
+        ("class_separation", -1.0), ("imbalance_ratio", float("nan")),
+        ("imbalance_ratio", float("inf")), ("imbalance_ratio", 0.5),
+    ])
+    def test_non_finite_or_out_of_range_spec_rejected(self, field, value):
+        # NaN passed the old '< 0' and '< 1' tests.
+        with pytest.raises(ValueError, match=field):
+            DatasetSpec(n_classes=3, head_count=10, **{field: value})
+
+
 class TestDatasetFile:
     def test_round_trip_identity(self, tmp_path):
         spec = DatasetSpec(n_classes=5, head_count=30, imbalance_ratio=6.0,
@@ -261,10 +285,203 @@ class TestDatasetFile:
 
 
 def test_partial_dataset_rejects_truth_outside_candidates():
-    from plrlab.core import CandidateMatrix
-
     feats = np.zeros((2, 2))
     labels = np.array([0, 1])
     cands = CandidateMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         PartialDataset.from_arrays(feats, labels, cands)
+
+
+# Features the %-template and f"{x:.17g}" must print alike: signed zeros,
+# subnormals and the ends of the float64 range.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+_FEATURES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_COMMENTS = st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+                     max_size=3)
+
+
+@st.composite
+def _datasets(draw):
+    """A valid split: non-increasing class counts, truth inside each candidate set."""
+    c = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 4))
+    counts = sorted(draw(st.lists(st.integers(0, 4), min_size=c, max_size=c)), reverse=True)
+    counts[0] = max(counts[0], 1)
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(c), counts).tolist())))
+    n = labels.shape[0]
+    feats = np.array(draw(st.lists(_FEATURES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    bits = np.array(draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c)),
+                    dtype=np.float64).reshape(n, c)
+    bits[np.arange(n), labels] = 1.0
+    return PartialDataset.from_arrays(feats, labels, CandidateMatrix(bits))
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(_datasets(), _COMMENTS)
+def test_writer_bytes_equal_the_loop_writer(tmp_path_factory, ds, comments):
+    base = tmp_path_factory.getbasetemp()
+    write_dataset(ds, base / "bulk.tsv", comments)
+    write_dataset_loop(ds, base / "loop.tsv", comments)
+    assert (base / "bulk.tsv").read_bytes() == (base / "loop.tsv").read_bytes()
+    lines = read_ascii(base / "bulk.tsv").split("\n")
+    bulk = _parse_records_bulk(lines, ds.n_samples, ds.n_classes, ds.feature_dim)
+    assert bulk is not None, "the bulk reader must take what the writer writes"
+    expected = (ds.features, ds.true_labels, ds.candidates.bits)
+    assert all(_same_bits(a, b) for a, b in zip(bulk, expected))
+
+
+def _assert_reader_agrees_with_line_loop(path, n, c, d):
+    """read_dataset returns the line loop's arrays or raises its FormatError.
+
+    The bulk path must refuse (None) every block the loop rejects, and return
+    the loop's arrays bit for bit where it accepts.
+    """
+    lines = read_ascii(path).split("\n")
+    bulk = _parse_records_bulk(lines, n, c, d)
+    try:
+        loop = _parse_records(lines, n, c, d)
+    except FormatError as exc:
+        assert bulk is None, "the bulk path accepted a block the line loop rejects"
+        with pytest.raises(FormatError) as got:
+            read_dataset(path)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+        return
+    if bulk is not None:
+        assert all(_same_bits(a, b) for a, b in zip(bulk, loop))
+    try:
+        back = read_dataset(path)
+    except FormatError:
+        # Both paths hand the same arrays on; the dataset type rejected them.
+        with pytest.raises((ValueError, ShapeMismatch)):
+            PartialDataset.from_arrays(loop[0], loop[1], CandidateMatrix(loop[2]))
+        return
+    assert all(_same_bits(a, b) for a, b in
+               zip((back.features, back.true_labels, back.candidates.bits), loop))
+
+
+def _set_field(k, value):
+    def edit(lines):
+        parts = lines[2].split("\t")
+        parts[k] = value
+        lines[2] = "\t".join(parts)
+    return edit
+
+
+def _insert_line(text):
+    return lambda lines: lines.insert(3, text)
+
+
+def _more_records(lines):
+    lines.insert(-1, "6\t" + lines[-2].split("\t", 1)[1])
+
+
+# Record 1 (file line 3) of a 6-record file with c=3, d=2: fields 0 id,
+# 1-2 features, 3 label, 4 candidates.
+_LISTED_MUTATIONS = {
+    "dropped field": lambda lines: lines.__setitem__(2, lines[2].rsplit("\t", 1)[0]),
+    "extra field": lambda lines: lines.__setitem__(2, lines[2] + "\t0"),
+    "bad float": _set_field(1, "1.5.2"),
+    "empty float": _set_field(2, ""),
+    "nan feature": _set_field(1, "nan"),
+    "inf feature": _set_field(2, "-inf"),
+    "overflowing feature": _set_field(1, "1e999"),
+    "underscored feature": _set_field(1, "1_0"),
+    "padded feature": _set_field(2, " 2.5 "),
+    "id out of order": _set_field(0, "2"),
+    "id spelled +1": _set_field(0, "+1"),
+    "label above range": _set_field(3, "3"),
+    "label below range": _set_field(3, "-1"),
+    "label outside its candidates": _set_field(4, "1"),
+    "candidate out of range": _set_field(4, "0,3"),
+    "candidates unsorted": _set_field(4, "2,0"),
+    "candidate repeated": _set_field(4, "0,0"),
+    "empty candidate": _set_field(4, "0,,1"),
+    "blank line between records": _insert_line(""),
+    "comment between records": _insert_line("# note"),
+    "one record too many": _more_records,
+    "one record too few": lambda lines: lines.__delitem__(-2),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_LISTED_MUTATIONS))
+def test_reader_agrees_with_the_line_loop_on_listed_mutations(tmp_path, mutation):
+    labels = np.array([0, 0, 0, 1, 1, 2])
+    bits = np.eye(3)[labels]
+    bits[1, 1] = 1.0
+    feats = np.arange(12.0).reshape(6, 2) / 4
+    ds = PartialDataset.from_arrays(feats, labels, CandidateMatrix(bits))
+    path = tmp_path / "ds.tsv"
+    write_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    _LISTED_MUTATIONS[mutation](lines)
+    path.write_text("\n".join(lines))
+    _assert_reader_agrees_with_line_loop(path, 6, 3, 2)
+
+
+# Field values for the drawn mutations: spellings float() or int() read
+# differently from numpy's parser, non-finite values, junk, small integers.
+_TOKENS = (st.sampled_from(["", " ", "x", "-", ",", "nan", "-inf", "inf", "1e999", "1_0",
+                            "0x1p3", "1e", "1.5.2", "1,5", "+2", " 3", "3 ", "-0", ".5", "5.",
+                            "1E3", "00", "Infinity", "1\x00", "\x0b2", "1j", "#",
+                            "99999999999999999999"])
+           | st.integers(-2, 7).map(str)
+           | _FEATURES.map(repr)
+           | st.text(st.characters(max_codepoint=127), max_size=4))
+
+
+def _mutate(data, lines, first_record):
+    """Apply one drawn mutation to a written file's lines, in place."""
+    records = range(first_record, len(lines) - 1)
+    kind = data.draw(st.sampled_from(["replace", "drop", "insert", "candidates", "interleave",
+                                      "delete", "duplicate", "swap"]))
+    i = data.draw(st.sampled_from(records))
+    parts = lines[i].split("\t")
+    k = data.draw(st.integers(0, len(parts) - 1))
+    if kind == "replace":
+        parts[k] = data.draw(_TOKENS)
+    elif kind == "drop":
+        del parts[k]
+    elif kind == "insert":
+        parts.insert(k, data.draw(_TOKENS))
+    elif kind == "candidates":
+        parts[-1] = ",".join(map(str, data.draw(st.lists(st.integers(-2, 6), min_size=1,
+                                                         max_size=5))))
+    lines[i] = "\t".join(parts)
+    if kind == "interleave":
+        extra = data.draw(st.sampled_from(["", "#", "# note", "#\t0"]) | _TOKENS)
+        lines.insert(data.draw(st.integers(1, len(lines))), extra)
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = data.draw(st.sampled_from(records))
+        lines[i], lines[j] = lines[j], lines[i]
+
+
+@given(_datasets(), _COMMENTS, st.data())
+def test_reader_agrees_with_the_line_loop_on_drawn_mutations(tmp_path_factory, ds, comments, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.tsv"
+    write_dataset(ds, path, comments)
+    lines = path.read_text().split("\n")
+    _mutate(data, lines, 1 + len(comments))
+    path.write_text("\n".join(lines))
+    _assert_reader_agrees_with_line_loop(path, ds.n_samples, ds.n_classes, ds.feature_dim)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+       st.text(st.sampled_from(list("0123456789\t\n,.-+e#")) | st.characters(max_codepoint=127),
+               max_size=120))
+def test_arbitrary_ascii_after_header_raises_only_format_error(tmp_path_factory, n, c, d, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tsv"
+    path.write_bytes(f"plrlab-dataset v1 N={n} c={c} d={d}\n{body}".encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is not a clean rejection either
+        try:
+            read_dataset(path)
+        except FormatError:
+            pass

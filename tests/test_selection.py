@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plrlab.core import PseudoLabelMatrix, ShapeMismatch, clamp_prior
@@ -143,7 +143,6 @@ def _selection_inputs(draw):
     return labels, losses, masses, rho
 
 
-@settings(deadline=None)
 @given(_selection_inputs())
 # Exact-integer budgets: 0.2 * 0.5 * 10 = 1 slot, and 0.2 * 0.2 * 50, which
 # evaluates to 2.0000000000000004 and must still give 2 slots.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from plrlab.core import (
@@ -120,7 +120,6 @@ def _sinkhorn_inputs(draw):
     return f, bits, masses, SinkhornConfig(max_iters=max_iters, tol=tol, lam=lam)
 
 
-@settings(deadline=None)
 @given(_sinkhorn_inputs())
 @example((np.array([[0.5, 0.5]] * 2), np.ones((2, 2)), np.ones(2), SinkhornConfig()))
 @example((np.array([[0.7, 0.3], [0.6, 0.4]]), np.array([[1.0, 0.0], [1.0, 0.0]]),
