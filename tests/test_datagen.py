@@ -363,27 +363,30 @@ def _assert_reader_agrees_with_line_loop(path, n, c, d):
                zip((back.features, back.true_labels, back.candidates.bits), loop))
 
 
+def _edit_fields(edit):
+    """A mutation of record 1 (file line 3): ``edit`` maps its field list to a new one."""
+    def mutate(lines):
+        lines[2] = "\t".join(edit(lines[2].split("\t")))
+    return mutate
+
+
 def _set_field(k, value):
-    def edit(lines):
-        parts = lines[2].split("\t")
-        parts[k] = value
-        lines[2] = "\t".join(parts)
-    return edit
+    return _edit_fields(lambda parts: parts[:k] + [value] + parts[k + 1:])
 
 
 def _insert_line(text):
     return lambda lines: lines.insert(3, text)
 
 
-def _more_records(lines):
+def _one_record_too_many(lines):
     lines.insert(-1, "6\t" + lines[-2].split("\t", 1)[1])
 
 
 # Record 1 (file line 3) of a 6-record file with c=3, d=2: fields 0 id,
 # 1-2 features, 3 label, 4 candidates.
 _LISTED_MUTATIONS = {
-    "dropped field": lambda lines: lines.__setitem__(2, lines[2].rsplit("\t", 1)[0]),
-    "extra field": lambda lines: lines.__setitem__(2, lines[2] + "\t0"),
+    "dropped field": _edit_fields(lambda parts: parts[:-1]),
+    "extra field": _edit_fields(lambda parts: parts + ["0"]),
     "bad float": _set_field(1, "1.5.2"),
     "empty float": _set_field(2, ""),
     "nan feature": _set_field(1, "nan"),
@@ -402,8 +405,8 @@ _LISTED_MUTATIONS = {
     "empty candidate": _set_field(4, "0,,1"),
     "blank line between records": _insert_line(""),
     "comment between records": _insert_line("# note"),
-    "one record too many": _more_records,
-    "one record too few": lambda lines: lines.__delitem__(-2),
+    "one record too many": _one_record_too_many,
+    "one record too few": lambda lines: lines.pop(-2),
 }
 
 
