@@ -1,11 +1,12 @@
 """Command-line frontend: dataset generation, training, evaluation, benchmarking.
 
-Four subcommands (``gen``, ``train``, ``eval``, ``bench``) share a common
-option scheme: built-in defaults are overridden by an optional config file
+Four subcommands (``gen``, ``train``, ``eval``, ``bench``) share one option
+scheme: argparse holds each default and conversion, an optional config file
 of ``key = value`` lines (keys mirror the long flag names, '#' starts a
-comment), which in turn is overridden by explicit flags. The effective
-configuration is echoed as comment lines into every output file. Exit
-codes: 0 success, 1 usage or I/O failure, 2 numeric failure.
+comment) replaces the defaults, and explicit flags override both. The
+effective configuration is echoed into every output file as comment lines
+escaped to printable ASCII. Exit codes: 0 success, 1 usage or I/O failure
+(a flag value that does not convert gets argparse's message), 2 numeric failure.
 
 Model files are line-oriented::
 
@@ -15,13 +16,14 @@ Model files are line-oriented::
     b0 <floats>
     ...
 
-Each key appears once; blank and '#' lines are skipped.
+Each key appears once; blank and '#' lines are skipped but counted.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,7 +35,9 @@ from .core import (
     PlrError,
     PlrHyperparams,
     Rng,
+    body_lines,
     read_ascii,
+    write_ascii,
 )
 from .datagen import DatasetSpec, gen_dataset, read_dataset, write_dataset
 from .report import bench_pseudo, emit_bench, emit_metrics, group_accuracy, logits_adjust_predict
@@ -47,14 +51,12 @@ __all__ = ["main", "write_model", "read_model"]
 def write_model(params: ModelParams, prior: ClassPrior, path, comments=()) -> None:
     """Serialize MLP weights and the estimated class prior."""
     dims = ",".join(str(d) for d in params.dims)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"plrlab-model v1 dims={dims}\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("prior " + " ".join(f"{x:.17g}" for x in prior.values) + "\n")
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            fh.write(f"W{i} " + " ".join(f"{x:.17g}" for x in w.ravel()) + "\n")
-            fh.write(f"b{i} " + " ".join(f"{x:.17g}" for x in b) + "\n")
+    lines = [("prior", prior.values)]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        lines += [(f"W{i}", w.ravel()), (f"b{i}", b)]
+    write_ascii(path, f"plrlab-model v1 dims={dims}", comments,
+                (key + " " + " ".join(f"{x:.17g}" for x in values) + "\n"
+                 for key, values in lines))
 
 
 def read_model(path) -> tuple[ModelParams, ClassPrior]:
@@ -70,17 +72,12 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
         dims = tuple(int(x) for x in lines[0].split("dims=", 1)[1].split(","))
     except ValueError:
         raise FormatError(1, "bad dims in model header") from None
-    if len(dims) < 2:
-        raise FormatError(1, "model needs at least input and output dims")
+    if len(dims) < 2 or min(dims) < 1:
+        raise FormatError(1, "model needs positive input and output dims")
     keys = {"prior"} | {f"{p}{i}" for i in range(len(dims) - 1) for p in "Wb"}
     fields = {}
-    last = 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        last = lineno
-        if line.startswith("#"):
-            continue
+    lineno = 1
+    for lineno, line in body_lines(lines):
         key, _, rest = line.partition(" ")
         if key not in keys:
             raise FormatError(lineno, f"unknown key {key!r}")
@@ -102,7 +99,7 @@ def read_model(path) -> tuple[ModelParams, ClassPrior]:
             biases.append(fields[f"b{i}"])
         params = ModelParams(weights, biases)
     except (KeyError, ValueError, PlrError) as exc:
-        raise FormatError(last, f"model fields inconsistent: {exc}") from None
+        raise FormatError(lineno, f"model fields inconsistent: {exc}") from None
     return params, prior
 
 
@@ -124,13 +121,11 @@ def _opt(flags, dest, conv, default, help_text, flag=False):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(",") if x != "")
+    return tuple(int(x) for x in text.split(",") if x != "")
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    value = str(text).strip().lower()
+def _bool(text: str) -> bool:
+    value = text.strip().lower()
     if value in ("1", "true", "on", "yes"):
         return True
     if value in ("0", "false", "off", "no"):
@@ -233,21 +228,16 @@ _BENCH_OPTS = [
     _opt(["-o", "--out"], "out", str, None, "benchmark CSV path (required)"),
 ]
 
-_COMMAND_OPTS = {"gen": _GEN_OPTS, "train": _TRAIN_OPTS, "eval": _EVAL_OPTS,
-                 "bench": _BENCH_OPTS}
-
-
 def _add_options(parser: argparse.ArgumentParser, opts) -> None:
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="config file of 'key = value' lines mirroring the flags")
     for opt in opts:
+        common = {"dest": opt["dest"], "default": opt["default"],
+                  "help": f"{opt['help']} (default: {opt['default']})"}
         if opt["flag"]:
-            parser.add_argument(*opt["flags"], dest=opt["dest"], action="store_const",
-                                const=True, default=None,
-                                help=f"{opt['help']} (default: {opt['default']})")
+            parser.add_argument(*opt["flags"], action="store_const", const=True, **common)
         else:
-            parser.add_argument(*opt["flags"], dest=opt["dest"], type=str, default=None,
-                                metavar="X", help=f"{opt['help']} (default: {opt['default']})")
+            parser.add_argument(*opt["flags"], type=opt["conv"], metavar="X", **common)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -263,42 +253,34 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _effective(opts, args) -> dict:
-    """defaults < config file < explicit flags, with typed conversion."""
-    by_dest = {opt["dest"]: opt for opt in opts}
+def _config_defaults(opts, path: str) -> dict:
+    """A config file's values, converted and keyed by option dest."""
     # Config keys mirror the long flag names ('lambda' as well as 'lam').
-    by_name = dict(by_dest)
+    by_name = {}
     for opt in opts:
-        for flag in opt["flags"]:
-            by_name[flag.lstrip("-").replace("-", "_")] = opt
-    values = {dest: opt["default"] for dest, opt in by_dest.items()}
-    if args.config is not None:
-        for key, raw in _parse_config_file(args.config).items():
-            if key not in by_name:
-                raise UsageError(f"unknown config key {key!r}")
-            opt = by_name[key]
-            values[opt["dest"]] = _convert(opt, raw, f"config key {key!r}")
-    for dest, opt in by_dest.items():
-        given = getattr(args, dest)
-        if given is not None:
-            values[dest] = _convert(opt, given, opt["flags"][-1])
+        for name in (opt["dest"], *opt["flags"]):
+            by_name[name.lstrip("-").replace("-", "_")] = opt
+    values = {}
+    for key, raw in _parse_config_file(path).items():
+        if key not in by_name:
+            raise UsageError(f"unknown config key {key!r}")
+        opt = by_name[key]
+        try:
+            values[opt["dest"]] = opt["conv"](raw)
+        except ValueError as exc:
+            raise UsageError(f"bad value for config key {key!r}: {exc}") from None
     return values
 
 
-def _convert(opt, raw, source: str):
-    try:
-        return opt["conv"](raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {source}: {exc}") from None
-
-
 def _config_comments(command: str, values: dict) -> list[str]:
+    """'key = value' lines of the options, each character outside printable ASCII escaped."""
     lines = [f"command = {command}"]
     for key in sorted(values):
         val = values[key]
         if isinstance(val, tuple):
             val = ",".join(str(x) for x in val)
-        lines.append(f"{key} = {val}")
+        lines.append(re.sub(r"[^ -~]", lambda ch: ch[0].encode("unicode_escape").decode(),
+                            f"{key} = {val}"))
     return lines
 
 
@@ -402,11 +384,7 @@ def _cmd_eval(values: dict) -> int:
     summary = (f"phi={values['phi']:.17g} acc_all={acc.overall:.17g} "
                f"acc_many={acc.many:.17g} acc_med={acc.medium:.17g} "
                f"acc_few={acc.few:.17g}")
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("plrlab-eval v1\n")
-        for line in _config_comments("eval", values):
-            fh.write(f"# {line}\n")
-        fh.write(summary + "\n")
+    write_ascii(out, "plrlab-eval v1", _config_comments("eval", values), [summary + "\n"])
     print(summary)
     print(f"wrote {out}")
     return 0
@@ -432,43 +410,43 @@ def _cmd_bench(values: dict) -> int:
     return 0
 
 
-_RUNNERS = {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval, "bench": _cmd_bench}
+_COMMANDS = {
+    "gen": (_cmd_gen, _GEN_OPTS,
+            "generate a seeded synthetic long-tailed partially-labeled dataset"),
+    "train": (_cmd_train, _TRAIN_OPTS, "train the classifier with regularized pseudo-labels"),
+    "eval": (_cmd_eval, _EVAL_OPTS, "evaluate a trained model with optional prior compensation"),
+    "bench": (_cmd_bench, _BENCH_OPTS, "time the pseudo-label update kernels"),
+}
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The plrlab parser and its subcommand parsers by name."""
     parser = _Parser(prog="plrlab",
                      description="Long-tailed partial-label learning experiments.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-    descriptions = {
-        "gen": "generate a seeded synthetic long-tailed partially-labeled dataset",
-        "train": "train the classifier with regularized pseudo-labels",
-        "eval": "evaluate a trained model with optional prior compensation",
-        "bench": "time the pseudo-label update kernels",
-    }
-    for name, opts in _COMMAND_OPTS.items():
-        cmd = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
-        _add_options(cmd, opts)
-        _SUBPARSERS[name] = cmd
-    return parser
+    for name, (_, opts, about) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=about, description=about), opts)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    run, opts, _ = _COMMANDS[args.command]
     try:
-        values = _effective(_COMMAND_OPTS[args.command], args)
-        values["config"] = args.config
-        return _RUNNERS[args.command](values)
+        if args.config is not None:
+            # The config file's values become the defaults; explicit flags still win.
+            commands[args.command].set_defaults(**_config_defaults(opts, args.config))
+            args = parser.parse_args(argv)
+        return run({k: v for k, v in vars(args).items() if k != "command"})
     except NonFiniteLoss as exc:
         print(f"plrlab {args.command}: numeric failure: {exc}", file=sys.stderr)
         return 2
     except UsageError as exc:
-        print(_SUBPARSERS[args.command].format_usage(), file=sys.stderr, end="")
+        print(commands[args.command].format_usage(), file=sys.stderr, end="")
         print(f"plrlab {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except (PlrError, ValueError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Shared domain types, validated constructors, and seeded randomness.
+"""Shared domain types, validated constructors, seeded randomness, and file framing.
 
 Everything downstream (solvers, prior estimation, training) works on the
 four matrix/vector types defined here. All types are immutable after
@@ -309,6 +309,20 @@ def xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def write_ascii(path, head: str, comments, body) -> None:
+    """Write a file in the framing every plrlab file shares: head, comments, body.
+
+    ``head`` is line 1 (none if empty), each comment a '# ' line, and ``body``
+    newline-terminated lines, streamed. Head and comments are encoded first,
+    so a non-ASCII comment raises UnicodeEncodeError and leaves no file.
+    """
+    top = ([f"{head}\n"] if head else []) + [f"# {line}\n" for line in comments]
+    "".join(top).encode("ascii")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(top)
+        fh.writelines(body)
+
+
 def read_ascii(path) -> str:
     """A file's text; a non-ASCII byte raises FormatError naming its line."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
@@ -317,3 +331,9 @@ def read_ascii(path) -> str:
     if bad >= 0:
         raise FormatError(text.count("\n", 0, bad) + 1, "non-ASCII byte")
     return text
+
+
+def body_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(file line number, line) for each line after the header; blank and '#' lines are skipped."""
+    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+            if line and not line.startswith("#")]

@@ -12,26 +12,35 @@ Datasets serialize to a line-oriented text format::
     plrlab-dataset v1 N=<int> c=<int> d=<int>
     <id> TAB f_1 ... TAB f_d TAB <true label> TAB <cand,cand,...>
 
-with features printed at full float64 precision (``%.17g``) so files
-round-trip exactly. The reader skips blank lines and lines starting with
-'#' anywhere after the header. It requires exactly N records with ids
-0..N-1 in order, d + 3 fields each, a label in [0, c), candidate ids
-strictly ascending in [0, c) and including the label, class sizes that
-do not increase from class 0 on, and finite features; anything else
-raises FormatError naming the line. Records are written and parsed in
-bulk; a block the bulk parser does not take is parsed line by line, and
-that loop alone defines what is accepted.
+in the framing of ``core.write_ascii`` ('# ' comments after the header,
+blank and '#' lines skipped but counted), with ``%.17g`` features so files
+round-trip exactly. The reader requires exactly N records with ids 0..N-1
+in order (counted before any array is sized from N), d + 3 fields each, a
+label in [0, c), candidate ids strictly ascending in [0, c) and including
+the label, class sizes that do not increase from class 0 on, and finite
+features; anything else raises FormatError naming the line. Records are
+written and parsed in bulk; a block the bulk parser does not take is parsed
+line by line, which alone defines what is accepted.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CandidateMatrix, FormatError, Rng, ShapeMismatch, _freeze, read_ascii
+from .core import (
+    CandidateMatrix,
+    FormatError,
+    Rng,
+    ShapeMismatch,
+    _freeze,
+    body_lines,
+    read_ascii,
+    write_ascii,
+)
 
 __all__ = [
     "DatasetSpec",
@@ -82,16 +91,16 @@ class DatasetSpec:
 class PartialDataset:
     """Feature matrix, hidden true labels, and candidate sets for one split.
 
-    ``class_counts`` counts true labels per class (non-increasing by
-    construction, classes are ordered head to tail) and
-    ``group_boundaries`` holds the many/medium/few split points.
+    The constructor derives ``class_counts``, the true labels per class,
+    and ``group_boundaries``, the many/medium/few split points; classes are
+    ordered head to tail, so counts that increase raise ValueError.
     """
 
     features: np.ndarray
     true_labels: np.ndarray
     candidates: CandidateMatrix
-    class_counts: np.ndarray
-    group_boundaries: tuple[int, int]
+    class_counts: np.ndarray = field(init=False)
+    group_boundaries: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -106,17 +115,9 @@ class PartialDataset:
         rows = np.arange(labels.shape[0])
         if not np.all(self.candidates.bits[rows, labels] == 1.0):
             raise ValueError("every true label must be inside its candidate set")
-        counts = np.ascontiguousarray(self.class_counts, dtype=np.int64)
-        if np.any(np.diff(counts) > 0):
-            raise ValueError("class counts must be non-increasing (head classes first)")
+        counts = np.bincount(labels, minlength=c)
+        object.__setattr__(self, "group_boundaries", group_split(counts, c))
         _freeze(self, features=feats, true_labels=labels, class_counts=counts)
-
-    @classmethod
-    def from_arrays(cls, features, true_labels, candidates: CandidateMatrix) -> "PartialDataset":
-        labels = np.asarray(true_labels, dtype=np.int64)
-        counts = np.bincount(labels, minlength=candidates.n_classes)
-        bounds = group_split(counts, candidates.n_classes)
-        return cls(features, labels, candidates, counts, bounds)
 
     @property
     def n_samples(self) -> int:
@@ -220,8 +221,8 @@ def gen_dataset(spec: DatasetSpec) -> tuple[PartialDataset, PartialDataset]:
                              n_classes=spec.n_classes)
     test_s = gen_candidates(test_y, 0.0, None, rng.child(4), n_classes=spec.n_classes)
 
-    train = PartialDataset.from_arrays(train_x, train_y, train_s)
-    test = PartialDataset.from_arrays(test_x, test_y, test_s)
+    train = PartialDataset(train_x, train_y, train_s)
+    test = PartialDataset(test_x, test_y, test_s)
     return train, test
 
 
@@ -240,13 +241,10 @@ def write_dataset(ds: PartialDataset, path, comments=()) -> None:
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()
     labels = ds.true_labels.tolist()
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"plrlab-dataset v1 N={n} c={c} d={d}\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.writelines(template % (i, *ds.features[i].tolist(), labels[i],
-                                  ",".join(map(str, cols[starts[i] : starts[i + 1]])))
-                      for i in range(n))
+    write_ascii(path, f"plrlab-dataset v1 N={n} c={c} d={d}", comments,
+                (template % (i, *ds.features[i].tolist(), labels[i],
+                             ",".join(map(str, cols[starts[i] : starts[i + 1]])))
+                 for i in range(n)))
 
 
 _HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=(\d+)$")
@@ -271,7 +269,7 @@ def read_dataset(path) -> PartialDataset:
         parsed = _parse_records(lines, n, c, d)
     features, labels, bits = parsed
     try:
-        return PartialDataset.from_arrays(features, labels, CandidateMatrix(bits))
+        return PartialDataset(features, labels, CandidateMatrix(bits))
     except (ValueError, ShapeMismatch) as exc:
         raise FormatError(len(lines), str(exc)) from None
 
@@ -282,14 +280,8 @@ def _parse_records(lines: list[str], n: int, c: int, d: int):
     The definition of a valid record block: one line at a time, the first
     fault raises FormatError naming its line.
     """
-    features = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    bits = np.zeros((n, c))
-    record_lines = []
-    row = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    features, labels, cands, record_lines = [], [], [], []
+    for row, (lineno, line) in enumerate(body_lines(lines)):
         if row >= n:
             raise FormatError(lineno, f"more than N={n} records")
         parts = line.split("\t")
@@ -297,30 +289,33 @@ def _parse_records(lines: list[str], n: int, c: int, d: int):
             raise FormatError(lineno, f"expected {d + 3} fields, got {len(parts)}")
         try:
             idx = int(parts[0])
-            features[row] = [float(x) for x in parts[1 : d + 1]]
+            feats = [float(x) for x in parts[1 : d + 1]]
             label = int(parts[d + 1])
-            cands = [int(x) for x in parts[d + 2].split(",")]
+            ids = [int(x) for x in parts[d + 2].split(",")]
         except ValueError as exc:
             raise FormatError(lineno, str(exc)) from None
         if idx != row:
             raise FormatError(lineno, f"record id {idx}, expected {row}")
         if not 0 <= label < c:
             raise FormatError(lineno, f"label {label} out of range")
-        if any(not 0 <= j < c for j in cands) or any(
-            b <= a for a, b in zip(cands, cands[1:])
-        ):
+        if any(not 0 <= j < c for j in ids) or any(b <= a for a, b in zip(ids, ids[1:])):
             raise FormatError(lineno, "candidate ids must be strictly ascending and in range")
-        labels[row] = label
-        bits[row, cands] = 1.0
+        features.append(feats)
+        labels.append(label)
+        cands.append(ids)
         record_lines.append(lineno)
-        row += 1
-    if row != n:
-        raise FormatError(len(lines), f"expected N={n} records, found {row}")
+    # Arrays are sized only now, so a header's N cannot allocate unread records.
+    if len(labels) != n:
+        raise FormatError(len(lines), f"expected N={n} records, found {len(labels)}")
+    features = np.array(features, dtype=np.float64).reshape(n, d)
     # One check over the parsed block rather than one per field.
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
-    return features, labels, bits
+    bits = np.zeros((n, c))
+    for row, ids in enumerate(cands):
+        bits[row, ids] = 1.0
+    return features, np.array(labels, dtype=np.int64), bits
 
 
 def _parse_records_bulk(lines: list[str], n: int, c: int, d: int):
@@ -336,7 +331,7 @@ def _parse_records_bulk(lines: list[str], n: int, c: int, d: int):
     # loop handles both.
     if not n or not d:
         return None
-    records = [line for line in lines[1:] if line and not line.startswith("#")]
+    records = [line for _, line in body_lines(lines)]
     # Ids must read 0..n-1 exactly as the writer prints them.
     if len(records) != n or not all(
         line.startswith(f"{i}\t") and line.count("\t") == d + 2

@@ -29,9 +29,11 @@ from .core import (
     Rng,
     ShapeMismatch,
     TooFewReps,
+    body_lines,
     clamp_prior,
     read_ascii,
     row_normalize,
+    write_ascii,
 )
 from .datagen import longtail_counts
 from .sinkhorn import SinkhornConfig, solar_update
@@ -167,25 +169,19 @@ _METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
 
 def emit_metrics(metrics, path, comments=()) -> None:
     """Write per-epoch metric lines; overwrites any existing file."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("plrlab-metrics v1\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        for m in metrics:
-            parts = [f"epoch={m.epoch:d}"]
-            parts += [f"{key}={getattr(m, key):.17g}" for key in _METRIC_FIELDS[1:]]
-            fh.write(" ".join(parts) + "\n")
+    write_ascii(path, "plrlab-metrics v1", comments,
+                (f"epoch={m.epoch:d} " + " ".join(f"{key}={getattr(m, key):.17g}"
+                                                  for key in _METRIC_FIELDS[1:]) + "\n"
+                 for m in metrics))
 
 
 def read_metrics(path) -> list[EpochMetrics]:
     """Parse a metrics file back into EpochMetrics records."""
     lines = read_ascii(path).split("\n")
-    if not lines or lines[0] != "plrlab-metrics v1":
+    if lines[0] != "plrlab-metrics v1":
         raise FormatError(1, "bad metrics header")
     out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in body_lines(lines):
         fields = {}
         for token in line.split(" "):
             key, _, val = token.partition("=")
@@ -202,10 +198,7 @@ def read_metrics(path) -> list[EpochMetrics]:
 
 def emit_bench(records, path, comments=()) -> None:
     """Write benchmark records as CSV under the documented schema."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write("method,batch,classes,reps,mean_s,std_s\n")
-        for rec in records:
-            fh.write(f"{rec.method},{rec.batch_size},{rec.n_classes},"
-                     f"{rec.repetitions},{rec.mean_s:.17g},{rec.std_s:.17g}\n")
+    write_ascii(path, "", comments,
+                ["method,batch,classes,reps,mean_s,std_s\n"] +
+                [f"{rec.method},{rec.batch_size},{rec.n_classes},"
+                 f"{rec.repetitions},{rec.mean_s:.17g},{rec.std_s:.17g}\n" for rec in records])

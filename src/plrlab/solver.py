@@ -16,6 +16,7 @@ masked renormalization of the predictions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +91,20 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                h: PlrHyperparams) -> PseudoLabelMatrix:
     """Unique minimizer of the regularized objective over each candidate simplex.
 
-    The kernel S * f^lam * r^(-m) is formed directly: the probability and
-    prior clamps keep it finite and its row sums positive for the usual
-    hyperparameter range (lam up to ~25, m up to ~35). Outside that range
-    the update falls back to exp(lam*log f - m*log r - rowmax), which is
+    The kernel S * f^lam * r^(-m) is formed directly while the probability
+    and prior clamps keep every candidate entry a normal float and every row
+    sum finite (lam up to ~25.6; m up to ~38 at the 1e-8 prior floor). Outside
+    that range the update uses exp(lam*log f - m*log r - rowmax), which is
     immune to overflow and underflow.
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
     return PseudoLabelMatrix(_plr_weights(f.values, s.bits, r.values, h.lam, h.m))
+
+
+# Natural logs of the smallest normal and the largest float64.
+_LN_TINY = math.log(np.finfo(np.float64).tiny)
+_LN_MAX = math.log(np.finfo(np.float64).max)
 
 
 def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
@@ -108,16 +114,17 @@ def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     Expects what ``plr_update`` validates: matching shapes, row-stochastic
     ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
     """
-    kernel = np.maximum(f, PROB_EPS) ** lam
-    kernel *= r ** (-m)
-    kernel *= bits
-    sums = kernel.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sums)) or np.any(sums == 0.0):
+    # Direct only where exact: each candidate entry is at least PROB_EPS^lam,
+    # a normal float, and each row sum at most c * max(r^-m), a finite one.
+    if (lam * math.log(PROB_EPS) > _LN_TINY
+            and -m * math.log(r.min()) + math.log(r.shape[0]) < _LN_MAX):
+        kernel = np.maximum(f, PROB_EPS) ** lam
+        kernel *= r ** (-m)
+        kernel *= bits
+    else:
         z = log_kernel(f, bits, r, lam, m)
-        z = z - z.max(axis=1, keepdims=True)
-        kernel = np.exp(z)
-        sums = kernel.sum(axis=1, keepdims=True)
-    kernel /= sums
+        kernel = np.exp(z - z.max(axis=1, keepdims=True))
+    kernel /= kernel.sum(axis=1, keepdims=True)
     return kernel
 
 

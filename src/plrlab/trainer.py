@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     PROB_EPS,
-    ClassPrior,
     NonFiniteLoss,
     PlrHyperparams,
     PredictionMatrix,
@@ -275,8 +274,7 @@ def _check_finite(name: str, value: float, epoch: int, batch: int) -> None:
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
-               metrics_out: list | None, test: PartialDataset | None,
-               truth: ClassPrior | None):
+               metrics_out: list | None, test: PartialDataset | None):
     velocity = [np.zeros_like(p) for p in params.weights + params.biases]
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
@@ -358,7 +356,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                 accs = (acc.overall, acc.many, acc.medium, acc.few)
             else:
                 accs = (math.nan,) * 4
-            prior_err = prior_error(est, truth) if truth is not None else math.nan
+            prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
             means = [sums[i] / counts[i] if counts[i] else 0.0 for i in range(3)]
             metrics_out.append(EpochMetrics(
                 epoch, lr, means[0], means[1], means[2],
@@ -377,21 +375,15 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     """
     rng = Rng(cfg.seed)
     c = ds.n_classes
-    truth = None
-    if ds.class_counts.sum() > 0:
-        truth = clamp_prior(ds.class_counts.astype(np.float64))
-
     est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
     if cfg.pre_epochs > 0 and not cfg.freeze_prior:
         pre_params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(0))
-        est = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1),
-                         None, None, None)
+        est = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1), None, None)
 
     params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(2))
     est = replace(est, mu=cfg.mu_schedule[1])
     metrics: list[EpochMetrics] = []
-    est = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3),
-                     metrics, test, truth)
+    est = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), metrics, test)
     # With a frozen prior and no test set, nothing else checks the last step.
     if not all(np.isfinite(a).all() for a in params.weights + params.biases):
         raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")

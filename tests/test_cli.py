@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from plrlab.cli import _parse_config_file, main, read_model, write_model
+from plrlab.cli import _config_comments, _parse_config_file, main, read_model, write_model
 from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams
 from plrlab.datagen import read_dataset
 from plrlab.report import read_metrics
@@ -79,6 +81,15 @@ class TestGen:
                      "-o", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_non_ascii_output_path_is_echoed_escaped(self, tmp_path):
+        # Used to exit 1 and leave a truncated file holding part of the comments.
+        out = _gen(tmp_path, "\xe9.tsv")
+        assert f"# out = {tmp_path}/\\xe9.tsv" in out.read_text().splitlines()
+        metrics = tmp_path / "m\xe9.txt"
+        assert main(["train", "-d", str(out), "--epochs", "1", "--pre-epochs", "0",
+                     "--hidden", "4", "--metrics-out", str(metrics)]) == 0
+        assert len(read_metrics(metrics)) == 1
 
     def test_superclass_flag_respected(self, tmp_path):
         out = tmp_path / "h.txt"
@@ -185,6 +196,13 @@ class TestTrain:
         with pytest.raises(FormatError, match="non-ASCII") as exc:
             _parse_config_file(str(cfg))
         assert exc.value.line == lineno
+
+    def test_huge_record_count_exits_one(self, tmp_path, capsys):
+        # Used to print numpy's MemoryError traceback under a memory limit.
+        ds = tmp_path / "ds.txt"
+        ds.write_text("plrlab-dataset v1 N=1000000000000 c=2 d=1\n0\t0.5\t0\t0\n")
+        assert main(["train", "-d", str(ds)]) == 1
+        assert "error: line 3: expected N=1000000000000 records, found 1" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         ds = _gen(tmp_path)
@@ -309,6 +327,23 @@ class TestHelpAndUsage:
             main(["gen", "--bogus", "1"])
         assert exc.value.code == 1
 
+    def test_bad_flag_value_exits_one_with_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "-d", "ds.txt", "--lr", "abc"])
+        assert exc.value.code == 1
+        assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_bad_config_value_keeps_its_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = abc\n")
+        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
+        assert ("error: bad value for config key 'lr': could not convert string to float: 'abc'"
+                in capsys.readouterr().err)
+
+    def test_echoed_values_escape_all_but_printable_ascii(self):
+        lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})
+        assert lines == ["command = gen", "hidden = 4,2", "out = \\xe9\\n\\ ~x"]
+
     def test_output_path_collision_rejected(self, tmp_path):
         out = tmp_path / "x.txt"
         assert main(["gen", "--classes", "4", "--head", "10", "-o", str(out),
@@ -336,6 +371,15 @@ class TestModelFile:
         path.write_text("not a model\n")
         with pytest.raises(FormatError):
             read_model(path)
+
+    @pytest.mark.parametrize("dims", ["3", "-2,1", "0,1", "2,0"])
+    def test_header_dims_must_be_positive(self, tmp_path, dims):
+        # "-2,1" used to load as a (2, 1) layer and "0,1" as a zero-width input.
+        path = tmp_path / "model.txt"
+        path.write_text(f"plrlab-model v1 dims={dims}\nprior 1\nW0 1 1\nb0 1\n")
+        with pytest.raises(FormatError, match="positive input and output dims") as exc:
+            read_model(path)
+        assert exc.value.line == 1
 
     # Lines: 1 header, 2 prior, 3 W0, 4 b0, 5 W1, 6 b1. ``token`` replaces the
     # first value of line ``edit``, or drops it when empty; newlines in it add
@@ -376,3 +420,42 @@ class TestModelFile:
         with pytest.raises(FormatError, match=match) as exc:
             read_model(path)
         assert exc.value.line == 7
+
+
+_ASCII = st.characters(max_codepoint=127)
+# Numbers float() reads, non-finite values, and junk.
+_NUMBERS = (st.sampled_from(["", "nan", "-inf", "1e999", "1_0", "0x1p3", "1.5.2", "+2", "-0",
+                             "9" * 5000])
+            | st.floats().map(repr) | st.text(_ASCII, max_size=4))
+# dims=2,3,1 takes a 1-entry prior, 6 in W0, 3 in b0, 3 in W1 and 1 in b1.
+_MODEL_HEADS = (st.sampled_from(["plrlab-model v1 dims=2,3,1", "plrlab-model v1 dims=1,1"])
+                | st.text(_ASCII, max_size=8).map("plrlab-model v1 dims={}".format)
+                | st.text(_ASCII, max_size=20))
+
+
+@st.composite
+def _model_lines(draw):
+    key = draw(st.sampled_from(["prior", "W0", "b0", "W1", "b1", "W2", "bias", "", "#"]))
+    return " ".join([key] + draw(st.lists(_NUMBERS, max_size=7)))
+
+
+@given(_MODEL_HEADS, st.lists(_model_lines() | st.text(_ASCII, max_size=30), max_size=7))
+def test_arbitrary_ascii_model_file_raises_only_format_error(tmp_path_factory, head, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz_model.txt"
+    path.write_bytes("\n".join([head] + lines).encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is not a clean rejection either
+        try:
+            read_model(path)
+        except FormatError:
+            pass
+
+
+@given(st.lists(st.text(st.sampled_from(list("ab_-=# \t")) | _ASCII, max_size=20), max_size=6))
+def test_arbitrary_ascii_config_file_raises_only_format_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes("\n".join(lines).encode("ascii"))
+    try:
+        _parse_config_file(str(path))
+    except FormatError:
+        pass

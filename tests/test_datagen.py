@@ -276,6 +276,22 @@ class TestDatasetFile:
             read_dataset(path)
         assert exc.value.line == lineno
 
+    def test_huge_record_count_is_a_format_error(self, tmp_path):
+        # The line loop used to size its arrays from N before counting the
+        # records, so this header raised numpy's MemoryError under a memory limit.
+        path = tmp_path / "ds.txt"
+        path.write_text("plrlab-dataset v1 N=1000000000000 c=2 d=1\n0\t0.5\t0\t0\n")
+        with pytest.raises(FormatError, match="expected N=1000000000000 records, found 1"):
+            read_dataset(path)
+
+    def test_non_ascii_comment_raises_and_leaves_no_file(self, tmp_path):
+        # Used to leave the header and part of the comments on disk.
+        train, _ = gen_dataset(DatasetSpec(n_classes=3, head_count=10, seed=6))
+        path = tmp_path / "ds.txt"
+        with pytest.raises(UnicodeEncodeError):
+            write_dataset(train, path, comments=["out = \xe9.tsv"])
+        assert not path.exists()
+
     def test_dataset_bytes_stable_across_runs(self, tmp_path):
         spec = DatasetSpec(n_classes=4, head_count=12, flip_prob=0.2, seed=9)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -289,7 +305,7 @@ def test_partial_dataset_rejects_truth_outside_candidates():
     labels = np.array([0, 1])
     cands = CandidateMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        PartialDataset.from_arrays(feats, labels, cands)
+        PartialDataset(feats, labels, cands)
 
 
 # Features the %-template and f"{x:.17g}" must print alike: signed zeros,
@@ -314,7 +330,7 @@ def _datasets(draw):
     bits = np.array(draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c)),
                     dtype=np.float64).reshape(n, c)
     bits[np.arange(n), labels] = 1.0
-    return PartialDataset.from_arrays(feats, labels, CandidateMatrix(bits))
+    return PartialDataset(feats, labels, CandidateMatrix(bits))
 
 
 def _same_bits(a, b) -> bool:
@@ -357,7 +373,7 @@ def _assert_reader_agrees_with_line_loop(path, n, c, d):
     except FormatError:
         # Both paths hand the same arrays on; the dataset type rejected them.
         with pytest.raises((ValueError, ShapeMismatch)):
-            PartialDataset.from_arrays(loop[0], loop[1], CandidateMatrix(loop[2]))
+            PartialDataset(loop[0], loop[1], CandidateMatrix(loop[2]))
         return
     assert all(_same_bits(a, b) for a, b in
                zip((back.features, back.true_labels, back.candidates.bits), loop))
@@ -416,7 +432,7 @@ def test_reader_agrees_with_the_line_loop_on_listed_mutations(tmp_path, mutation
     bits = np.eye(3)[labels]
     bits[1, 1] = 1.0
     feats = np.arange(12.0).reshape(6, 2) / 4
-    ds = PartialDataset.from_arrays(feats, labels, CandidateMatrix(bits))
+    ds = PartialDataset(feats, labels, CandidateMatrix(bits))
     path = tmp_path / "ds.tsv"
     write_dataset(ds, path)
     lines = path.read_text().split("\n")

@@ -1,7 +1,12 @@
 """Group metrics, prior-compensated prediction, kernel timing, result files."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plrlab.core import FormatError, Rng, ShapeMismatch, TooFewReps, clamp_prior
 from plrlab.report import (
@@ -172,3 +177,33 @@ class TestBenchFile:
         assert first[0] == "plr"
         assert int(first[1]) == 32
         assert float(first[4]) > 0.0
+
+
+_ASCII = st.characters(max_codepoint=127)
+# Values float() or int() read differently, non-finite values, junk.
+_VALUES = (st.sampled_from(["", " ", "=", "#", "nan", "-inf", "1e999", "1_0", "0x1p3", "1.5.2",
+                            "+2", "-0", "9" * 5000])
+           | st.integers(-3, 3).map(str) | st.floats().map(repr) | st.text(_ASCII, max_size=6))
+_KEYS = [f.name for f in dataclasses.fields(EpochMetrics)]
+
+
+@st.composite
+def _metric_lines(draw):
+    """A metrics line with every key in order, or with drawn keys."""
+    keys = _KEYS
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(_KEYS + ["", "acc"]), max_size=len(_KEYS) + 1))
+    return " ".join(f"{key}={draw(_VALUES)}" for key in keys)
+
+
+@given(st.sampled_from(["plrlab-metrics v1"]) | st.text(_ASCII, max_size=20),
+       st.lists(_metric_lines() | st.text(_ASCII, max_size=30), max_size=4))
+def test_arbitrary_ascii_metrics_file_raises_only_format_error(tmp_path_factory, head, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz_metrics.txt"
+    path.write_bytes("\n".join([head] + lines).encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is not a clean rejection either
+        try:
+            read_metrics(path)
+        except FormatError:
+            pass

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plrlab.core import (
     CandidateMatrix,
@@ -15,6 +17,7 @@ from plrlab.core import (
     row_normalize,
 )
 from plrlab.solver import (
+    _plr_weights,
     hessian_min_eigen_lower_bound,
     kkt_residual,
     plr_objective,
@@ -294,3 +297,68 @@ def test_closed_form_beats_dense_grid_small():
         got = plr_objective(w, f, r, h).total
         ref = grid_min_objective(f.values[0], s.bits[0], r.values, h.lam, h.m, 50)
         assert got <= ref + 1e-9
+
+
+@st.composite
+def _plr_inputs(draw, min_prior=1e-8):
+    """Predictions, candidates and prior for one batch, with tiny entries common."""
+    c = draw(st.integers(1, 12))
+    batch = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.uniform(size=(batch, c)) < draw(st.sampled_from([0.1, 0.5, 1.0]))).astype(float)
+    bits[np.arange(batch), rng.integers(0, c, batch)] = 1.0
+    sharpness = draw(st.sampled_from([1.0, 8.0, 40.0]))
+    f = PredictionMatrix(row_normalize(rng.uniform(1e-3, 1.0, (batch, c)) ** sharpness))
+    r = clamp_prior(np.maximum(rng.uniform(size=c) ** draw(st.sampled_from([1.0, 6.0])),
+                               min_prior))
+    return f, CandidateMatrix(bits), r
+
+
+@given(_plr_inputs(), st.floats(0.05, 60.0), st.floats(0.0, 35.0))
+def test_plr_rows_are_stochastic_with_no_mass_off_candidates(inputs, lam, m):
+    f, s, r = inputs
+    w = plr_update(f, s, r, PlrHyperparams(lam=lam, m=m)).values
+    assert np.all(w >= 0.0)
+    assert np.all(w[s.bits == 0.0] == 0.0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@given(_plr_inputs(), st.floats(0.2, 5.0), st.floats(0.0, 4.0))
+def test_plr_kkt_residual_within_tolerance(inputs, lam, m):
+    f, s, r = inputs
+    h = PlrHyperparams(lam=lam, m=m)
+    rep = kkt_residual(plr_update(f, s, r, h), f, r, h, s)
+    assert rep.max_stationarity_residual <= 1e-8
+    assert rep.max_row_sum_violation <= 1e-12
+    assert rep.max_support_violation == 0.0
+
+
+@given(_plr_inputs(), st.floats(0.05, 25.0), st.floats(0.0, 30.0), st.floats(0.0, 5.0))
+def test_head_punishment_monotone_in_m(inputs, lam, m, step):
+    # The candidate with the largest prior loses mass as m grows: its weight
+    # is 1 / (1 + sum_k (f_k/f_h)^lam (r_h/r_k)^m), and every r_h/r_k >= 1.
+    f, s, r = inputs
+    head = np.argmax(np.where(s.bits > 0.0, r.values, -1.0), axis=1)
+    rows = np.arange(s.n_samples)
+    before = plr_update(f, s, r, PlrHyperparams(lam=lam, m=m)).values[rows, head]
+    after = plr_update(f, s, r, PlrHyperparams(lam=lam, m=m + step)).values[rows, head]
+    assert np.all(after <= before * (1.0 + 1e-12) + 1e-300)
+
+
+def _log_space_weights(f, bits, r, lam, m):
+    """The reference: exp(lam log f - m log r - rowmax) on the support, normalized."""
+    z = lam * np.log(np.maximum(f, 1e-12)) - m * np.log(r)
+    z = np.where(bits > 0.0, z - np.max(np.where(bits > 0.0, z, -np.inf), axis=1,
+                                          keepdims=True), -np.inf)
+    w = np.exp(z)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@given(_plr_inputs(min_prior=1e-6), st.floats(20.0, 30.0), st.floats(30.0, 40.0))
+def test_direct_and_log_space_branches_agree_near_the_switch(inputs, lam, m):
+    # Near lam 25, m 35 the direct kernel S f^lam r^-m starts to underflow;
+    # whichever branch runs must return the log-space weights.
+    f, s, r = inputs
+    got = _plr_weights(f.values, s.bits, r.values, lam, m)
+    want = _log_space_weights(f.values, s.bits, r.values, lam, m)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
