@@ -120,8 +120,14 @@ def _opt(flags, dest, conv, default, help_text, flag=False):
             "help": help_text, "flag": flag}
 
 
+# The converters raise ArgumentTypeError, whose text argparse prints as
+# it is; for a ValueError it prints the converter's name.
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _bool(text: str) -> bool:
@@ -130,7 +136,7 @@ def _bool(text: str) -> bool:
         return True
     if value in ("0", "false", "off", "no"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 _GEN_OPTS = [
@@ -267,7 +273,7 @@ def _config_defaults(opts, path: str) -> dict:
         opt = by_name[key]
         try:
             values[opt["dest"]] = opt["conv"](raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad value for config key {key!r}: {exc}") from None
     return values
 

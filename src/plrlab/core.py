@@ -309,27 +309,39 @@ def xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
+# The bytes a line of a plrlab file may hold: printable ASCII and tab.
+_LINE_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
+
+
 def write_ascii(path, head: str, comments, body) -> None:
     """Write a file in the framing every plrlab file shares: head, comments, body.
 
     ``head`` is line 1 (none if empty), each comment a '# ' line, and ``body``
-    newline-terminated lines, streamed. Head and comments are encoded first,
-    so a non-ASCII comment raises UnicodeEncodeError and leaves no file.
+    newline-terminated lines, streamed. Head and comments are checked first,
+    so a non-ASCII character raises UnicodeEncodeError, and a control
+    character (tab aside) ValueError, and either leaves no file.
     """
-    top = ([f"{head}\n"] if head else []) + [f"# {line}\n" for line in comments]
-    "".join(top).encode("ascii")
+    top = ([head] if head else []) + [f"# {line}" for line in comments]
+    if "".join(top).encode("ascii").translate(None, _LINE_BYTES):
+        raise ValueError("control character in a file head or comment")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(top)
+        fh.writelines(f"{line}\n" for line in top)
         fh.writelines(body)
 
 
 def read_ascii(path) -> str:
-    """A file's text; a non-ASCII byte raises FormatError naming its line."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    """A file's text, or FormatError naming the line of its first bad byte.
+
+    Only printable ASCII, tab and line breaks are good; any other byte is a
+    "non-ASCII byte" or a "control character".
+    """
+    with open(path, "r", encoding="latin-1") as fh:
         text = fh.read()
-    bad = text.find("\ufffd")
-    if bad >= 0:
-        raise FormatError(text.count("\n", 0, bad) + 1, "non-ASCII byte")
+    # The C-level scan: translate deletes the allowed bytes, leaving the bad ones in order.
+    bad = text.encode("latin-1").translate(None, _LINE_BYTES + b"\n")
+    if bad:
+        kind = "non-ASCII byte" if bad[0] > 0x7F else "control character"
+        raise FormatError(text.count("\n", 0, text.index(chr(bad[0]))) + 1, kind)
     return text
 
 

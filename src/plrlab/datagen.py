@@ -19,8 +19,7 @@ in order (counted before any array is sized from N), d + 3 fields each, a
 label in [0, c), candidate ids strictly ascending in [0, c) and including
 the label, class sizes that do not increase from class 0 on, and finite
 features; anything else raises FormatError naming the line. Records are
-written and parsed in bulk; a block the bulk parser does not take is parsed
-line by line, which alone defines what is accepted.
+written in bulk and read by one parser, which defines what is accepted.
 """
 
 from __future__ import annotations
@@ -251,12 +250,7 @@ _HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=(\d+)$")
 
 
 def read_dataset(path) -> PartialDataset:
-    """Parse a dataset file, raising FormatError with the offending line number.
-
-    Well-formed files are parsed in bulk; anything the bulk parser does not
-    take goes through the line loop, which alone decides what is accepted
-    and which error is raised.
-    """
+    """Parse a dataset file, raising FormatError with the offending line number."""
     lines = read_ascii(path).split("\n")
     if not lines or not lines[0]:
         raise FormatError(1, "missing header")
@@ -264,10 +258,7 @@ def read_dataset(path) -> PartialDataset:
     if match is None:
         raise FormatError(1, f"bad header {lines[0]!r}")
     n, c, d = (int(g) for g in match.groups())
-    parsed = _parse_records_bulk(lines, n, c, d)
-    if parsed is None:
-        parsed = _parse_records(lines, n, c, d)
-    features, labels, bits = parsed
+    features, labels, bits = _parse_records(lines, n, c, d)
     try:
         return PartialDataset(features, labels, CandidateMatrix(bits))
     except (ValueError, ShapeMismatch) as exc:
@@ -277,83 +268,70 @@ def read_dataset(path) -> PartialDataset:
 def _parse_records(lines: list[str], n: int, c: int, d: int):
     """Features, labels and candidate bits of the records after the header.
 
-    The definition of a valid record block: one line at a time, the first
-    fault raises FormatError naming its line.
+    The definition of a valid record block. One pass checks each line in
+    order: record count, field count, int() id, int() label and candidates,
+    id order, label range, candidate order and range. The features of each
+    line whose id parsed are read after the pass, in one call to numpy's
+    parser; only when it raises does float() re-read them line by line,
+    which names the first bad line and reads spellings only float() takes,
+    such as '1_0'. Given read_ascii's bytes, numpy takes none that float()
+    rejects. A fault the pass found is raised next, so the first fault in
+    file order wins; then the record count and finiteness are checked.
     """
-    features, labels, cands, record_lines = [], [], [], []
-    for row, (lineno, line) in enumerate(body_lines(lines)):
-        if row >= n:
-            raise FormatError(lineno, f"more than N={n} records")
-        parts = line.split("\t")
-        if len(parts) != d + 3:
-            raise FormatError(lineno, f"expected {d + 3} fields, got {len(parts)}")
+    records, record_lines, labels, cands = [], [], [], []
+    fault = None
+    try:
+        for row, (lineno, line) in enumerate(body_lines(lines)):
+            if row >= n:
+                raise FormatError(lineno, f"more than N={n} records")
+            parts = line.split("\t")
+            if len(parts) != d + 3:
+                raise FormatError(lineno, f"expected {d + 3} fields, got {len(parts)}")
+            try:
+                idx = int(parts[0])
+                records.append(line)
+                record_lines.append(lineno)
+                label = int(parts[d + 1])
+                ids = [int(x) for x in parts[d + 2].split(",")]
+            except ValueError as exc:
+                raise FormatError(lineno, str(exc)) from None
+            if idx != row:
+                raise FormatError(lineno, f"record id {idx}, expected {row}")
+            if not 0 <= label < c:
+                raise FormatError(lineno, f"label {label} out of range")
+            if ids[0] < 0 or ids[-1] >= c or any(b <= a for a, b in zip(ids, ids[1:])):
+                raise FormatError(lineno, "candidate ids must be strictly ascending and in range")
+            labels.append(label)
+            cands.append(ids)
+    except FormatError as exc:
+        fault = exc
+    features = None
+    if records and d:  # with nothing to read, np.loadtxt warns
         try:
-            idx = int(parts[0])
-            feats = [float(x) for x in parts[1 : d + 1]]
-            label = int(parts[d + 1])
-            ids = [int(x) for x in parts[d + 2].split(",")]
-        except ValueError as exc:
-            raise FormatError(lineno, str(exc)) from None
-        if idx != row:
-            raise FormatError(lineno, f"record id {idx}, expected {row}")
-        if not 0 <= label < c:
-            raise FormatError(lineno, f"label {label} out of range")
-        if any(not 0 <= j < c for j in ids) or any(b <= a for a, b in zip(ids, ids[1:])):
-            raise FormatError(lineno, "candidate ids must be strictly ascending and in range")
-        features.append(feats)
-        labels.append(label)
-        cands.append(ids)
-        record_lines.append(lineno)
+            features = np.loadtxt(records, delimiter="\t", comments=None,
+                                  usecols=range(1, d + 1), ndmin=2)
+        except ValueError:
+            pass
+    if features is None:
+        parsed = []
+        for lineno, line in zip(record_lines, records):
+            try:
+                parsed.append([float(x) for x in line.split("\t")[1 : d + 1]])
+            except ValueError as exc:
+                raise FormatError(lineno, str(exc)) from None
+        features = np.array(parsed, dtype=np.float64).reshape(len(parsed), d)
+    if fault is not None:
+        raise fault
     # Arrays are sized only now, so a header's N cannot allocate unread records.
     if len(labels) != n:
         raise FormatError(len(lines), f"expected N={n} records, found {len(labels)}")
-    features = np.array(features, dtype=np.float64).reshape(n, d)
-    # One check over the parsed block rather than one per field.
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
-    bits = np.zeros((n, c))
-    for row, ids in enumerate(cands):
-        bits[row, ids] = 1.0
-    return features, np.array(labels, dtype=np.int64), bits
-
-
-def _parse_records_bulk(lines: list[str], n: int, c: int, d: int):
-    """What _parse_records returns, parsed in bulk; None for any block it rejects.
-
-    Features go through numpy's C parser in one call, labels and candidate
-    ids through one split per line, and every check runs on whole arrays. It
-    takes a subset of what the line loop takes (record ids must be printed
-    as the writer prints them; '1_0' and other spellings only float()
-    reads fail here), so a None sends the block to the loop.
-    """
-    # n == 0 or d == 0 leaves np.loadtxt nothing to read, and it warns; the
-    # loop handles both.
-    if not n or not d:
-        return None
-    records = [line for _, line in body_lines(lines)]
-    # Ids must read 0..n-1 exactly as the writer prints them.
-    if len(records) != n or not all(
-        line.startswith(f"{i}\t") and line.count("\t") == d + 2
-        for i, line in enumerate(records)
-    ):
-        return None
-    # Only the label and candidate fields are kept, not whole split lines.
-    tails = [line.rsplit("\t", 2)[1:] for line in records]
     try:
-        features = np.loadtxt(records, delimiter="\t", comments=None,
-                              usecols=range(1, d + 1), ndmin=2)
-        labels = np.array([int(label) for label, _ in tails], dtype=np.int64)
-        cands = np.array([int(x) for x in ",".join([cs for _, cs in tails]).split(",")],
-                         dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    rows = np.repeat(np.arange(n), [cs.count(",") + 1 for _, cs in tails])
-    ascending = (np.diff(rows) > 0) | (np.diff(cands) > 0)
-    if (not np.isfinite(features).all()
-            or labels.min() < 0 or labels.max() >= c
-            or cands.min() < 0 or cands.max() >= c or not ascending.all()):
-        return None
-    bits = np.zeros((n, c))
-    bits[rows, cands] = 1.0
-    return features, labels, bits
+        bits = np.zeros((n, c))
+    except (MemoryError, ValueError):
+        raise FormatError(1, f"N={n} x c={c} candidate bits do not fit in memory") from None
+    rows = np.repeat(np.arange(n), [len(ids) for ids in cands])
+    bits[rows, [j for ids in cands for j in ids]] = 1.0
+    return features, np.array(labels, dtype=np.int64), bits

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from plrlab.core import FormatError, body_lines
+
 _GRID_CACHE = {}
 _ENTROPY_CACHE = {}
 
@@ -169,3 +171,47 @@ def write_dataset_loop(ds, path, comments=()) -> None:
             feats = "\t".join(f"{x:.17g}" for x in ds.features[i])
             cands = ",".join(str(j) for j in np.flatnonzero(ds.candidates.bits[i]))
             fh.write(f"{i}\t{feats}\t{ds.true_labels[i]}\t{cands}\n")
+
+
+def parse_records_loop(lines: list[str], n: int, c: int, d: int):
+    """The line-by-line dataset record parser: the first fault raises FormatError naming its line.
+
+    The reference for ``datagen._parse_records``, which reads the features
+    of all records in one call and must accept, return and raise the same.
+    """
+    features, labels, cands, record_lines = [], [], [], []
+    for row, (lineno, line) in enumerate(body_lines(lines)):
+        if row >= n:
+            raise FormatError(lineno, f"more than N={n} records")
+        parts = line.split("\t")
+        if len(parts) != d + 3:
+            raise FormatError(lineno, f"expected {d + 3} fields, got {len(parts)}")
+        try:
+            idx = int(parts[0])
+            feats = [float(x) for x in parts[1 : d + 1]]
+            label = int(parts[d + 1])
+            ids = [int(x) for x in parts[d + 2].split(",")]
+        except ValueError as exc:
+            raise FormatError(lineno, str(exc)) from None
+        if idx != row:
+            raise FormatError(lineno, f"record id {idx}, expected {row}")
+        if not 0 <= label < c:
+            raise FormatError(lineno, f"label {label} out of range")
+        if any(not 0 <= j < c for j in ids) or any(b <= a for a, b in zip(ids, ids[1:])):
+            raise FormatError(lineno, "candidate ids must be strictly ascending and in range")
+        features.append(feats)
+        labels.append(label)
+        cands.append(ids)
+        record_lines.append(lineno)
+    # Arrays are sized only now, so a header's N cannot allocate unread records.
+    if len(labels) != n:
+        raise FormatError(len(lines), f"expected N={n} records, found {len(labels)}")
+    features = np.array(features, dtype=np.float64).reshape(n, d)
+    # One check over the parsed block rather than one per field.
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
+    bits = np.zeros((n, c))
+    for row, ids in enumerate(cands):
+        bits[row, ids] = 1.0
+    return features, np.array(labels, dtype=np.int64), bits

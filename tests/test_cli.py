@@ -190,12 +190,13 @@ class TestTrain:
     @pytest.mark.parametrize("lineno", [1, 2, 3])
     def test_config_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
         cfg = tmp_path / "run.cfg"
-        lines = [b"epochs = 2", b"# comment", b"seed = 9"]
-        lines[lineno - 1] += b" \xe9"
-        cfg.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(FormatError, match="non-ASCII") as exc:
-            _parse_config_file(str(cfg))
-        assert exc.value.line == lineno
+        for byte, match in [(b" \xe9", "non-ASCII byte"), (b"\x0c", "control character")]:
+            lines = [b"epochs = 2", b"# comment", b"seed = 9"]
+            lines[lineno - 1] += byte
+            cfg.write_bytes(b"\n".join(lines) + b"\n")
+            with pytest.raises(FormatError, match=match) as exc:
+                _parse_config_file(str(cfg))
+            assert exc.value.line == lineno
 
     def test_huge_record_count_exits_one(self, tmp_path, capsys):
         # Used to print numpy's MemoryError traceback under a memory limit.
@@ -203,6 +204,13 @@ class TestTrain:
         ds.write_text("plrlab-dataset v1 N=1000000000000 c=2 d=1\n0\t0.5\t0\t0\n")
         assert main(["train", "-d", str(ds)]) == 1
         assert "error: line 3: expected N=1000000000000 records, found 1" in capsys.readouterr().err
+
+    def test_huge_class_count_exits_one(self, tmp_path, capsys):
+        # Used to print numpy's 7.11 PiB MemoryError traceback.
+        ds = tmp_path / "ds.txt"
+        ds.write_text("plrlab-dataset v1 N=1 c=1000000000000000 d=1\n0\t0.5\t0\t0\n")
+        assert main(["train", "-d", str(ds)]) == 1
+        assert "error: line 1: N=1 x c=1000000000000000 candidate bits" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         ds = _gen(tmp_path)
@@ -332,12 +340,27 @@ class TestHelpAndUsage:
             main(["train", "-d", "ds.txt", "--lr", "abc"])
         assert exc.value.code == 1
         assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
+        # The converters name what they expected, not themselves.
+        for flag, value, message in [
+            ("--hidden", "a,b", "argument --hidden: expected comma-separated integers, got 'a,b'"),
+            ("--timing", "maybe", "argument --timing: expected a boolean, got 'maybe'"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "-d", "ds.txt", flag, value])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert "_bool" not in err and "_int_list" not in err
 
     def test_bad_config_value_keeps_its_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr = abc\n")
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
         assert ("error: bad value for config key 'lr': could not convert string to float: 'abc'"
+                in capsys.readouterr().err)
+        cfg.write_text("timing = maybe\n")
+        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
+        assert ("error: bad value for config key 'timing': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
 
     def test_echoed_values_escape_all_but_printable_ascii(self):
@@ -389,6 +412,8 @@ class TestModelFile:
         (6, b"-inf", "finite", 6),
         (1, b"\xe9", "non-ASCII", 1),
         (5, b"0.5\xe9", "non-ASCII", 5),
+        (1, b"\x1b", "control character", 1),
+        (5, b"\x0c0.5", "control character", 5),
         (4, b"", "inconsistent", 6),
         (2, b"0.5 0.5", "prior", 2),
         (3, b"1 1 1 1 1 1\n\nb0 nan", "finite", 5),

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import write_dataset_loop
+from oracles import parse_records_loop, write_dataset_loop
 from plrlab.core import CandidateMatrix, FormatError, Rng, ShapeMismatch, read_ascii
 from plrlab.datagen import (
     DatasetSpec,
     PartialDataset,
     _parse_records,
-    _parse_records_bulk,
     gen_candidates,
     gen_dataset,
     group_split,
@@ -270,11 +269,15 @@ class TestDatasetFile:
         path = tmp_path / "ds.txt"
         write_dataset(train, path, comments=["note"])
         lines = path.read_bytes().split(b"\n")
-        lines[lineno - 1] += b"\xe9"
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(FormatError, match="non-ASCII") as exc:
-            read_dataset(path)
-        assert exc.value.line == lineno
+        # int() reads "0\x0c" and float() "\x0c0.5"; a file may hold neither.
+        for byte, match in [(b"\xe9", "non-ASCII byte"), (b"\x0c", "control character"),
+                            (b"\x1c", "control character"), (b"\x7f", "control character")]:
+            edited = lines.copy()
+            edited[lineno - 1] += byte
+            path.write_bytes(b"\n".join(edited))
+            with pytest.raises(FormatError, match=match) as exc:
+                read_dataset(path)
+            assert exc.value.line == lineno
 
     def test_huge_record_count_is_a_format_error(self, tmp_path):
         # The line loop used to size its arrays from N before counting the
@@ -283,6 +286,26 @@ class TestDatasetFile:
         path.write_text("plrlab-dataset v1 N=1000000000000 c=2 d=1\n0\t0.5\t0\t0\n")
         with pytest.raises(FormatError, match="expected N=1000000000000 records, found 1"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("c", [10**15, 10**30])
+    def test_huge_class_count_is_a_format_error(self, tmp_path, c):
+        # 10**15 candidate bits need 8 PB, past any address space, so numpy
+        # refuses at once; its MemoryError used to escape the reader, as did
+        # the ValueError numpy raises for a dimension past 2**63.
+        path = tmp_path / "ds.txt"
+        path.write_text(f"plrlab-dataset v1 N=1 c={c} d=1\n0\t0.5\t0\t0\n")
+        with pytest.raises(FormatError, match="do not fit in memory") as exc:
+            read_dataset(path)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("comment", ["a\nb", "a\rb", "\x0c", "\x7f"])
+    def test_control_character_in_comment_raises_and_leaves_no_file(self, tmp_path, comment):
+        # "a\nb" used to write a file that read_dataset rejects on line 3.
+        train, _ = gen_dataset(DatasetSpec(n_classes=3, head_count=10, seed=6))
+        path = tmp_path / "ds.txt"
+        with pytest.raises(ValueError, match="control character"):
+            write_dataset(train, path, comments=[comment])
+        assert not path.exists()
 
     def test_non_ascii_comment_raises_and_leaves_no_file(self, tmp_path):
         # Used to leave the header and part of the comments on disk.
@@ -344,34 +367,28 @@ def test_writer_bytes_equal_the_loop_writer(tmp_path_factory, ds, comments):
     write_dataset_loop(ds, base / "loop.tsv", comments)
     assert (base / "bulk.tsv").read_bytes() == (base / "loop.tsv").read_bytes()
     lines = read_ascii(base / "bulk.tsv").split("\n")
-    bulk = _parse_records_bulk(lines, ds.n_samples, ds.n_classes, ds.feature_dim)
-    assert bulk is not None, "the bulk reader must take what the writer writes"
+    parsed = _parse_records(lines, ds.n_samples, ds.n_classes, ds.feature_dim)
     expected = (ds.features, ds.true_labels, ds.candidates.bits)
-    assert all(_same_bits(a, b) for a, b in zip(bulk, expected))
+    assert all(_same_bits(a, b) for a, b in zip(parsed, expected))
 
 
 def _assert_reader_agrees_with_line_loop(path, n, c, d):
     """read_dataset returns the line loop's arrays or raises its FormatError.
 
-    The bulk path must refuse (None) every block the loop rejects, and return
-    the loop's arrays bit for bit where it accepts.
+    The loop parses what read_ascii returns, so where read_ascii raises,
+    read_dataset must raise the same error.
     """
-    lines = read_ascii(path).split("\n")
-    bulk = _parse_records_bulk(lines, n, c, d)
     try:
-        loop = _parse_records(lines, n, c, d)
+        loop = parse_records_loop(read_ascii(path).split("\n"), n, c, d)
     except FormatError as exc:
-        assert bulk is None, "the bulk path accepted a block the line loop rejects"
         with pytest.raises(FormatError) as got:
             read_dataset(path)
         assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         return
-    if bulk is not None:
-        assert all(_same_bits(a, b) for a, b in zip(bulk, loop))
     try:
         back = read_dataset(path)
     except FormatError:
-        # Both paths hand the same arrays on; the dataset type rejected them.
+        # The parser hands the loop's arrays on; the dataset type rejected them.
         with pytest.raises((ValueError, ShapeMismatch)):
             PartialDataset(loop[0], loop[1], CandidateMatrix(loop[2]))
         return
@@ -410,6 +427,9 @@ _LISTED_MUTATIONS = {
     "overflowing feature": _set_field(1, "1e999"),
     "underscored feature": _set_field(1, "1_0"),
     "padded feature": _set_field(2, " 2.5 "),
+    "control-padded feature": _set_field(1, "\x1c0.5"),
+    "bad id and float": _edit_fields(lambda parts: ["x", "1.5.2"] + parts[2:]),
+    "bad float and label": _edit_fields(lambda parts: parts[:2] + ["1.5.2", "x"] + parts[4:]),
     "id out of order": _set_field(0, "2"),
     "id spelled +1": _set_field(0, "+1"),
     "label above range": _set_field(3, "3"),
@@ -437,6 +457,29 @@ def test_reader_agrees_with_the_line_loop_on_listed_mutations(tmp_path, mutation
     write_dataset(ds, path)
     lines = path.read_text().split("\n")
     _LISTED_MUTATIONS[mutation](lines)
+    path.write_text("\n".join(lines))
+    _assert_reader_agrees_with_line_loop(path, 6, 3, 2)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("bad float", "label above range"), ("label above range", "bad float"),
+    ("id out of order", "empty float"), ("nan feature", "candidates unsorted"),
+    ("underscored feature", "one record too few"),
+])
+def test_the_first_fault_in_file_order_wins(tmp_path, first, second):
+    # Features are read after the other checks; a later line's fault must
+    # not jump ahead of an earlier line's bad feature, nor the reverse.
+    labels = np.array([0, 0, 0, 1, 1, 2])
+    ds = PartialDataset(np.arange(12.0).reshape(6, 2) / 4, labels,
+                        CandidateMatrix(np.eye(3)[labels]))
+    path = tmp_path / "ds.tsv"
+    write_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    # The listed mutations edit file line 3; ``second`` edits line 5 by a swap.
+    lines[2], lines[4] = lines[4], lines[2]
+    _LISTED_MUTATIONS[second](lines)
+    lines[2], lines[4] = lines[4], lines[2]
+    _LISTED_MUTATIONS[first](lines)
     path.write_text("\n".join(lines))
     _assert_reader_agrees_with_line_loop(path, 6, 3, 2)
 

@@ -157,11 +157,14 @@ class TestMetricsFile:
         path = tmp_path / "m.txt"
         emit_metrics(_toy_metrics(), path, comments=["seed = 7"])
         lines = path.read_bytes().split(b"\n")
-        lines[lineno - 1] += b"\xe9"
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(FormatError, match="non-ASCII") as exc:
-            read_metrics(path)
-        assert exc.value.line == lineno
+        for byte, match in [(b"\xe9", "non-ASCII byte"), (b"\x0b", "control character"),
+                            (b"\x00", "control character")]:
+            edited = lines.copy()
+            edited[lineno - 1] += byte
+            path.write_bytes(b"\n".join(edited))
+            with pytest.raises(FormatError, match=match) as exc:
+                read_metrics(path)
+            assert exc.value.line == lineno
 
 
 class TestBenchFile:

@@ -1,6 +1,7 @@
 """Design rules of the package source, checked on its syntax tree without running it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import plrlab
@@ -23,3 +24,66 @@ def test_only_core_opens_files():
     opening = {path.name: _opens(path) for path in sorted(SRC.glob("*.py"))}
     assert opening["core.py"], "the scan found no open() call in core.py"
     assert {name for name, lines in opening.items() if lines} == {"core.py"}, opening
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_imports(tree: ast.Module, modules) -> set[str]:
+    """The package's modules that a module imports, at top level or inside a function."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (
+                node.level == 0 and (node.module or "").split(".")[0] == "plrlab")):
+            module = (node.module or "").removeprefix("plrlab").lstrip(".")
+            out.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.removeprefix("plrlab.") for alias in node.names)
+    return out & set(modules)
+
+
+def test_package_import_graph_is_acyclic():
+    trees = _trees()
+    graph = {name: _package_imports(tree, trees) for name, tree in trees.items()}
+    assert graph["cli"], "the scan found no import in cli.py"
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or an attribute, under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_used_or_exported():
+    # No dead code: each top-level function and class is referenced in the
+    # package outside its own definition, or listed in its module's __all__.
+    trees = _trees()
+    total = sum((_referenced(tree) for tree in trees.values()), Counter())
+    unused, scanned = [], 0
+    for module, tree in trees.items():
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scanned += 1
+                if node.name not in exported and total[node.name] <= _referenced(node)[node.name]:
+                    unused.append(f"{module}.{node.name}")
+    assert scanned > 50, f"the scan found only {scanned} definitions"
+    assert not unused, unused
