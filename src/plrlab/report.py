@@ -113,6 +113,8 @@ def logits_adjust_predict(logits, r: ClassPrior, phi: float) -> np.ndarray:
         raise ShapeMismatch(f"logits {logits.shape} vs {r.n_classes} classes")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
     return np.argmax(logits - phi * np.log(r.values), axis=1)
 
 

@@ -52,8 +52,11 @@ def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,
     if losses.ndim != 1 or losses.shape[0] != w.n_samples:
         raise ShapeMismatch(f"losses shape {losses.shape} vs {w.n_samples} samples")
     _check_prior(w.n_classes, r)
-    if np.any(losses < 0.0):
-        raise ValueError("losses must be nonnegative")
+    # Negated tests, so a NaN loss or rho fails them.
+    if not np.all((losses >= 0.0) & (losses < np.inf)):
+        raise ValueError("losses must be finite and nonnegative")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
     return _select_rows(np.argmax(w.values, axis=1), losses, r.values, rho)
 
 

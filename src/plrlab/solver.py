@@ -12,6 +12,11 @@ unique minimizer with the closed form
 
 With m = 0, or with a uniform prior at lam = 1, it reduces to plain
 masked renormalization of the predictions.
+
+The kernel is zero off the candidate set, and a long-tailed batch has a
+handful of candidates per row out of c classes. So :func:`plr_update` and
+:func:`proden_update` evaluate it on the candidate entries only, packed in
+row-major order, and scatter the normalized weights into one zero matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .core import (
     PseudoLabelMatrix,
     ShapeMismatch,
     _check_prior,
-    row_normalize,
     xlogx,
 )
 
@@ -83,19 +87,24 @@ def log_kernel(f_values: np.ndarray, s_bits: np.ndarray, r_values: np.ndarray,
     Operates on raw arrays so callers can reuse it without constructing
     the validated wrapper types.
     """
-    z = lam * np.log(np.maximum(f_values, PROB_EPS)) - m * np.log(r_values)
-    return np.where(s_bits > 0.0, z, -np.inf)
+    z = np.maximum(f_values, PROB_EPS)
+    np.log(z, out=z)
+    z *= lam
+    z -= m * np.log(r_values)
+    np.putmask(z, s_bits <= 0.0, -np.inf)
+    return z
 
 
 def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                h: PlrHyperparams) -> PseudoLabelMatrix:
     """Unique minimizer of the regularized objective over each candidate simplex.
 
-    The kernel S * f^lam * r^(-m) is formed directly while the probability
-    and prior clamps keep every candidate entry a normal float and every row
-    sum finite (lam up to ~25.6; m up to ~38 at the 1e-8 prior floor). Outside
-    that range the update uses exp(lam*log f - m*log r - rowmax), which is
-    immune to overflow and underflow.
+    The kernel f^lam * r^(-m) is formed on the candidate entries only, and
+    directly while the probability and prior clamps keep every candidate
+    entry a normal float and every row sum finite (lam up to ~25.6; m up to
+    ~38 at the 1e-8 prior floor). Outside that range the update uses
+    exp(lam*log f - m*log r - rowmax), which is immune to overflow and
+    underflow. Entries off the candidate set are exactly zero.
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
@@ -113,26 +122,54 @@ def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
 
     Expects what ``plr_update`` validates: matching shapes, row-stochastic
     ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
+    Only the candidate entries are evaluated (see :func:`_candidates`).
     """
+    flat, rows, fs = _candidates(f, bits)
+    cols = flat - rows * bits.shape[1]
     # Direct only where exact: each candidate entry is at least PROB_EPS^lam,
     # a normal float, and each row sum at most c * max(r^-m), a finite one.
     if (lam * math.log(PROB_EPS) > _LN_TINY
             and -m * math.log(r.min()) + math.log(r.shape[0]) < _LN_MAX):
-        kernel = np.maximum(f, PROB_EPS) ** lam
-        kernel *= r ** (-m)
-        kernel *= bits
+        kernel = fs ** lam
+        kernel *= (r ** (-m))[cols]
     else:
-        z = log_kernel(f, bits, r, lam, m)
-        kernel = np.exp(z - z.max(axis=1, keepdims=True))
-    kernel /= kernel.sum(axis=1, keepdims=True)
-    return kernel
+        z = lam * np.log(fs)
+        z -= (m * np.log(r))[cols]
+        # Every row holds a candidate, so each row's entries start at its
+        # first index in ``rows`` and the reduceat segments are the rows.
+        z -= np.maximum.reduceat(z, np.searchsorted(rows, np.arange(bits.shape[0])))[rows]
+        kernel = np.exp(z)
+    return _scatter_normalized(kernel, flat, rows, bits.shape)
+
+
+def _candidates(f: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(flat index, row, floored prediction) of each candidate entry.
+
+    Entries are in row-major order, so each row's entries are contiguous.
+    """
+    flat = (bits > 0.0).ravel().nonzero()[0]
+    fs = f.ravel()[flat]
+    return flat, flat // bits.shape[1], np.maximum(fs, PROB_EPS, out=fs)
+
+
+def _scatter_normalized(kernel: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+                        shape: tuple[int, int]) -> np.ndarray:
+    """Divide the packed ``kernel`` by its row sums, in place, and scatter it
+    into a zero matrix of ``shape``."""
+    kernel /= np.bincount(rows, weights=kernel, minlength=shape[0])[rows]
+    out = np.zeros(shape[0] * shape[1])
+    out[flat] = kernel
+    return out.reshape(shape)
 
 
 def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
-    """Masked renormalization of predictions over the candidate sets."""
+    """Masked renormalization of predictions over the candidate sets.
+
+    Evaluated on the candidate entries only, like :func:`plr_update`.
+    """
     _check_pair(f, s)
-    masked = s.bits * np.maximum(f.values, PROB_EPS)
-    return PseudoLabelMatrix(row_normalize(masked))
+    flat, rows, fs = _candidates(f.values, s.bits)
+    return PseudoLabelMatrix(_scatter_normalized(fs, flat, rows, s.bits.shape))
 
 
 def plr_objective(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,

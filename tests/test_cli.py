@@ -264,6 +264,17 @@ class TestEval:
         assert main(["eval", "-m", str(model_path), "-d", str(tmp_path / "ds_test.txt")]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_phi_exits_one(self, tmp_path, capsys, phi):
+        # Used to exit 0 with the accuracy of predicting class 0 everywhere.
+        ds = _gen(tmp_path)
+        _, model_path = _train(tmp_path, ds)
+        out = tmp_path / "e.txt"
+        assert main(["eval", "-m", str(model_path), "-d", str(tmp_path / "ds_test.txt"),
+                     "--phi", phi, "-o", str(out)]) == 1
+        assert "plrlab eval: error: phi must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_phi_never_touches_the_model_file(self, tmp_path):
         ds = _gen(tmp_path)
         _, model_path = _train(tmp_path, ds)

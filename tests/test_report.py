@@ -83,6 +83,13 @@ class TestLogitsAdjust:
         with pytest.raises(ValueError):
             logits_adjust_predict(np.array([[np.inf, 0.0]]), r, 0.5)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        # A NaN or infinite phi used to predict class 0 for every row.
+        r = clamp_prior(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="phi must be finite"):
+            logits_adjust_predict(np.zeros((3, 2)), r, phi)
+
 
 class TestBenchPseudo:
     def test_too_few_reps(self):

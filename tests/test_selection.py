@@ -121,6 +121,20 @@ class TestSelectReliable:
                      for k in range(c))
         assert got.size <= budget
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_loss_rejected(self, bad):
+        # A NaN loss used to pass the "losses < 0" check.
+        w = _one_hot_rows([0, 1], 2)
+        with pytest.raises(ValueError, match="losses must be finite and nonnegative"):
+            select_reliable(w, np.array([1.0, bad]), clamp_prior(np.ones(2)), 0.5)
+
+    @pytest.mark.parametrize("rho", [np.nan, -0.1, 1.5, 5.0, np.inf])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # rho=nan used to select nothing and rho=5 every row, silently.
+        w = _one_hot_rows([0, 1], 2)
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            select_reliable(w, np.array([1.0, 2.0]), clamp_prior(np.ones(2)), rho)
+
     def test_shape_mismatch(self):
         w = _one_hot_rows([0, 1], 2)
         with pytest.raises(ShapeMismatch):

@@ -1,5 +1,7 @@
 """Closed-form update, objective, and KKT diagnostics against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -362,3 +364,59 @@ def test_direct_and_log_space_branches_agree_near_the_switch(inputs, lam, m):
     got = _plr_weights(f.values, s.bits, r.values, lam, m)
     want = _log_space_weights(f.values, s.bits, r.values, lam, m)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def _sparse_batch(batch, c, seed):
+    """A long-tailed batch with about six candidates per row; row 0 holds
+    every class and row 1 a single one, so both packed extremes occur."""
+    rng = np.random.default_rng(seed)
+    bits = (rng.uniform(size=(batch, c)) < 5.0 / (c - 1)).astype(float)
+    bits[np.arange(batch), rng.integers(0, c, batch)] = 1.0
+    bits[0] = 1.0
+    bits[1] = 0.0
+    bits[1, c - 1] = 1.0
+    f = PredictionMatrix(row_normalize(rng.uniform(0.05, 1.0, (batch, c))))
+    r = clamp_prior(100.0 ** -np.linspace(0.0, 1.0, c))
+    return f, CandidateMatrix(bits), r
+
+
+@pytest.mark.parametrize("lam, m", [(3.0, 2.0), (30.0, 40.0)])
+def test_packed_plr_matches_log_space_reference(lam, m):
+    # (3, 2) takes the direct branch and (30, 40) the log-space one.
+    f, s, r = _sparse_batch(64, 1000, 71)
+    got = plr_update(f, s, r, PlrHyperparams(lam=lam, m=m)).values
+    want = _log_space_weights(f.values, s.bits, r.values, lam, m)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.all(got[s.bits == 0.0] == 0.0)
+    assert np.all(got[s.bits > 0.0] > 0.0)
+    np.testing.assert_array_equal(got[1], s.bits[1])
+
+
+def test_packed_proden_matches_log_space_reference():
+    f, s, r = _sparse_batch(64, 1000, 72)
+    got = proden_update(f, s).values
+    want = _log_space_weights(f.values, s.bits, r.values, 1.0, 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.all(got[s.bits == 0.0] == 0.0)
+    np.testing.assert_array_equal(got[1], s.bits[1])
+
+
+@pytest.mark.parametrize("method", ["plr", "plr-log-space", "proden"])
+def test_packed_solve_allocates_little_beyond_its_output(method):
+    # Only the candidate entries are evaluated, so the peak traced
+    # allocation of one call stays near the B x c output itself; a dense
+    # kernel needs at least one more B x c temporary.
+    f, s, r = _sparse_batch(1024, 1000, 73)
+    call = {
+        "plr": lambda: plr_update(f, s, r, PlrHyperparams(lam=3.0, m=2.0)),
+        "plr-log-space": lambda: plr_update(f, s, r, PlrHyperparams(lam=30.0, m=40.0)),
+        "proden": lambda: proden_update(f, s),
+    }[method]
+    call()
+    tracemalloc.start()
+    try:
+        w = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * w.values.nbytes, (peak, w.values.nbytes)

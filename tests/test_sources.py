@@ -70,6 +70,13 @@ def _referenced(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in its ``__all__``."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
 def test_every_definition_is_used_or_exported():
     # No dead code: each top-level function and class is referenced in the
     # package outside its own definition, or listed in its module's __all__.
@@ -77,13 +84,39 @@ def test_every_definition_is_used_or_exported():
     total = sum((_referenced(tree) for tree in trees.values()), Counter())
     unused, scanned = [], 0
     for module, tree in trees.items():
-        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-                    for elt in node.value.elts}
+        exported = _exported(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 scanned += 1
                 if node.name not in exported and total[node.name] <= _referenced(node)[node.name]:
                     unused.append(f"{module}.{node.name}")
     assert scanned > 50, f"the scan found only {scanned} definitions"
+    assert not unused, unused
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names a module's import statements bind, anywhere in it."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return out
+
+
+def test_every_import_is_read_or_exported():
+    # No dead imports: each name a module imports is read in that module,
+    # or re-exported through its __all__. The package root is skipped:
+    # what it imports is what it exports.
+    unused, scanned = [], 0
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue
+        imported = _imported(tree)
+        scanned += len(imported)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{module}: {name}" for name in sorted(imported - read - _exported(tree))]
+    assert scanned > 50, f"the scan found only {scanned} imported names"
     assert not unused, unused
