@@ -23,7 +23,7 @@ from .core import (
     PseudoLabelMatrix,
     _check_prior,
 )
-from .solver import _check_pair, log_kernel
+from .solver import _candidates, _check_pair
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
 
@@ -105,34 +105,51 @@ def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     Returns the row-renormalized weights, the iterations used and the
     column error of each iteration.
 
-    Two exp passes per iteration: the row logsumexp gives log u, the
-    column logsumexp of log u + log K gives log_col, and the column sums
-    of the row-scaled kernel are exp(log_col + log v), a length-c vector.
-    The loop's B x c work reuses one buffer, and the -inf entries of log K
-    off the candidate sets never reach np.exp (see :func:`_support_exp`).
+    Only the candidate entries are evaluated, packed in row-major order
+    (see :func:`plrlab.solver._candidates`), with log K = lam * log f
+    formed on them once. Each iteration runs two exp passes: the row
+    logsumexp gives log u, the column logsumexp of log u + log K gives
+    log_col, and the column sums of the row-scaled kernel are then
+    exp(log_col + log v). Each exp'd pass is scattered into one zero
+    B x c buffer and summed there, so every sum adds the same numbers in
+    the same order as a dense loop and the weights are bit-identical to
+    it. That buffer, row-normalized in place, is the output.
     """
-    n = f.shape[0]
-    log_k = log_kernel(f, bits, r, cfg.lam, 0.0)
-    support = bits > 0.0
+    n, c = bits.shape
+    flat, rows, fs = _candidates(f, bits)
+    cols = flat - rows * c
+    row_starts = np.searchsorted(rows, np.arange(n))
+    by_col = np.argsort(cols, kind="stable")
+    feasible = np.bincount(cols, minlength=c) > 0
+    col_starts = np.searchsorted(cols[by_col], np.flatnonzero(feasible))
+    log_k = cfg.lam * np.log(fs)
     col_target = n * r
     log_target = np.log(col_target)
-    feasible = support.any(axis=0)
 
-    log_v = np.zeros(r.shape[0])
-    work = np.empty_like(log_k)
+    dense = np.zeros(n * c)
+    out = dense.reshape(n, c)
+
+    def row_pass(log_v):
+        z = log_k + log_v[cols]
+        row_max = np.maximum.reduceat(z, row_starts)
+        z -= row_max[rows]
+        dense[flat] = np.exp(z, out=z)
+        return row_max
+
+    log_v = np.zeros(c)
+    col_max = np.zeros(c)  # stays 0 on infeasible columns
     history = []
     # log(0) = -inf is the column logsumexp of an infeasible column; its
     # target is dropped, so the -inf never reaches log_v.
     with np.errstate(divide="ignore"):
         for iterations in range(1, cfg.max_iters + 1):
-            np.add(log_k, log_v, out=work)
-            row_max = work.max(axis=1, keepdims=True)
-            work -= row_max
-            log_u = -(np.log(_support_exp(work, support).sum(axis=1)) + row_max[:, 0])
-            np.add(log_u[:, None], log_k, out=work)
-            col_max = np.where(feasible, work.max(axis=0), 0.0)
-            work -= col_max
-            log_col = np.log(_support_exp(work, support).sum(axis=0)) + col_max
+            row_max = row_pass(log_v)
+            log_u = -(np.log(out.sum(axis=1)) + row_max)
+            z = log_k + log_u[rows]
+            col_max[feasible] = np.maximum.reduceat(z[by_col], col_starts)
+            z -= col_max[cols]
+            dense[flat] = np.exp(z, out=z)
+            log_col = np.log(out.sum(axis=0)) + col_max
             col_err = float(np.abs(np.exp(log_col + log_v) - col_target).max() / n)
             history.append(col_err)
             if col_err <= cfg.tol:
@@ -141,22 +158,6 @@ def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
 
     # Final row renormalization; row scalings cancel, so only the latest
     # column scaling matters (includes the pending one on the relaxed path).
-    np.add(log_k, log_v, out=work)
-    work -= work.max(axis=1, keepdims=True)
-    out = _support_exp(work, support)
+    row_pass(log_v)
     out /= out.sum(axis=1, keepdims=True)
     return out, iterations, history
-
-
-def _support_exp(x: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """exp(np.where(support, x, 0.0)) * support, computed in place in ``x``.
-
-    Off the support a log-domain kernel holds -inf, and np.exp is several
-    times slower on -inf lanes than on finite ones; those lanes go through
-    exp as 0 and are zeroed after. Entries on the support get exactly
-    np.exp(x).
-    """
-    np.putmask(x, ~support, 0.0)
-    np.exp(x, out=x)
-    x *= support
-    return x

@@ -82,11 +82,7 @@ def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
 
 def log_kernel(f_values: np.ndarray, s_bits: np.ndarray, r_values: np.ndarray,
                lam: float, m: float) -> np.ndarray:
-    """lam*log f - m*log r on candidate entries, -inf elsewhere.
-
-    Operates on raw arrays so callers can reuse it without constructing
-    the validated wrapper types.
-    """
+    """lam*log f - m*log r on candidate entries, -inf elsewhere."""
     z = np.maximum(f_values, PROB_EPS)
     np.log(z, out=z)
     z *= lam

@@ -197,16 +197,20 @@ def test_criterion_5_sinkhorn_behavior():
 
 
 def test_criterion_6_kernel_runtime_gap():
-    records = {rec.method: rec for rec in bench_pseudo(
+    # Each round times 10 back-to-back calls per method on the same
+    # instance; the median of five round means ignores a stall that
+    # lands in one or two rounds.
+    rounds = [{rec.method: rec.mean_s for rec in bench_pseudo(
         ["plr", "proden", "sinkhorn"], 256, 100, 10, Rng(1006),
         sinkhorn_cfg=SinkhornConfig(max_iters=50),
-    )}
-    plr_t = records["plr"].mean_s
-    assert plr_t <= records["sinkhorn"].mean_s / 5.0
-    assert plr_t <= 3.0 * records["proden"].mean_s
+    )} for _ in range(5)]
+    mean_s = {m: float(np.median([rnd[m] for rnd in rounds])) for m in rounds[0]}
+    plr_t = mean_s["plr"]
+    assert plr_t <= mean_s["sinkhorn"] / 5.0
+    assert plr_t <= 3.0 * mean_s["proden"]
     _report(6, f"kernel runtime gap (plr {plr_t * 1e3:.2f} ms, "
-               f"sinkhorn/plr {records['sinkhorn'].mean_s / plr_t:.0f}x, "
-               f"plr/proden {plr_t / records['proden'].mean_s:.1f}x)")
+               f"sinkhorn/plr {mean_s['sinkhorn'] / plr_t:.0f}x, "
+               f"plr/proden {plr_t / mean_s['proden']:.1f}x)")
 
 
 LONGTAIL_SPEC = dict(n_classes=10, head_count=500, imbalance_ratio=100.0,

@@ -1,5 +1,7 @@
 """Scaling baseline: convergence, relaxation, and marginal bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from plrlab.core import (
     CandidateMatrix,
     PredictionMatrix,
+    Rng,
     ShapeMismatch,
     clamp_prior,
     row_normalize,
 )
+from plrlab.report import _bench_instance
 from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
 from plrlab.solver import proden_update
 
@@ -124,6 +128,15 @@ def _sinkhorn_inputs(draw):
 @example((np.array([[0.5, 0.5]] * 2), np.ones((2, 2)), np.ones(2), SinkhornConfig()))
 @example((np.array([[0.7, 0.3], [0.6, 0.4]]), np.array([[1.0, 0.0], [1.0, 0.0]]),
           np.ones(2), SinkhornConfig(max_iters=1)))
+# Every row holds a single candidate, and class 2 is infeasible.
+@example((row_normalize(np.arange(1.0, 13.0).reshape(4, 3)), np.eye(3)[[0, 1, 0, 1]],
+          np.ones(3), SinkhornConfig()))
+# One column is feasible, in ten rows; the three others are infeasible.
+@example((row_normalize(np.arange(1.0, 41.0).reshape(10, 4) % 7 + 1.0), np.eye(4)[[1] * 10],
+          np.array([0.1, 0.6, 0.2, 0.1]), SinkhornConfig()))
+# Zero predictions on candidates are floored at PROB_EPS before lam=3.
+@example((np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]), np.ones((3, 3)),
+          np.array([0.5, 0.3, 0.2]), SinkhornConfig(lam=3.0)))
 def test_scaling_loop_matches_the_three_pass_loop(case):
     f, bits, masses, cfg = case
     r = clamp_prior(masses)
@@ -136,6 +149,23 @@ def test_scaling_loop_matches_the_three_pass_loop(case):
     assert got.infeasible_columns == infeasible
     assert got.col_err_history.shape == history.shape
     np.testing.assert_allclose(got.col_err_history, history, rtol=0.0, atol=1e-12)
+
+
+def test_scaling_allocates_little_beyond_its_output():
+    # The loop runs on the candidate entries of a long-tailed batch and
+    # sums through the output buffer itself, so the peak traced allocation
+    # of one call stays near the B x c output; a dense loop needs at least
+    # one more B x c array.
+    f, s, r = _bench_instance(1024, 1000, Rng(74))
+    cfg = SinkhornConfig(max_iters=5)
+    solar_update(f, s, r, cfg)
+    tracemalloc.start()
+    try:
+        w = solar_update(f, s, r, cfg).w
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * w.values.nbytes, (peak, w.values.nbytes)
 
 
 class TestMarginalErrors:
