@@ -22,7 +22,7 @@ print()
 for m in (0.0, 2.0):
     cfg = TrainConfig(epochs=100, pre_epochs=20, batch_size=64,
                       weak_noise_sigma=0.2, strong_noise_sigma=0.8,
-                      plr=PlrHyperparams(lam=3.0, m=m), timing=False, seed=1)
+                      plr=PlrHyperparams(lam=3.0, m=m), seed=1)
     _, metrics, est = train(train_ds, cfg, test_ds)
     last = metrics[-1]
     label = "regularized (m=2)" if m else "plain (m=0)     "

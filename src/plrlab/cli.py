@@ -203,8 +203,6 @@ _TRAIN_OPTS = [
          "keep the prior uniform instead of estimating it", flag=True),
     _opt(["--restrict-losses"], "restrict_losses", _bool, _TRAIN.restrict_all_losses,
          "apply the classification loss only to selected samples", flag=True),
-    _opt(["--timing"], "timing", _bool, _TRAIN.timing,
-         "record wall-clock pseudo-label time (off for byte-reproducible metrics)"),
     _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
     _opt(["--metrics-out"], "metrics_out", str, None,
          "metrics file path (default: <data stem>_metrics.txt)"),
@@ -363,8 +361,7 @@ def _cmd_train(values: dict) -> int:
         solver=values["solver"],
         sinkhorn=SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"]),
         restrict_all_losses=values["restrict_losses"],
-        freeze_prior=values["freeze_prior"], timing=values["timing"],
-        seed=values["seed"],
+        freeze_prior=values["freeze_prior"], seed=values["seed"],
     )
     params, metrics, est = train(ds, cfg, test_ds)
     comments = _config_comments("train", values)

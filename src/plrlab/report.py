@@ -3,8 +3,8 @@
 Two machine-readable sinks are defined here. The metrics file is
 line-oriented::
 
-    plrlab-metrics v1
-    epoch=<int> lr=<g> loss_cls=<g> ... prior_err=<g> pseudo_ms=<g>
+    plrlab-metrics v2
+    epoch=<int> lr=<g> loss_cls=<g> ... acc_few=<g> prior_err=<g>
 
 with one key per ``EpochMetrics`` field, in field order, and the
 benchmark file is plain CSV with header
@@ -66,7 +66,6 @@ class EpochMetrics:
     acc_med: float
     acc_few: float
     prior_err: float
-    pseudo_ms: float
 
 
 @dataclass(frozen=True)
@@ -166,12 +165,13 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     return records
 
 
+_METRICS_HEADER = "plrlab-metrics v2"
 _METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
 
 
 def emit_metrics(metrics, path, comments=()) -> None:
     """Write per-epoch metric lines; overwrites any existing file."""
-    write_ascii(path, "plrlab-metrics v1", comments,
+    write_ascii(path, _METRICS_HEADER, comments,
                 (f"epoch={m.epoch:d} " + " ".join(f"{key}={getattr(m, key):.17g}"
                                                   for key in _METRIC_FIELDS[1:]) + "\n"
                  for m in metrics))
@@ -180,8 +180,8 @@ def emit_metrics(metrics, path, comments=()) -> None:
 def read_metrics(path) -> list[EpochMetrics]:
     """Parse a metrics file back into EpochMetrics records."""
     lines = read_ascii(path).split("\n")
-    if lines[0] != "plrlab-metrics v1":
-        raise FormatError(1, "bad metrics header")
+    if lines[0] != _METRICS_HEADER:
+        raise FormatError(1, f"bad metrics header; expected {_METRICS_HEADER!r}")
     out = []
     for lineno, line in body_lines(lines):
         fields = {}

@@ -87,23 +87,23 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
 
-    out, iterations, history = _solar_weights(f.values, s.bits, r.values, cfg)
+    out, iterations, history, feasible = _solar_weights(f.values, s.bits, r.values, cfg)
     w = PseudoLabelMatrix(out)
     row_err, col_err = marginal_errors(w, r)
-    infeasible = tuple(int(j) for j in np.flatnonzero(~s.bits.any(axis=0)))
+    infeasible = tuple(int(j) for j in np.flatnonzero(~feasible))
     relaxed = bool(infeasible) or col_err > cfg.tol
     return SinkhornResult(w, iterations, row_err, col_err, relaxed,
                           infeasible, np.asarray(history))
 
 
 def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
-                   cfg: SinkhornConfig) -> tuple[np.ndarray, int, list[float]]:
+                   cfg: SinkhornConfig) -> tuple[np.ndarray, int, list[float], np.ndarray]:
     """The :func:`solar_update` scaling loop on plain arrays.
 
     Expects what ``solar_update`` validates: matching shapes, row-stochastic
     ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
-    Returns the row-renormalized weights, the iterations used and the
-    column error of each iteration.
+    Returns the row-renormalized weights, the iterations used, the column
+    error of each iteration and the mask of columns with a candidate.
 
     Only the candidate entries are evaluated, packed in row-major order
     (see :func:`plrlab.solver._candidates`), with log K = lam * log f
@@ -160,4 +160,4 @@ def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     # column scaling matters (includes the pending one on the relaxed path).
     row_pass(log_v)
     out /= out.sum(axis=1, keepdims=True)
-    return out, iterations, history
+    return out, iterations, history, feasible

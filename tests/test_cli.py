@@ -104,7 +104,7 @@ class TestGen:
 
 def _train(tmp_path, ds, extra=()):
     args = ["train", "-d", str(ds), "--epochs", "3", "--pre-epochs", "1",
-            "--batch", "64", "--hidden", "12", "--seed", "2", "--timing", "off"]
+            "--batch", "64", "--hidden", "12", "--seed", "2"]
     assert main(args + list(extra)) == 0
     return tmp_path / "ds_metrics.txt", tmp_path / "ds_model.txt"
 
@@ -153,7 +153,7 @@ class TestTrain:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 2\nseed = 9\n# comment\nlambda = 1.5\n")
         args = ["train", "-d", str(ds), "--config", str(cfg), "--epochs", "4",
-                "--pre-epochs", "0", "--timing", "off"]
+                "--pre-epochs", "0"]
         assert main(args) == 0
         metrics = read_metrics(tmp_path / "ds_metrics.txt")
         assert len(metrics) == 4  # flag beat the config file
@@ -342,26 +342,23 @@ class TestHelpAndUsage:
         assert "usage:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--bogus", "1"])
-        assert exc.value.code == 1
+        for args in (["gen", "--bogus", "1"], ["train", "-d", "ds.txt", "--timing", "off"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 1
 
     def test_bad_flag_value_exits_one_with_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "-d", "ds.txt", "--lr", "abc"])
         assert exc.value.code == 1
         assert "argument --lr: invalid float value: 'abc'" in capsys.readouterr().err
-        # The converters name what they expected, not themselves.
-        for flag, value, message in [
-            ("--hidden", "a,b", "argument --hidden: expected comma-separated integers, got 'a,b'"),
-            ("--timing", "maybe", "argument --timing: expected a boolean, got 'maybe'"),
-        ]:
-            with pytest.raises(SystemExit) as exc:
-                main(["train", "-d", "ds.txt", flag, value])
-            assert exc.value.code == 1
-            err = capsys.readouterr().err
-            assert message in err
-            assert "_bool" not in err and "_int_list" not in err
+        # The converter names what it expected, not itself.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "-d", "ds.txt", "--hidden", "a,b"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --hidden: expected comma-separated integers, got 'a,b'" in err
+        assert "_int_list" not in err
 
     def test_bad_config_value_keeps_its_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -369,10 +366,13 @@ class TestHelpAndUsage:
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
         assert ("error: bad value for config key 'lr': could not convert string to float: 'abc'"
                 in capsys.readouterr().err)
-        cfg.write_text("timing = maybe\n")
+        cfg.write_text("freeze_prior = maybe\n")
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
-        assert ("error: bad value for config key 'timing': expected a boolean, got 'maybe'"
+        assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
+        cfg.write_text("timing = off\n")
+        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
+        assert "error: unknown config key 'timing'" in capsys.readouterr().err
 
     def test_echoed_values_escape_all_but_printable_ascii(self):
         lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})

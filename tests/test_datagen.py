@@ -65,7 +65,7 @@ class TestGenFeatures:
         from plrlab.trainer import TrainConfig, train as run_training
 
         cfg = TrainConfig(epochs=15, pre_epochs=0, freeze_prior=True,
-                          batch_size=64, hidden=(16,), timing=False, seed=2)
+                          batch_size=64, hidden=(16,), seed=2)
         _, metrics, _ = run_training(train, cfg, test)
         assert metrics[-1].acc_all < 60.0  # chance is 33%
 
@@ -82,7 +82,7 @@ class TestGenFeatures:
         from plrlab.trainer import TrainConfig, train as run_training
 
         cfg = TrainConfig(epochs=30, pre_epochs=0, freeze_prior=True,
-                          batch_size=32, hidden=(16,), timing=False, seed=12)
+                          batch_size=32, hidden=(16,), seed=12)
         _, metrics, _ = run_training(train, cfg, test)
         assert metrics[-1].acc_all > 95.0
 

@@ -144,8 +144,8 @@ class TestBenchPseudo:
 
 def _toy_metrics():
     return [
-        EpochMetrics(0, 0.01, 1.5, 0.7, 0.9, 55.0, 80.0, 50.0, 20.0, 0.12, 3.25),
-        EpochMetrics(1, 0.009755, 1.25, 0.6, 0.8, 60.125, 82.0, 55.5, 25.0, 0.1, 2.5),
+        EpochMetrics(0, 0.01, 1.5, 0.7, 0.9, 55.0, 80.0, 50.0, 20.0, 0.12),
+        EpochMetrics(1, 0.009755, 1.25, 0.6, 0.8, 60.125, 82.0, 55.5, 25.0, 0.1),
     ]
 
 
@@ -153,7 +153,7 @@ class TestMetricsFile:
     def test_empty_list_writes_header_only(self, tmp_path):
         path = tmp_path / "m.txt"
         emit_metrics([], path)
-        assert path.read_text() == "plrlab-metrics v1\n"
+        assert path.read_text() == "plrlab-metrics v2\n"
 
     def test_round_trip_recovers_fields_exactly(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -174,11 +174,18 @@ class TestMetricsFile:
 
     def test_full_precision_floats_survive(self, tmp_path):
         ugly = EpochMetrics(3, 1.0 / 3.0, np.pi, np.e, 2.0 ** -40,
-                            99.999999999999986, 0.1 + 0.2, 1e-17, 0.0, 0.3, 7.0)
+                            99.999999999999986, 0.1 + 0.2, 1e-17, 0.0, 0.3)
         path = tmp_path / "m.txt"
         emit_metrics([ugly], path)
         assert read_metrics(path)[0] == ugly
 
+    def test_other_format_version_rejected_on_line_one(self, tmp_path):
+        path = tmp_path / "m.txt"
+        emit_metrics(_toy_metrics(), path)
+        path.write_text(path.read_text().replace("plrlab-metrics v2", "plrlab-metrics v1"))
+        with pytest.raises(FormatError) as exc:
+            read_metrics(path)
+        assert exc.value.line == 1
 
     @pytest.mark.parametrize("lineno", [1, 2, 4])
     def test_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
@@ -227,7 +234,7 @@ def _metric_lines(draw):
     return " ".join(f"{key}={draw(_VALUES)}" for key in keys)
 
 
-@given(st.sampled_from(["plrlab-metrics v1"]) | st.text(_ASCII, max_size=20),
+@given(st.sampled_from(["plrlab-metrics v2"]) | st.text(_ASCII, max_size=20),
        st.lists(_metric_lines() | st.text(_ASCII, max_size=30), max_size=4))
 def test_arbitrary_ascii_metrics_file_raises_only_format_error(tmp_path_factory, head, lines):
     path = tmp_path_factory.getbasetemp() / "fuzz_metrics.txt"

@@ -26,6 +26,21 @@ def test_only_core_opens_files():
     assert {name for name, lines in opening.items() if lines} == {"core.py"}, opening
 
 
+def _imports_time(tree: ast.Module) -> bool:
+    return any((isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time")
+               for node in ast.walk(tree))
+
+
+def test_only_report_reads_the_clock():
+    # Metrics and model files are functions of the seed. Only the bench
+    # command (report.bench_pseudo), which exists to time things, reads
+    # the clock.
+    clocked = {name for name, tree in _trees().items() if _imports_time(tree)}
+    assert "report" in clocked, "the scan found no time import in report.py"
+    assert clocked == {"report"}, clocked
+
+
 def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(SRC.glob("*.py"))}

@@ -35,7 +35,7 @@ def _zero_velocity(params):
 
 def _quick_cfg(**overrides):
     base = dict(epochs=3, batch_size=64, pre_epochs=1, hidden=(16,),
-                selection=SelectionConfig(ramp_epochs=2), timing=False, seed=5)
+                selection=SelectionConfig(ramp_epochs=2), seed=5)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -377,10 +377,10 @@ def _tiny_dataset(seed=0, separation=6.0, flip=0.4):
 
 class TestTrain:
     def test_same_seed_bitwise_identical(self):
+        # TrainConfig.timing is inert: either value gives the same run.
         ds, test = _tiny_dataset()
-        cfg = _quick_cfg()
-        params1, metrics1, est1 = train(ds, cfg, test)
-        params2, metrics2, est2 = train(ds, cfg, test)
+        params1, metrics1, est1 = train(ds, _quick_cfg(timing=True), test)
+        params2, metrics2, est2 = train(ds, _quick_cfg(timing=False), test)
         assert metrics1 == metrics2
         for a, b in zip(params1.weights, params2.weights):
             np.testing.assert_array_equal(a, b)
@@ -412,7 +412,6 @@ class TestTrain:
         assert m.epoch == 0
         assert 0.0 <= m.acc_all <= 100.0
         assert 0.0 <= m.acc_few <= 100.0
-        assert m.pseudo_ms == 0.0  # timing disabled in the quick config
         assert m.prior_err >= 0.0
 
     @pytest.mark.parametrize("rule", RULES)
@@ -502,12 +501,19 @@ class TestTrain:
         pytest.param(dict(mu_schedule=(np.nan, 0.01)), id="mu1-nan"),
         pytest.param(dict(mu_schedule=(0.1, 1.5)), id="mu2-above-one"),
         pytest.param(dict(mu_schedule=(-0.1, 0.01)), id="mu1-negative"),
+        pytest.param(dict(mu_schedule=(0.1,)), id="mu-schedule-one-entry"),
+        pytest.param(dict(mu_schedule=(0.1, 0.2, 0.3)), id="mu-schedule-three-entries"),
+        pytest.param(dict(loss_weights=(1.0, 1.0)), id="loss-weights-two-entries"),
+        pytest.param(dict(loss_weights=(1.0, 1.0, 1.0, 1.0)), id="loss-weights-four-entries"),
     ])
     def test_non_finite_or_degenerate_settings_rejected(self, overrides):
         # Each used to be accepted: training then ended in a numeric
         # failure, returned the initial parameters unchanged (all loss
         # weights zero), or, for a bad mu2, failed only after the whole
-        # pre-estimation stage.
+        # pre-estimation stage. A one-entry mu_schedule failed the same
+        # way with an IndexError, a third entry was ignored, and a
+        # loss_weights tuple of the wrong length failed to unpack at the
+        # first step.
         with pytest.raises(ValueError):
             _quick_cfg(**overrides)
 
@@ -545,5 +551,5 @@ def test_train_metrics_are_dataclass_rows():
     row = dataclasses.asdict(metrics[0])
     assert set(row) == {
         "epoch", "lr", "loss_cls", "loss_cons", "loss_mix",
-        "acc_all", "acc_many", "acc_med", "acc_few", "prior_err", "pseudo_ms",
+        "acc_all", "acc_many", "acc_med", "acc_few", "prior_err",
     }
