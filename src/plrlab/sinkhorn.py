@@ -37,8 +37,8 @@ class SinkhornConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if not 0 < self.lam < math.inf:

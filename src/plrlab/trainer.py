@@ -15,7 +15,9 @@ whose only output is a coarse prior, after which the model is
 re-initialized and trained for real with that prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
-is no autodiff dependency.
+is no autodiff dependency. The parameters live in one float64 vector,
+``ModelParams.flat``, whose per-layer views are the weights and biases; a
+gradient and the SGD velocity are vectors with the same layout.
 """
 
 from __future__ import annotations
@@ -57,22 +59,30 @@ __all__ = [
 
 @dataclass
 class ModelParams:
-    """MLP weights and biases, one pair per layer."""
+    """MLP weights and biases, one pair per layer, as views into one vector."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        # Owned float64 copies: sgd_momentum_step updates them in place.
-        self.weights = [np.array(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.array(b, dtype=np.float64) for b in self.biases]
+        arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
         if len(self.weights) != len(self.biases):
             raise ShapeMismatch("weights and biases must pair up")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :]):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeMismatch("layer weight/bias shapes disagree")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("model parameters must be finite")
+        # One owned vector, weights then biases; gradients and velocity share its layout.
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        if not np.isfinite(self.flat).all():
+            raise ValueError("model parameters must be finite")
+        ends = np.cumsum([a.size for a in arrays])
+        self._layout = [(end - a.size, end, a.shape) for a, end in zip(arrays, ends)]
+        self.weights, self.biases = self.split(self.flat)
+
+    def split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like ``flat``."""
+        views = [vector[start:end].reshape(shape) for start, end, shape in self._layout]
+        return views[: len(views) // 2], views[len(views) // 2 :]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -110,6 +120,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.epochs, self.batch_size, self.pre_epochs, *self.hidden)
+        if not all(isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError("epochs, batch_size, pre_epochs and hidden widths must be integers")
         if self.epochs < 1 or self.batch_size < 1 or self.pre_epochs < 0:
             raise ValueError("epochs and batch_size must be positive, pre_epochs nonnegative")
         if any(width < 1 for width in self.hidden):
@@ -174,19 +187,17 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionM
     return logits, PredictionMatrix(probs)
 
 
-def _backward(params: ModelParams, acts: list[np.ndarray],
-              dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of a scalar loss given its gradient at the logits."""
-    n_layers = len(params.weights)
-    gw = [None] * n_layers
-    gb = [None] * n_layers
+def _backward(params: ModelParams, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss, laid out like ``params.flat``, from its gradient at the logits."""
+    out = np.empty_like(params.flat)
+    gw, gb = params.split(out)
     grad = dlogits
-    for layer in range(n_layers - 1, -1, -1):
-        gw[layer] = acts[layer].T @ grad
-        gb[layer] = grad.sum(axis=0)
+    for layer in range(len(gw) - 1, -1, -1):
+        np.matmul(acts[layer].T, grad, out=gw[layer])
+        grad.sum(axis=0, out=gb[layer])
         if layer > 0:
             grad = (grad @ params.weights[layer].T) * (acts[layer] > 0.0)
-    return gw, gb
+    return out
 
 
 def _soft_ce(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -200,19 +211,15 @@ def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale) -> np.ndarray:
     return (p - w) * scale
 
 
-def sgd_momentum_step(params: ModelParams, grads, velocity: list[np.ndarray],
+def sgd_momentum_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float) -> ModelParams:
-    """In-place SGD with momentum: v = momentum*v + grad; p -= lr*v.
+    """In-place SGD with momentum on ``params.flat``: v = momentum*v + grad; p -= lr*v.
 
-    ``velocity`` holds one buffer per array of ``params.weights +
-    params.biases``, in that order; the caller owns it and it is updated
-    in place.
+    The caller owns ``velocity``; it is updated in place.
     """
-    gw, gb = grads
-    for p, v, g in zip(params.weights + params.biases, velocity, gw + gb):
-        v *= momentum
-        v += g
-        p -= lr * v
+    velocity *= momentum
+    velocity += grad
+    params.flat -= lr * velocity
     return params
 
 
@@ -280,7 +287,7 @@ def _check_finite(name: str, value: float, epoch: int, batch: int) -> None:
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                metrics_out: list | None, test: PartialDataset | None):
-    velocity = [np.zeros_like(p) for p in params.weights + params.biases]
+    velocity = np.zeros_like(params.flat)
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
@@ -333,8 +340,8 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                 targets = np.concatenate((w, targets_sm))
 
             scale = _row_scales(idx.size, cls_rows, k, cfg.loss_weights)
-            grads = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
-            sgd_momentum_step(params, grads, velocity, lr, cfg.momentum)
+            grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
+            sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
@@ -382,6 +389,6 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     metrics: list[EpochMetrics] = []
     est = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), metrics, test)
     # With a frozen prior and no test set, nothing else checks the last step.
-    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+    if not np.isfinite(params.flat).all():
         raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")
     return params, metrics, est

@@ -127,7 +127,7 @@ def test_criterion_4_full_mlp_gradient_check():
     acts, _, probs = _forward_cached(params, x)
     # The per-row weights of a mean over the batch, as the SGD step passes them.
     row_scale = np.full((x.shape[0], 1), 1.0 / x.shape[0])
-    gw, gb = _backward(params, acts, _grad_logits_soft_ce(probs, wvals, row_scale))
+    gw, gb = params.split(_backward(params, acts, _grad_logits_soft_ce(probs, wvals, row_scale)))
 
     def loss_with(weights, biases):
         out = x

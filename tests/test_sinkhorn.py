@@ -225,6 +225,8 @@ class TestSinkhornConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SinkhornConfig(max_iters=0)
+        with pytest.raises(ValueError, match="integer"):
+            SinkhornConfig(max_iters=2.5)
         with pytest.raises(ValueError):
             SinkhornConfig(tol=0.0)
         with pytest.raises(ValueError):

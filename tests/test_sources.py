@@ -135,3 +135,15 @@ def test_every_import_is_read_or_exported():
         unused += [f"{module}: {name}" for name in sorted(imported - read - _exported(tree))]
     assert scanned > 50, f"the scan found only {scanned} imported names"
     assert not unused, unused
+
+
+def test_the_package_has_no_assert():
+    # No check may vanish under python -O: the package raises typed errors.
+    asserts, raises = [], 0
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            raises += isinstance(node, ast.Raise)
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{module}:{node.lineno}")
+    assert raises > 50, f"the scan found only {raises} raise statements"
+    assert not asserts, asserts

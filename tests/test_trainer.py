@@ -29,10 +29,6 @@ from plrlab.trainer import (
 )
 
 
-def _zero_velocity(params):
-    return [np.zeros_like(p) for p in params.weights + params.biases]
-
-
 def _quick_cfg(**overrides):
     base = dict(epochs=3, batch_size=64, pre_epochs=1, hidden=(16,),
                 selection=SelectionConfig(ramp_epochs=2), seed=5)
@@ -148,7 +144,8 @@ def test_full_network_gradient_matches_central_differences():
     wvals /= wvals.sum(axis=1, keepdims=True)
 
     acts, _, probs = _forward_cached(params, x)
-    gw, gb = _backward(params, acts, _grad_logits_soft_ce(probs, wvals, _mean_scale(4)))
+    gw, gb = params.split(
+        _backward(params, acts, _grad_logits_soft_ce(probs, wvals, _mean_scale(4))))
 
     def loss_with(params_mod):
         _, _, p = _forward_cached(params_mod, x)
@@ -172,6 +169,20 @@ def test_full_network_gradient_matches_central_differences():
     assert worst <= 1e-4
 
 
+def test_parameters_are_views_of_one_vector():
+    params = init_params(5, (8, 6), 3, Rng(12))
+    for array in params.weights + params.biases:
+        assert np.shares_memory(array, params.flat)
+    params.weights[0][1, 2] = 42.0
+    assert params.flat[1 * 8 + 2] == 42.0
+    dims = params.dims
+    assert params.flat.size == sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+    acts, _, probs = _forward_cached(params, np.ones((4, 5)))
+    gw, gb = params.split(_backward(params, acts, probs))
+    assert [g.shape for g in gw] == [(5, 8), (8, 6), (6, 3)]
+    assert [g.shape for g in gb] == [(8,), (6,), (3,)]
+
+
 def _random_targets(rng, n, c):
     vals = rng.uniform(0.05, 1.0, (n, c))
     return vals / vals.sum(axis=1, keepdims=True)
@@ -191,10 +202,8 @@ class TestStackedBackward:
             stacked_acts.append(acts)
             stacked_d.append(d)
         acts = [np.concatenate(layer) for layer in zip(*stacked_acts)]
-        gw, gb = _backward(params, acts, np.concatenate(stacked_d))
-        for i in range(len(gw)):
-            np.testing.assert_allclose(gw[i], sum(g[0][i] for g in per_block), rtol=1e-12)
-            np.testing.assert_allclose(gb[i], sum(g[1][i] for g in per_block), rtol=1e-12)
+        grad = _backward(params, acts, np.concatenate(stacked_d))
+        np.testing.assert_allclose(grad, sum(per_block), rtol=1e-12)
 
     def test_restricted_row_weights_match_the_zeroed_gradient(self):
         # restrict_all_losses puts the classification loss on the selected
@@ -210,13 +219,11 @@ class TestStackedBackward:
 
         d_old = np.zeros_like(probs)
         d_old[selected] = (probs[selected] - w[selected]) / k
-        gw_old, gb_old = _backward(params, acts, weights[0] * d_old)
+        grad_old = _backward(params, acts, weights[0] * d_old)
 
         weak_block = _row_scales(batch, selected, k, weights)[:batch]
-        gw, gb = _backward(params, acts, (probs - w) * weak_block[:, None])
-        for i in range(len(gw)):
-            np.testing.assert_allclose(gw[i], gw_old[i], rtol=1e-12)
-            np.testing.assert_allclose(gb[i], gb_old[i], rtol=1e-12)
+        grad = _backward(params, acts, (probs - w) * weak_block[:, None])
+        np.testing.assert_allclose(grad, grad_old, rtol=1e-12)
 
 
 class TestSgdMomentum:
@@ -225,12 +232,12 @@ class TestSgdMomentum:
         params = init_params(5, (8,), 3, rng.child(0))
         weights = [w.copy() for w in params.weights + params.biases]
         vel = [np.zeros_like(w) for w in weights]
-        velocity = _zero_velocity(params)
+        velocity = np.zeros_like(params.flat)
         for step in range(5):
-            grads = ([rng.normal(size=w.shape) for w in params.weights],
-                     [rng.normal(size=b.shape) for b in params.biases])
-            sgd_momentum_step(params, grads, velocity, lr=0.05, momentum=0.9)
-            for i, g in enumerate(grads[0] + grads[1]):
+            grad = rng.normal(size=params.flat.shape)
+            sgd_momentum_step(params, grad, velocity, lr=0.05, momentum=0.9)
+            gw, gb = params.split(grad)
+            for i, g in enumerate(gw + gb):
                 vel[i] = 0.9 * vel[i] + g
                 weights[i] = weights[i] - 0.05 * vel[i]
             for got, want in zip(params.weights + params.biases, weights):
@@ -240,28 +247,28 @@ class TestSgdMomentum:
         # The parameters are owned copies; the velocity is the caller's
         # optimizer state and is updated in place.
         w, b = np.array([[1.0, 2.0]]), np.array([0.5, 0.5])
-        velocity = [np.array([[0.1, 0.1]]), np.array([0.2, 0.2])]
+        velocity = np.array([0.1, 0.1, 0.2, 0.2])
         params = ModelParams([w], [b])
-        sgd_momentum_step(params, ([np.ones((1, 2))], [np.ones(2)]), velocity,
-                          lr=0.1, momentum=0.9)
+        sgd_momentum_step(params, np.ones(4), velocity, lr=0.1, momentum=0.9)
         np.testing.assert_array_equal(w, [[1.0, 2.0]])
         np.testing.assert_array_equal(b, [0.5, 0.5])
-        np.testing.assert_allclose(velocity[0], [[1.09, 1.09]])
-        np.testing.assert_allclose(velocity[1], [1.18, 1.18])
+        vw, vb = params.split(velocity)
+        np.testing.assert_allclose(vw[0], [[1.09, 1.09]])
+        np.testing.assert_allclose(vb[0], [1.18, 1.18])
         assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.1 * 1.09)
 
     def test_plain_step_without_momentum(self):
         params = ModelParams([np.array([[1.0]])], [np.array([0.5])])
-        grads = ([np.array([[0.25]])], [np.array([0.1])])
-        sgd_momentum_step(params, grads, _zero_velocity(params), lr=1.0, momentum=0.0)
+        grad = np.array([0.25, 0.1])
+        sgd_momentum_step(params, grad, np.zeros(2), lr=1.0, momentum=0.0)
         assert params.weights[0][0, 0] == pytest.approx(0.75)
         assert params.biases[0][0] == pytest.approx(0.4)
 
     def test_momentum_amplifies_second_step(self):
         params = ModelParams([np.array([[0.0]])], [np.array([0.0])])
-        g = ([np.array([[1.0]])], [np.array([0.0])])
+        g = np.array([1.0, 0.0])
         lr = 0.1
-        velocity = _zero_velocity(params)
+        velocity = np.zeros(2)
         sgd_momentum_step(params, g, velocity, lr, 0.9)
         first = -params.weights[0][0, 0]
         sgd_momentum_step(params, g, velocity, lr, 0.9)
@@ -271,8 +278,8 @@ class TestSgdMomentum:
 
     def test_zero_lr_freezes_params(self):
         params = ModelParams([np.array([[2.0]])], [np.array([1.0])])
-        g = ([np.array([[5.0]])], [np.array([5.0])])
-        sgd_momentum_step(params, g, _zero_velocity(params), 0.0, 0.9)
+        g = np.array([5.0, 5.0])
+        sgd_momentum_step(params, g, np.zeros(2), 0.0, 0.9)
         assert params.weights[0][0, 0] == 2.0
 
 
@@ -505,6 +512,10 @@ class TestTrain:
         pytest.param(dict(mu_schedule=(0.1, 0.2, 0.3)), id="mu-schedule-three-entries"),
         pytest.param(dict(loss_weights=(1.0, 1.0)), id="loss-weights-two-entries"),
         pytest.param(dict(loss_weights=(1.0, 1.0, 1.0, 1.0)), id="loss-weights-four-entries"),
+        pytest.param(dict(epochs=2.5), id="epochs-float"),
+        pytest.param(dict(pre_epochs=1.0), id="pre-epochs-float"),
+        pytest.param(dict(batch_size=16.0), id="batch-size-float"),
+        pytest.param(dict(hidden=(8.0,)), id="hidden-width-float"),
     ])
     def test_non_finite_or_degenerate_settings_rejected(self, overrides):
         # Each used to be accepted: training then ended in a numeric
@@ -513,7 +524,8 @@ class TestTrain:
         # pre-estimation stage. A one-entry mu_schedule failed the same
         # way with an IndexError, a third entry was ignored, and a
         # loss_weights tuple of the wrong length failed to unpack at the
-        # first step.
+        # first step. A float count failed in range() with a TypeError,
+        # epochs only after the whole pre-estimation stage.
         with pytest.raises(ValueError):
             _quick_cfg(**overrides)
 
