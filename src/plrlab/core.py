@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,14 @@ class CandidateMatrix:
             raise EmptyCandidateRow(int(np.argmin(nonempty)))
         _freeze(self, bits=bits)
 
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only :func:`_pack` index of ``bits``, built on first use and kept."""
+        index = _pack(self.bits)
+        for arr in index:
+            arr.setflags(write=False)
+        return index
+
     @property
     def n_samples(self) -> int:
         return self.bits.shape[0]
@@ -134,6 +143,28 @@ class CandidateMatrix:
     @property
     def n_classes(self) -> int:
         return self.bits.shape[1]
+
+
+def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flat index, row) of each positive entry of 2-d ``bits``, in row-major order."""
+    flat = (bits > 0.0).ravel().nonzero()[0]
+    return flat, flat // bits.shape[1]
+
+
+def _scatter(values: np.ndarray, flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A zero matrix of ``shape`` holding ``values`` at row-major ``flat`` indices."""
+    out = np.zeros(shape[0] * shape[1])
+    out[flat] = values
+    return out.reshape(shape)
+
+
+def _check_row_stochastic(name: str, values: np.ndarray, sums: np.ndarray) -> None:
+    """Raise ValueError unless ``values`` lie in [0, 1] and row ``sums`` are 1 within 1e-9."""
+    # Negated, so a NaN entry fails too.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError(f"{name} entries must be finite and lie in [0, 1]")
+    if sums.size and not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
+        raise ValueError(f"{name} rows must sum to 1 within 1e-9")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +176,20 @@ class _RowStochastic:
     def __post_init__(self):
         name = type(self).__name__
         values = _as_float_matrix(self.values, name)
-        if values.shape[0] > 0:
-            # Negated, so a NaN entry fails too.
-            if not (values.min() >= 0.0 and values.max() <= 1.0):
-                raise ValueError(f"{name} entries must be finite and lie in [0, 1]")
-            sums = values @ np.ones(values.shape[1])  # BLAS matvec: faster than sum(axis=1)
-            if not np.max(np.abs(sums - 1.0)) <= ROW_SUM_TOL:
-                raise ValueError(f"{name} rows must sum to 1 within 1e-9")
+        # BLAS matvec: faster than sum(axis=1)
+        _check_row_stochastic(name, values, values @ np.ones(values.shape[1]))
         _freeze(self, values=values)
+
+    @classmethod
+    def _from_packed(cls, values: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+                     shape: tuple[int, int]):
+        """``values`` at row-major ``flat`` indices (rows ``rows``), zero elsewhere;
+        checked before the scatter, since a zero entry can fail no check."""
+        _check_row_stochastic(cls.__name__, values,
+                              np.bincount(rows, weights=values, minlength=shape[0]))
+        obj = object.__new__(cls)
+        _freeze(obj, values=_scatter(values, flat, shape))
+        return obj
 
     @property
     def n_samples(self) -> int:

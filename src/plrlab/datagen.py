@@ -229,16 +229,16 @@ def write_dataset(ds: PartialDataset, path, comments=()) -> None:
     """Serialize a dataset split; optional '#' comment lines follow the header.
 
     Records are formatted in bulk (one %-template per record, candidate ids
-    from one nonzero scan) and streamed one at a time: neither the file nor
+    from the packed index) and streamed one at a time: neither the file nor
     a Python copy of the feature matrix is ever held whole.
     """
     n, c, d = ds.n_samples, ds.n_classes, ds.feature_dim
     # '%.17g' prints the same digits as f"{x:.17g}", so the bytes match a
     # record-by-record f-string writer.
     template = "%d\t" + "\t".join(["%.17g"] * d) + "\t%d\t%s\n"
-    rows, cols = np.nonzero(ds.candidates.bits)
+    flat, rows = ds.candidates.packed
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
+    cols = (flat - rows * c).tolist()
     labels = ds.true_labels.tolist()
     write_ascii(path, f"plrlab-dataset v1 N={n} c={c} d={d}", comments,
                 (template % (i, *ds.features[i].tolist(), labels[i],

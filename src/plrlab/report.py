@@ -139,7 +139,8 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
 
     Each method gets one untimed warm-up call, then ``reps`` timed calls
     on identical inputs; reported is the mean and standard deviation of
-    the per-call wall-clock seconds.
+    the per-call wall-clock seconds. The first warm-up call also builds
+    the candidate matrix's packed index, which every later call reuses.
     """
     if reps < 3:
         raise TooFewReps(f"need at least 3 repetitions, got {reps}")

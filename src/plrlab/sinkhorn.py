@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PROB_EPS,
     CandidateMatrix,
     ClassPrior,
     PredictionMatrix,
     PseudoLabelMatrix,
     _check_prior,
 )
-from .solver import _candidates, _check_pair
+from .solver import _check_pair
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
 
@@ -87,7 +88,7 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
 
-    out, iterations, history, feasible = _solar_weights(f.values, s.bits, r.values, cfg)
+    out, iterations, history, feasible = _solar_weights(f.values, *s.packed, r.values, cfg)
     w = PseudoLabelMatrix(out)
     row_err, col_err = marginal_errors(w, r)
     infeasible = tuple(int(j) for j in np.flatnonzero(~feasible))
@@ -96,17 +97,17 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                           infeasible, np.asarray(history))
 
 
-def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
+def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, r: np.ndarray,
                    cfg: SinkhornConfig) -> tuple[np.ndarray, int, list[float], np.ndarray]:
     """The :func:`solar_update` scaling loop on plain arrays.
 
-    Expects what ``solar_update`` validates: matching shapes, row-stochastic
-    ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
+    Expects what ``solar_update`` validates: row-stochastic ``f``, the packed
+    index of a CandidateMatrix of its shape and a clamped prior ``r``.
     Returns the row-renormalized weights, the iterations used, the column
     error of each iteration and the mask of columns with a candidate.
 
     Only the candidate entries are evaluated, packed in row-major order
-    (see :func:`plrlab.solver._candidates`), with log K = lam * log f
+    (see :func:`plrlab.core._pack`), with log K = lam * log f
     formed on them once. Each iteration runs two exp passes: the row
     logsumexp gives log u, the column logsumexp of log u + log K gives
     log_col, and the column sums of the row-scaled kernel are then
@@ -115,8 +116,8 @@ def _solar_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
     the same order as a dense loop and the weights are bit-identical to
     it. That buffer, row-normalized in place, is the output.
     """
-    n, c = bits.shape
-    flat, rows, fs = _candidates(f, bits)
+    n, c = f.shape
+    fs = np.maximum(f.ravel()[flat], PROB_EPS)
     cols = flat - rows * c
     row_starts = np.searchsorted(rows, np.arange(n))
     by_col = np.argsort(cols, kind="stable")

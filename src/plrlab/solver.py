@@ -15,8 +15,8 @@ masked renormalization of the predictions.
 
 The kernel is zero off the candidate set, and a long-tailed batch has a
 handful of candidates per row out of c classes. So :func:`plr_update` and
-:func:`proden_update` evaluate it on the candidate entries only, packed in
-row-major order, and scatter the normalized weights into one zero matrix.
+:func:`proden_update` evaluate it on the candidate entries only, check the
+normalized weights there and scatter them into one zero matrix.
 """
 
 from __future__ import annotations
@@ -104,7 +104,9 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
-    return PseudoLabelMatrix(_plr_weights(f.values, s.bits, r.values, h.lam, h.m))
+    flat, rows = s.packed
+    return PseudoLabelMatrix._from_packed(
+        _plr_weights(f.values, flat, rows, r.values, h.lam, h.m), flat, rows, s.bits.shape)
 
 
 # Natural logs of the smallest normal and the largest float64.
@@ -112,20 +114,21 @@ _LN_TINY = math.log(np.finfo(np.float64).tiny)
 _LN_MAX = math.log(np.finfo(np.float64).max)
 
 
-def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
+def _plr_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, r: np.ndarray,
                  lam: float, m: float) -> np.ndarray:
-    """The :func:`plr_update` kernel on plain arrays.
+    """The :func:`plr_update` kernel on plain arrays: the weights at the packed
+    candidate entries ``flat`` (in rows ``rows``; see :func:`plrlab.core._pack`).
 
-    Expects what ``plr_update`` validates: matching shapes, row-stochastic
-    ``f``, the ``bits`` of a CandidateMatrix and a clamped prior ``r``.
-    Only the candidate entries are evaluated (see :func:`_candidates`).
+    Expects what ``plr_update`` validates: row-stochastic ``f``, the index of
+    a CandidateMatrix of its shape and a clamped prior ``r``.
     """
-    flat, rows, fs = _candidates(f, bits)
-    cols = flat - rows * bits.shape[1]
+    n, c = f.shape
+    fs = np.maximum(f.ravel()[flat], PROB_EPS)
+    cols = flat - rows * c
     # Direct only where exact: each candidate entry is at least PROB_EPS^lam,
     # a normal float, and each row sum at most c * max(r^-m), a finite one.
     if (lam * math.log(PROB_EPS) > _LN_TINY
-            and -m * math.log(r.min()) + math.log(r.shape[0]) < _LN_MAX):
+            and -m * math.log(r.min()) + math.log(c) < _LN_MAX):
         kernel = fs ** lam
         kernel *= (r ** (-m))[cols]
     else:
@@ -133,29 +136,10 @@ def _plr_weights(f: np.ndarray, bits: np.ndarray, r: np.ndarray,
         z -= (m * np.log(r))[cols]
         # Every row holds a candidate, so each row's entries start at its
         # first index in ``rows`` and the reduceat segments are the rows.
-        z -= np.maximum.reduceat(z, np.searchsorted(rows, np.arange(bits.shape[0])))[rows]
+        z -= np.maximum.reduceat(z, np.searchsorted(rows, np.arange(n)))[rows]
         kernel = np.exp(z)
-    return _scatter_normalized(kernel, flat, rows, bits.shape)
-
-
-def _candidates(f: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(flat index, row, floored prediction) of each candidate entry.
-
-    Entries are in row-major order, so each row's entries are contiguous.
-    """
-    flat = (bits > 0.0).ravel().nonzero()[0]
-    fs = f.ravel()[flat]
-    return flat, flat // bits.shape[1], np.maximum(fs, PROB_EPS, out=fs)
-
-
-def _scatter_normalized(kernel: np.ndarray, flat: np.ndarray, rows: np.ndarray,
-                        shape: tuple[int, int]) -> np.ndarray:
-    """Divide the packed ``kernel`` by its row sums, in place, and scatter it
-    into a zero matrix of ``shape``."""
-    kernel /= np.bincount(rows, weights=kernel, minlength=shape[0])[rows]
-    out = np.zeros(shape[0] * shape[1])
-    out[flat] = kernel
-    return out.reshape(shape)
+    kernel /= np.bincount(rows, weights=kernel)[rows]
+    return kernel
 
 
 def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
@@ -164,8 +148,10 @@ def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
     Evaluated on the candidate entries only, like :func:`plr_update`.
     """
     _check_pair(f, s)
-    flat, rows, fs = _candidates(f.values, s.bits)
-    return PseudoLabelMatrix(_scatter_normalized(fs, flat, rows, s.bits.shape))
+    flat, rows = s.packed
+    fs = np.maximum(f.values.ravel()[flat], PROB_EPS)
+    fs /= np.bincount(rows, weights=fs)[rows]
+    return PseudoLabelMatrix._from_packed(fs, flat, rows, s.bits.shape)
 
 
 def plr_objective(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,

@@ -36,6 +36,8 @@ from .core import (
     Rng,
     ShapeMismatch,
     _check_support,
+    _pack,
+    _scatter,
     clamp_prior,
 )
 from .datagen import PartialDataset
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """MLP weights and biases, one pair per layer, as views into one vector."""
 
@@ -254,12 +256,13 @@ def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
             lam_mix * w + (1.0 - lam_mix) * w[perm])
 
 
-def _pseudo_labels(probs: np.ndarray, bits: np.ndarray, est: PriorEstimator,
-                   cfg: TrainConfig) -> np.ndarray:
-    """Pseudo-label array for validated-upstream predictions and candidate rows."""
+def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray],
+                   est: PriorEstimator, cfg: TrainConfig) -> np.ndarray:
+    """Pseudo-label array for validated-upstream predictions and packed candidates."""
     if cfg.solver == "sinkhorn":
-        return _solar_weights(probs, bits, est.r.values, cfg.sinkhorn)[0]
-    return _plr_weights(probs, bits, est.r.values, cfg.plr.lam, cfg.plr.m)
+        return _solar_weights(probs, *index, est.r.values, cfg.sinkhorn)[0]
+    return _scatter(_plr_weights(probs, *index, est.r.values, cfg.plr.lam, cfg.plr.m),
+                    index[0], probs.shape)
 
 
 def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
@@ -308,7 +311,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                 raise NonFiniteLoss(
                     f"predictions went non-finite at epoch {epoch}, "
                     f"batch {batch}; try a smaller learning rate")
-            w = _pseudo_labels(probs, bits, est, cfg)
+            w = _pseudo_labels(probs, _pack(bits), est, cfg)
             _check_support(w, bits)
 
             losses = _soft_ce(probs, w)
@@ -350,7 +353,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
                 source = PseudoLabelMatrix(
-                    _pseudo_labels(source.values, ds.candidates.bits, est, cfg))
+                    _pseudo_labels(source.values, ds.candidates.packed, est, cfg))
             est = update_prior(est, source)
 
         if metrics_out is not None:

@@ -19,6 +19,7 @@ from plrlab.core import (
     ZeroRowSum,
     clamp_prior,
     _check_support,
+    _scatter,
     row_normalize,
     xlogx,
 )
@@ -41,6 +42,40 @@ class TestValidateCandidates:
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):
             CandidateMatrix(np.array([[0.5, 1.0]]))
+
+
+class TestPackedIndex:
+    def test_built_once_and_read_only(self):
+        s = CandidateMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        index = s.packed
+        assert s.packed is index
+        flat, rows = index
+        np.testing.assert_array_equal(flat, [0, 2, 4])
+        np.testing.assert_array_equal(rows, [0, 0, 1])
+        for arr in index:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_packed_constructor_scatters_checked_values(self):
+        w = PseudoLabelMatrix._from_packed(np.array([0.25, 0.75, 1.0]), np.array([0, 2, 4]),
+                                           np.array([0, 0, 1]), (2, 3))
+        np.testing.assert_array_equal(w.values, [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
+        assert not w.values.flags.writeable
+
+    @pytest.mark.parametrize("values, flat, rows, match", [
+        ([0.25, np.nan, 1.0], [0, 2, 4], [0, 0, 1], "finite"),
+        ([0.25, 0.75, 1.0 + 5e-10], [0, 2, 4], [0, 0, 1], r"\[0, 1\]"),
+        ([0.25, 0.75 + 2e-9, 1.0], [0, 2, 4], [0, 0, 1], "sum to 1"),
+        ([0.25, 0.75], [0, 2], [0, 0], "sum to 1"),  # row 1 holds no entry
+    ])
+    def test_packed_constructor_rejects_what_the_dense_one_does(self, values, flat, rows,
+                                                                match):
+        values, flat, rows = np.array(values), np.array(flat), np.array(rows)
+        with pytest.raises(ValueError, match=match) as dense:
+            PseudoLabelMatrix(_scatter(values, flat, (2, 3)))
+        with pytest.raises(ValueError, match=match) as packed:
+            PseudoLabelMatrix._from_packed(values, flat, rows, (2, 3))
+        assert str(packed.value) == str(dense.value)
 
 
 class TestClampPrior:

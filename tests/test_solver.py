@@ -15,17 +15,20 @@ from plrlab.core import (
     PredictionMatrix,
     PseudoLabelMatrix,
     ShapeMismatch,
+    _pack,
     clamp_prior,
     row_normalize,
 )
+from plrlab.prior import PriorEstimator
+from plrlab.sinkhorn import SinkhornConfig, solar_update
 from plrlab.solver import (
-    _plr_weights,
     hessian_min_eigen_lower_bound,
     kkt_residual,
     plr_objective,
     plr_update,
     proden_update,
 )
+from plrlab.trainer import TrainConfig, _pseudo_labels
 
 from oracles import grid_min_objective, random_feasible_rows, row_objective
 
@@ -361,9 +364,34 @@ def test_direct_and_log_space_branches_agree_near_the_switch(inputs, lam, m):
     # Near lam 25, m 35 the direct kernel S f^lam r^-m starts to underflow;
     # whichever branch runs must return the log-space weights.
     f, s, r = inputs
-    got = _plr_weights(f.values, s.bits, r.values, lam, m)
+    got = plr_update(f, s, r, PlrHyperparams(lam=lam, m=m)).values
     want = _log_space_weights(f.values, s.bits, r.values, lam, m)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@given(_plr_inputs(), st.floats(0.05, 60.0), st.floats(0.0, 35.0), st.integers(1, 20))
+def test_public_updates_equal_the_trainers_plain_array_kernels(inputs, lam, m, iters):
+    # The public updates read the CandidateMatrix's cached index; the
+    # trainer packs plain bits per batch. Row 0 holds every class and the
+    # last row a single one, so both packed extremes occur.
+    f, s, r = inputs
+    bits = s.bits.copy()
+    bits[0] = 1.0
+    bits[-1] = np.eye(s.n_classes)[-1]
+    s = CandidateMatrix(bits)
+    index = _pack(bits)
+    est = PriorEstimator(r)
+    h = PlrHyperparams(lam=lam, m=m)
+    sink = SinkhornConfig(max_iters=iters, lam=lam)
+    np.testing.assert_array_equal(plr_update(f, s, r, h).values,
+                                  _pseudo_labels(f.values, index, est, TrainConfig(plr=h)))
+    # PRODEN is plr at lam 1, m 0, where the kernel is f itself.
+    proden = TrainConfig(plr=PlrHyperparams(lam=1.0, m=0.0))
+    np.testing.assert_array_equal(proden_update(f, s).values,
+                                  _pseudo_labels(f.values, index, est, proden))
+    np.testing.assert_array_equal(
+        solar_update(f, s, r, sink).w.values,
+        _pseudo_labels(f.values, index, est, TrainConfig(solver="sinkhorn", sinkhorn=sink)))
 
 
 def _sparse_batch(batch, c, seed):

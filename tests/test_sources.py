@@ -26,6 +26,21 @@ def test_only_core_opens_files():
     assert {name for name, lines in opening.items() if lines} == {"core.py"}, opening
 
 
+def _nonzeros(tree: ast.Module) -> list[int]:
+    """Line numbers of every ``<x>.nonzero(...)`` call, ``np.nonzero`` among them."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "nonzero"]
+
+
+def test_only_core_packs_candidates():
+    # The packing rule of candidate entries has one home: core._pack, which
+    # CandidateMatrix caches and the trainer calls on plain batch bits.
+    # The one assert also fails when the scan finds no call in core.py.
+    packing = {name: _nonzeros(tree) for name, tree in _trees().items()}
+    assert {name for name, lines in packing.items() if lines} == {"core"}, packing
+
+
 def _imports_time(tree: ast.Module) -> bool:
     return any((isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
                or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time")

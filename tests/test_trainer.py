@@ -183,6 +183,13 @@ def test_parameters_are_views_of_one_vector():
     assert [g.shape for g in gb] == [(8,), (6,), (3,)]
 
 
+def test_parameters_compare_by_identity():
+    # Like the matrix types: comparing the arrays would raise numpy's
+    # "truth value of an array is ambiguous" instead of answering.
+    a, b = (init_params(3, (4,), 2, Rng(0)) for _ in range(2))
+    assert a == a and a != b
+
+
 def _random_targets(rng, n, c):
     vals = rng.uniform(0.05, 1.0, (n, c))
     return vals / vals.sum(axis=1, keepdims=True)
@@ -449,7 +456,7 @@ class TestTrain:
         probs /= probs.sum(axis=1, keepdims=True)
         est = PriorEstimator(clamp_prior(rng.uniform(0.1, 1.0, ds.n_classes)))
         cfg = _quick_cfg(solver="sinkhorn", sinkhorn=SinkhornConfig(max_iters=7, lam=2.0))
-        got = _pseudo_labels(probs, ds.candidates.bits, est, cfg)
+        got = _pseudo_labels(probs, ds.candidates.packed, est, cfg)
         expected = solar_update(PredictionMatrix(probs), ds.candidates, est.r, cfg.sinkhorn)
         np.testing.assert_array_equal(got, expected.w.values)
 
@@ -468,10 +475,10 @@ class TestTrain:
         import plrlab.trainer as trainer_module
         from plrlab.core import SupportViolation
 
-        def leaky(f, bits, r, lam, m):
-            return np.full_like(f, 1.0 / f.shape[1])
+        def leaky(probs, index, est, cfg):
+            return np.full_like(probs, 1.0 / probs.shape[1])
 
-        monkeypatch.setattr(trainer_module, "_plr_weights", leaky)
+        monkeypatch.setattr(trainer_module, "_pseudo_labels", leaky)
         ds, test = _tiny_dataset()
         with pytest.raises(SupportViolation) as exc:
             train(ds, _quick_cfg(), test)
