@@ -300,7 +300,7 @@ def _require(values: dict, keys) -> None:
 
 
 def _distinct_paths(*paths) -> None:
-    named = [p for p in paths if p is not None]
+    named = [os.path.realpath(p) for p in paths if p is not None]
     if len(set(named)) != len(named):
         raise UsageError("input and output paths must be distinct")
 
@@ -321,7 +321,7 @@ def _cmd_gen(values: dict) -> int:
         seed=values["seed"],
     )
     test_out = values["test_out"] or _companion(values["out"], "_test")
-    _distinct_paths(values["out"], test_out, values.get("config"))
+    _distinct_paths(values["out"], test_out, values["config"])
     train_ds, test_ds = gen_dataset(spec)
     comments = _config_comments("gen", values)
     write_dataset(train_ds, values["out"], comments)
@@ -342,8 +342,7 @@ def _cmd_train(values: dict) -> int:
     if test_path is None:
         candidate = _companion(values["data"], "_test")
         test_path = candidate if os.path.exists(candidate) else None
-    _distinct_paths(values["data"], test_path, metrics_out, model_out,
-                    values.get("config"))
+    _distinct_paths(values["data"], test_path, metrics_out, model_out, values["config"])
 
     ds = read_dataset(values["data"])
     test_ds = read_dataset(test_path) if test_path else None
@@ -378,7 +377,7 @@ def _cmd_train(values: dict) -> int:
 def _cmd_eval(values: dict) -> int:
     _require(values, ["model", "data"])
     out = values["out"] or _companion(values["model"], "_eval")
-    _distinct_paths(values["model"], values["data"], out)
+    _distinct_paths(values["model"], values["data"], out, values["config"])
     params, prior = read_model(values["model"])
     ds = read_dataset(values["data"])
     logits, _ = forward(params, ds.features)
@@ -395,6 +394,7 @@ def _cmd_eval(values: dict) -> int:
 
 def _cmd_bench(values: dict) -> int:
     _require(values, ["out"])
+    _distinct_paths(values["out"], values["config"])
     methods = [m.strip() for m in values["methods"].split(",") if m.strip()]
     records = []
     rng = Rng(values["seed"])

@@ -80,17 +80,6 @@ def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
         raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
 
 
-def log_kernel(f_values: np.ndarray, s_bits: np.ndarray, r_values: np.ndarray,
-               lam: float, m: float) -> np.ndarray:
-    """lam*log f - m*log r on candidate entries, -inf elsewhere."""
-    z = np.maximum(f_values, PROB_EPS)
-    np.log(z, out=z)
-    z *= lam
-    z -= m * np.log(r_values)
-    np.putmask(z, s_bits <= 0.0, -np.inf)
-    return z
-
-
 def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                h: PlrHyperparams) -> PseudoLabelMatrix:
     """Unique minimizer of the regularized objective over each candidate simplex.
@@ -189,12 +178,13 @@ def kkt_residual(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
         bad = np.argwhere(support & (w.values <= 0.0))[0]
         raise NonPositiveWeightOnSupport(int(bad[0]), int(bad[1]))
 
-    z = log_kernel(f.values, s.bits, r.values, h.lam, h.m)
+    logf = np.log(np.maximum(f.values, PROB_EPS))
+    # log of the kernel S f^lam r^(-m): -inf off the candidate set.
+    z = np.where(support, h.lam * logf - h.m * np.log(r.values), -np.inf)
     zmax = z.max(axis=1)
     log_norm = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
     multipliers = (1.0 - log_norm) / h.lam
 
-    logf = np.log(np.maximum(f.values, PROB_EPS))
     with np.errstate(divide="ignore"):
         logw = np.log(w.values)
     grad = -logf + (logw + 1.0) / h.lam + (h.m / h.lam) * np.log(r.values)

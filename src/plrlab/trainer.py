@@ -5,14 +5,15 @@ solved in closed form from the weak-view predictions and the current class
 prior, then used three ways: a classification loss on the whole batch, a
 consistency loss on strong-view predictions of the reliably selected
 samples, and a mixup loss on convex combinations of the selected samples.
-One SGD step runs two forward passes (the weak view, then the strong
-selected rows stacked with the mixed rows) and a single backward pass over
-all three row blocks, each loss's weight and mean folded into the
-gradient at the logits.
-The prior is re-estimated once per epoch from full-train-set weak-view
-predictions. Training runs in two stages: a short pre-estimation stage
-whose only output is a coarse prior, after which the model is
-re-initialized and trained for real with that prior carried over.
+One SGD step, ``_step``, works on plain arrays. It runs two forward passes
+(the weak view, then the strong selected rows stacked with the mixed rows)
+and a single backward pass over all three row blocks, each loss's weight
+and mean folded into the gradient at the logits. The epoch loop around
+it, ``_run_stage``, slices the batches, sums the losses, re-estimates the
+prior from full-train-set weak-view predictions and records the metrics.
+Training runs in two stages: a short pre-estimation stage whose only
+output is a coarse prior, after which the model is re-initialized and
+trained for real with that prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
 is no autodiff dependency. The parameters live in one float64 vector,
@@ -282,9 +283,54 @@ def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
     return scale
 
 
-def _check_finite(name: str, value: float, epoch: int, batch: int) -> None:
+def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
+    value = float(losses.mean())
     if not math.isfinite(value):
         raise NonFiniteLoss(f"{name} loss is {value} at epoch {epoch}, batch {batch}")
+    return value
+
+
+def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.ndarray,
+          est: PriorEstimator, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
+          epoch: int, batch: int) -> tuple[list[float], list[int]]:
+    """One SGD step on a batch, in place on ``params`` and ``velocity``.
+
+    Returns each loss's row-weighted sum and row count: (cls, cons, mix).
+    """
+    weak = augment(x, rng, "weak", cfg)
+    strong = augment(x, rng, "strong", cfg)
+    acts, _, probs = _forward_cached(params, weak)
+    if not np.all(np.isfinite(probs)):
+        raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
+                            f"batch {batch}; try a smaller learning rate")
+    w = _pseudo_labels(probs, _pack(bits), est, cfg)
+    _check_support(w, bits)
+
+    losses = _soft_ce(probs, w)
+    selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
+    k = selected.size
+    cls_rows = selected if cfg.restrict_all_losses and k else np.arange(x.shape[0])
+    loss_cls = _mean_loss("classification", losses[cls_rows], epoch, batch)
+    sums, counts = [loss_cls * cls_rows.size, 0.0, 0.0], [cls_rows.size, 0, 0]
+
+    targets = w
+    if k:
+        w_sel = w[selected]
+        x_mix, w_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, rng)
+        acts_sm, _, probs_sm = _forward_cached(params, np.concatenate((strong[selected], x_mix)))
+        targets_sm = np.concatenate((w_sel, w_mix))
+        losses_sm = _soft_ce(probs_sm, targets_sm)
+        loss_cons = _mean_loss("consistency", losses_sm[:k], epoch, batch)
+        loss_mix = _mean_loss("mixup", losses_sm[k:], epoch, batch)
+        sums[1:], counts[1:] = [loss_cons * k, loss_mix * k], [k, k]
+        acts = [np.concatenate(pair) for pair in zip(acts, acts_sm)]
+        probs = np.concatenate((probs, probs_sm))
+        targets = np.concatenate((w, targets_sm))
+
+    scale = _row_scales(x.shape[0], cls_rows, k, cfg.loss_weights)
+    grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
+    sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
+    return sums, counts
 
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
@@ -296,55 +342,11 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         lr = cosine_lr(epoch, epochs, cfg.lr0)
         rho = rho_at(cfg.selection, epoch)
         order = ep_rng.permutation(ds.n_samples)
-        sums = np.zeros(3)
-        counts = np.zeros(3)
-
+        totals = np.zeros((2, 3))  # each loss's sum over rows, then its row count
         for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            xb = ds.features[idx]
-            bits = ds.candidates.bits[idx]
-            weak = augment(xb, ep_rng, "weak", cfg)
-            strong = augment(xb, ep_rng, "strong", cfg)
-
-            acts, _, probs = _forward_cached(params, weak)
-            if not np.all(np.isfinite(probs)):
-                raise NonFiniteLoss(
-                    f"predictions went non-finite at epoch {epoch}, "
-                    f"batch {batch}; try a smaller learning rate")
-            w = _pseudo_labels(probs, _pack(bits), est, cfg)
-            _check_support(w, bits)
-
-            losses = _soft_ce(probs, w)
-            selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
-            k = selected.size
-            cls_rows = selected if cfg.restrict_all_losses and k else np.arange(idx.size)
-            loss_cls = float(losses[cls_rows].mean())
-            _check_finite("classification", loss_cls, epoch, batch)
-            sums[0] += loss_cls * cls_rows.size
-            counts[0] += cls_rows.size
-
-            targets = w
-            if k:
-                w_sel = w[selected]
-                x_mix, w_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, ep_rng)
-                acts_sm, _, probs_sm = _forward_cached(
-                    params, np.concatenate((strong[selected], x_mix)))
-                targets_sm = np.concatenate((w_sel, w_mix))
-                losses_sm = _soft_ce(probs_sm, targets_sm)
-                loss_cons = float(losses_sm[:k].mean())
-                loss_mix = float(losses_sm[k:].mean())
-                _check_finite("consistency", loss_cons, epoch, batch)
-                _check_finite("mixup", loss_mix, epoch, batch)
-                sums[1] += loss_cons * k
-                sums[2] += loss_mix * k
-                counts[1:] += k
-                acts = [np.concatenate(pair) for pair in zip(acts, acts_sm)]
-                probs = np.concatenate((probs, probs_sm))
-                targets = np.concatenate((w, targets_sm))
-
-            scale = _row_scales(idx.size, cls_rows, k, cfg.loss_weights)
-            grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
-            sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
+            totals += _step(params, velocity, ds.features[idx], ds.candidates.bits[idx],
+                            est, cfg, ep_rng, lr, rho, epoch, batch)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
@@ -357,19 +359,15 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             est = update_prior(est, source)
 
         if metrics_out is not None:
+            accs = (math.nan,) * 4
             if test is not None:
                 _, test_probs = forward(params, test.features)
                 preds = np.argmax(test_probs.values, axis=1)
                 acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
                 accs = (acc.overall, acc.many, acc.medium, acc.few)
-            else:
-                accs = (math.nan,) * 4
             prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
-            means = [sums[i] / counts[i] if counts[i] else 0.0 for i in range(3)]
-            metrics_out.append(EpochMetrics(
-                epoch, lr, means[0], means[1], means[2],
-                accs[0], accs[1], accs[2], accs[3], prior_err,
-            ))
+            means = [s / n if n else 0.0 for s, n in zip(*totals)]
+            metrics_out.append(EpochMetrics(epoch, lr, *means, *accs, prior_err))
     return est
 
 

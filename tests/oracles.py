@@ -2,14 +2,30 @@
 
 Everything here is written from the objective definition alone, without
 touching the closed-form code paths, so tests compare two genuinely
-different routes to the same numbers.
+different routes to the same numbers. The reference trainer is the one
+exception: it calls the public solvers, which the oracles above check, and
+re-derives only the training step around them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from plrlab.core import FormatError, body_lines
+from plrlab.core import (
+    PROB_EPS,
+    CandidateMatrix,
+    FormatError,
+    PredictionMatrix,
+    body_lines,
+    clamp_prior,
+)
+from plrlab.prior import prior_error, update_prior
+from plrlab.report import EpochMetrics, group_accuracy
+from plrlab.selection import rho_at
+from plrlab.sinkhorn import solar_update
+from plrlab.solver import plr_update
+from plrlab.trainer import cosine_lr
 
 _GRID_CACHE = {}
 _ENTROPY_CACHE = {}
@@ -215,3 +231,120 @@ def parse_records_loop(lines: list[str], n: int, c: int, d: int):
     for row, ids in enumerate(cands):
         bits[row, ids] = 1.0
     return features, np.array(labels, dtype=np.int64), bits
+
+
+def _mlp_forward(weights, biases, x):
+    """Input and post-ReLU activations of each hidden layer, and the softmax output."""
+    acts = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    logits = acts[-1] @ weights[-1] + biases[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return acts, e / e.sum(axis=1, keepdims=True)
+
+
+def _soft_ce_loss(weights, biases, x, targets):
+    """Per-row soft cross entropy of the MLP on ``x``, and the weight and bias
+    gradients of its mean, by a forward pass and a backward loop of its own."""
+    acts, p = _mlp_forward(weights, biases, x)
+    rows = -(targets * np.log(np.maximum(p, PROB_EPS))).sum(axis=1)
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    g = (p - targets) / x.shape[0]
+    for layer in reversed(range(len(weights))):
+        grad_w[layer] = acts[layer].T @ g
+        grad_b[layer] = g.sum(axis=0)
+        if layer > 0:
+            g = (g @ weights[layer].T) * (acts[layer] > 0.0)
+    return rows, grad_w + grad_b
+
+
+def _reference_pseudo_labels(probs, bits, est, cfg):
+    f, s = PredictionMatrix(probs), CandidateMatrix(bits)
+    if cfg.solver == "sinkhorn":
+        return solar_update(f, s, est.r, cfg.sinkhorn).w
+    return plr_update(f, s, est.r, cfg.plr)
+
+
+def init_params_reference(dims, rng):
+    """He-normal weights drawn layer by layer, zero biases."""
+    weights = [rng.normal(scale=math.sqrt(2.0 / a), size=(a, b)) for a, b in zip(dims, dims[1:])]
+    return weights, [np.zeros(b) for b in dims[1:]]
+
+
+def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
+    """One training stage written from the trainer's module docstring.
+
+    Per batch: a weak and a strong view; pseudo-labels from the weak-view
+    predictions by the public ``plr_update`` or ``solar_update``; per-class
+    small-loss selection by :func:`select_reliable_loop`; then the
+    classification loss on the whole batch (on the selected rows under
+    ``restrict_all_losses``, when there are any), the consistency loss on the
+    strong view of the selected rows, and the mixup loss on a Beta-weighted
+    mix of the selected weak rows with a permuted copy. Each loss takes its
+    own forward and backward pass; their weighted gradients sum into one
+    out-of-place momentum SGD step. After each epoch the prior is blended
+    with its rule's statistic of full-train-set weak-view predictions. The
+    schedules are the library's public ``cosine_lr`` and ``rho_at``.
+
+    Draws from ``rng.child(epoch)`` in this order: the batch order, then per
+    batch the weak noise, the strong noise, the strong keep mask and, if a
+    row is selected, the mixup coefficient and partner permutation; last,
+    the weak noise of the prior refresh. Returns the weights, biases, prior
+    estimator and one EpochMetrics per epoch (NaN accuracies without test).
+    """
+    velocity = [np.zeros_like(a) for a in weights + biases]
+    truth = clamp_prior(ds.class_counts.astype(np.float64))
+    metrics = []
+    for epoch in range(epochs):
+        ep = rng.child(epoch)
+        lr = cosine_lr(epoch, epochs, cfg.lr0)
+        rho = rho_at(cfg.selection, epoch)
+        order = ep.permutation(ds.n_samples)
+        epoch_losses = ([], [], [])
+        for start in range(0, ds.n_samples, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x, bits = ds.features[idx], ds.candidates.bits[idx]
+            weak = x + cfg.weak_noise_sigma * ep.normal(size=x.shape)
+            strong = x + cfg.strong_noise_sigma * ep.normal(size=x.shape)
+            strong = strong * (ep.uniform(size=x.shape) >= cfg.strong_dropout_p)
+
+            _, probs = _mlp_forward(weights, biases, weak)
+            w = _reference_pseudo_labels(probs, bits, est, cfg).values
+            losses = -(w * np.log(np.maximum(probs, PROB_EPS))).sum(axis=1)
+            selected = select_reliable_loop(w, losses, est.r.values, rho)
+            restrict = cfg.restrict_all_losses and selected.size
+            cls_rows = selected if restrict else np.arange(len(idx))
+            blocks = [(weak[cls_rows], w[cls_rows])]
+            if selected.size:
+                lam_mix = ep.beta(cfg.mixup_alpha, cfg.mixup_alpha)
+                partner = ep.permutation(selected.size)
+                x_sel, w_sel = weak[selected], w[selected]
+                blocks += [(strong[selected], w_sel),
+                           (lam_mix * x_sel + (1.0 - lam_mix) * x_sel[partner],
+                            lam_mix * w_sel + (1.0 - lam_mix) * w_sel[partner])]
+            grad = [np.zeros_like(a) for a in velocity]
+            for rows_out, weight, (xb, tb) in zip(epoch_losses, cfg.loss_weights, blocks):
+                rows, block_grad = _soft_ce_loss(weights, biases, xb, tb)
+                rows_out.append(rows)
+                grad = [g + weight * gb for g, gb in zip(grad, block_grad)]
+            velocity = [cfg.momentum * v + g for v, g in zip(velocity, grad)]
+            stepped = [a - lr * v for a, v in zip(weights + biases, velocity)]
+            weights, biases = stepped[: len(weights)], stepped[len(weights) :]
+
+        if not cfg.freeze_prior:
+            x_full = ds.features + cfg.weak_noise_sigma * ep.normal(size=ds.features.shape)
+            _, probs = _mlp_forward(weights, biases, x_full)
+            source = PredictionMatrix(probs)
+            if est.rule == "hard-pseudo":
+                source = _reference_pseudo_labels(probs, ds.candidates.bits, est, cfg)
+            est = update_prior(est, source)
+
+        accs = (math.nan,) * 4
+        if test is not None:
+            _, test_probs = _mlp_forward(weights, biases, test.features)
+            acc = group_accuracy(np.argmax(test_probs, axis=1), test.true_labels,
+                                 test.group_boundaries)
+            accs = (acc.overall, acc.many, acc.medium, acc.few)
+        means = [np.concatenate(rows).mean() if rows else 0.0 for rows in epoch_losses]
+        metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_error(est, truth)))
+    return weights, biases, est, metrics

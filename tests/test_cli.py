@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plrlab.cli import _config_comments, _parse_config_file, main, read_model, write_model
-from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams
+from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams, Rng
 from plrlab.datagen import read_dataset
 from plrlab.report import read_metrics
 from plrlab.sinkhorn import SinkhornConfig
-from plrlab.trainer import ModelParams, TrainConfig
+from plrlab.trainer import ModelParams, TrainConfig, init_params
 
 
 def _gen(tmp_path, name="ds.txt", extra=()):
@@ -378,10 +378,34 @@ class TestHelpAndUsage:
         lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})
         assert lines == ["command = gen", "hidden = 4,2", "out = \\xe9\\n\\ ~x"]
 
-    def test_output_path_collision_rejected(self, tmp_path):
+    def test_output_path_collision_rejected(self, tmp_path, capsys):
+        # Paths are compared after resolving, so another spelling of one file collides too.
+        (tmp_path / "sub").mkdir()
         out = tmp_path / "x.txt"
-        assert main(["gen", "--classes", "4", "--head", "10", "-o", str(out),
-                     "--test-out", str(out)]) == 1
+        for alias in (out, f"{tmp_path}/./x.txt", f"{tmp_path}/sub/../x.txt"):
+            assert main(["gen", "--classes", "4", "--head", "10", "--gamma", "2",
+                         "-o", str(out), "--test-out", str(alias)]) == 1
+            assert "input and output paths must be distinct" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["gen", "train", "eval", "bench"])
+    def test_config_file_is_never_an_output(self, tmp_path, capsys, cmd):
+        # eval and bench used to exit 0 here, having replaced the config
+        # file with their output.
+        ds = _gen(tmp_path)
+        model = tmp_path / "model.txt"
+        write_model(init_params(5, (4,), 6, Rng(0)), ClassPrior(np.full(6, 1 / 6)), model)
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(b"# no options\n")
+        args = {"gen": ["gen", "-o", cfg],
+                "train": ["train", "-d", ds, "--metrics-out", cfg],
+                "eval": ["eval", "-m", model, "-d", tmp_path / "ds_test.txt", "-o", cfg],
+                "bench": ["bench", "--batch", "8", "--classes", "4", "--reps", "3",
+                          "--methods", "plr", "-o", cfg]}[cmd]
+        capsys.readouterr()
+        assert main([str(arg) for arg in args] + ["--config", str(cfg)]) == 1
+        assert "input and output paths must be distinct" in capsys.readouterr().err
+        assert cfg.read_bytes() == b"# no options\n"
 
 
 class TestModelFile:

@@ -7,8 +7,9 @@ import pytest
 
 from plrlab.core import PlrHyperparams, Rng, ShapeMismatch, clamp_prior
 from plrlab.datagen import DatasetSpec, gen_dataset
-from plrlab.prior import RULES, prior_error
+from plrlab.prior import RULES, init_uniform, prior_error
 from plrlab.selection import SelectionConfig
+from plrlab.sinkhorn import SinkhornConfig
 from plrlab.trainer import (
     ModelParams,
     TrainConfig,
@@ -27,6 +28,8 @@ from plrlab.trainer import (
     _row_scales,
     _soft_ce,
 )
+
+from oracles import init_params_reference, run_stage_reference
 
 
 def _quick_cfg(**overrides):
@@ -563,6 +566,24 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss):
             train(ds, cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("batches, overrides, where", [
+        pytest.param(2, dict(epochs=1), "epoch 0, batch 1", id="second-batch"),
+        pytest.param(1, dict(epochs=2, freeze_prior=True), "epoch 1, batch 0",
+                     id="second-epoch"),
+    ])
+    def test_divergence_names_the_step_that_saw_it(self, batches, overrides, where):
+        # The first step leaves non-finite weights; the next step's forward
+        # pass is the first to see them, and its error says where it ran.
+        from plrlab.core import NonFiniteLoss
+
+        ds, _ = _tiny_dataset()
+        cfg = _quick_cfg(lr0=1e308, pre_epochs=0, batch_size=ds.n_samples // batches,
+                         **overrides)
+        with pytest.raises(NonFiniteLoss, match=f"predictions went non-finite at {where};"):
+            train(ds, cfg)
+
 
 def test_train_metrics_are_dataclass_rows():
     ds, test = _tiny_dataset()
@@ -572,3 +593,41 @@ def test_train_metrics_are_dataclass_rows():
         "epoch", "lr", "loss_cls", "loss_cons", "loss_mix",
         "acc_all", "acc_many", "acc_med", "acc_few", "prior_err",
     }
+
+
+# The reference takes a separate forward and backward pass per loss, so it
+# rounds differently from the stacked pass: the largest relative gap on
+# these runs is about 1e-13.
+REFERENCE_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(), id="plr"),
+    pytest.param(dict(solver="sinkhorn", sinkhorn=SinkhornConfig(max_iters=20),
+                      prior_rule="hard-pseudo"), id="sinkhorn-hard-pseudo"),
+    pytest.param(dict(restrict_all_losses=True), id="restrict-all-losses"),
+    pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), id="nothing-selected"),
+])
+def test_train_matches_the_reference_trainer(overrides):
+    ds, test = _tiny_dataset()
+    cfg = _quick_cfg(hidden=(12, 8), loss_weights=(1.0, 0.7, 0.4), **overrides)
+    params, metrics, est = train(ds, cfg, test)
+
+    # train()'s two stages, each from its own child stream.
+    rng = Rng(cfg.seed)
+    dims = (ds.feature_dim, *cfg.hidden, ds.n_classes)
+    est_ref = init_uniform(ds.n_classes, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
+    weights, biases = init_params_reference(dims, rng.child(0))
+    *_, est_ref, _ = run_stage_reference(weights, biases, ds, cfg, est_ref,
+                                         cfg.pre_epochs, rng.child(1), None)
+    weights, biases = init_params_reference(dims, rng.child(2))
+    est_ref = dataclasses.replace(est_ref, mu=cfg.mu_schedule[1])
+    weights, biases, est_ref, metrics_ref = run_stage_reference(
+        weights, biases, ds, cfg, est_ref, cfg.epochs, rng.child(3), test)
+
+    for got, want in zip(params.weights + params.biases, weights + biases, strict=True):
+        np.testing.assert_allclose(got, want, rtol=REFERENCE_RTOL)
+    np.testing.assert_allclose(est.r.values, est_ref.r.values, rtol=REFERENCE_RTOL)
+    np.testing.assert_allclose([dataclasses.astuple(m) for m in metrics],
+                               [dataclasses.astuple(m) for m in metrics_ref],
+                               rtol=REFERENCE_RTOL)
