@@ -35,6 +35,7 @@ from .core import (
     PlrError,
     PlrHyperparams,
     Rng,
+    ShapeMismatch,
     body_lines,
     read_ascii,
     write_ascii,
@@ -380,6 +381,8 @@ def _cmd_eval(values: dict) -> int:
     _distinct_paths(values["model"], values["data"], out, values["config"])
     params, prior = read_model(values["model"])
     ds = read_dataset(values["data"])
+    if ds.n_classes != prior.n_classes:
+        raise ShapeMismatch(f"dataset has {ds.n_classes} classes, the model {prior.n_classes}")
     logits, _ = forward(params, ds.features)
     preds = logits_adjust_predict(logits, prior, values["phi"])
     acc = group_accuracy(preds, ds.true_labels, ds.group_boundaries)

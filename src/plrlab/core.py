@@ -129,7 +129,7 @@ class CandidateMatrix:
         _freeze(self, bits=bits)
 
     @cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only :func:`_pack` index of ``bits``, built on first use and kept."""
         index = _pack(self.bits)
         for arr in index:
@@ -145,10 +145,10 @@ class CandidateMatrix:
         return self.bits.shape[1]
 
 
-def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flat index, row) of each positive entry of 2-d ``bits``, in row-major order."""
+def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat index, row, column) of each positive entry of 2-d ``bits``, in row-major order."""
     flat = (bits > 0.0).ravel().nonzero()[0]
-    return flat, flat // bits.shape[1]
+    return (flat, *np.divmod(flat, bits.shape[1]))
 
 
 def _scatter(values: np.ndarray, flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -300,6 +300,15 @@ def _check_support(w: np.ndarray, bits: np.ndarray) -> None:
     if outside.any():
         i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
         raise SupportViolation(int(i), int(j), float(w[i, j]))
+
+
+def _check_integers(**settings) -> None:
+    """Raise ValueError naming the first setting that is not an integer, or a
+    tuple or list setting that holds a non-integer; a bool is not an integer here."""
+    for name, value in settings.items():
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (value if isinstance(value, (tuple, list)) else (value,))):
+            raise ValueError(f"{name} takes integers only, got {value!r}")
 
 
 def _check_prior(c: int, r: ClassPrior) -> None:

@@ -35,6 +35,7 @@ from .core import (
     FormatError,
     Rng,
     ShapeMismatch,
+    _check_integers,
     _freeze,
     body_lines,
     read_ascii,
@@ -68,6 +69,9 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(n_classes=self.n_classes, head_count=self.head_count,
+                        feature_dim=self.feature_dim, test_per_class=self.test_per_class,
+                        seed=self.seed)
         if self.n_classes < 1 or self.head_count < 1 or self.feature_dim < 1:
             raise ValueError("n_classes, head_count and feature_dim must be positive")
         if not 1.0 <= self.imbalance_ratio < math.inf:
@@ -236,9 +240,9 @@ def write_dataset(ds: PartialDataset, path, comments=()) -> None:
     # '%.17g' prints the same digits as f"{x:.17g}", so the bytes match a
     # record-by-record f-string writer.
     template = "%d\t" + "\t".join(["%.17g"] * d) + "\t%d\t%s\n"
-    flat, rows = ds.candidates.packed
+    _, rows, cols = ds.candidates.packed
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = (flat - rows * c).tolist()
+    cols = cols.tolist()
     labels = ds.true_labels.tolist()
     write_ascii(path, f"plrlab-dataset v1 N={n} c={c} d={d}", comments,
                 (template % (i, *ds.features[i].tolist(), labels[i],

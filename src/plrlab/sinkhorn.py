@@ -7,6 +7,11 @@ N = the batch handed in. Candidate-set zeros frequently make both marginal
 sets unattainable; when the column error has not reached tolerance at the
 iteration cap, the row-renormalized iterate is returned with
 ``relaxed=True`` (rows take priority, so output rows always sum to one).
+
+Like the :mod:`plrlab.solver` updates, the scaling runs on the packed
+candidate entries and returns weights there, which :func:`solar_update`
+checks and scatters into one zero matrix. A dense B x c buffer holds only
+the row passes, for numpy's row sums, which fix the output bits.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .core import (
     ClassPrior,
     PredictionMatrix,
     PseudoLabelMatrix,
+    _check_integers,
     _check_prior,
 )
 from .solver import _check_pair
@@ -38,8 +44,9 @@ class SinkhornConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer of at least 1")
+        _check_integers(max_iters=self.max_iters)
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if not 0 < self.lam < math.inf:
@@ -88,8 +95,9 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
 
-    out, iterations, history, feasible = _solar_weights(f.values, *s.packed, r.values, cfg)
-    w = PseudoLabelMatrix(out)
+    flat, rows, _ = s.packed
+    weights, iterations, history, feasible = _solar_weights(f.values, *s.packed, r.values, cfg)
+    w = PseudoLabelMatrix._from_packed(weights, flat, rows, s.bits.shape)
     row_err, col_err = marginal_errors(w, r)
     infeasible = tuple(int(j) for j in np.flatnonzero(~feasible))
     relaxed = bool(infeasible) or col_err > cfg.tol
@@ -97,28 +105,29 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
                           infeasible, np.asarray(history))
 
 
-def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, r: np.ndarray,
-                   cfg: SinkhornConfig) -> tuple[np.ndarray, int, list[float], np.ndarray]:
+def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   r: np.ndarray, cfg: SinkhornConfig
+                   ) -> tuple[np.ndarray, int, list[float], np.ndarray]:
     """The :func:`solar_update` scaling loop on plain arrays.
 
     Expects what ``solar_update`` validates: row-stochastic ``f``, the packed
-    index of a CandidateMatrix of its shape and a clamped prior ``r``.
-    Returns the row-renormalized weights, the iterations used, the column
-    error of each iteration and the mask of columns with a candidate.
+    index of a CandidateMatrix of its shape (see :func:`plrlab.core._pack`)
+    and a clamped prior ``r``. Returns the row-normalized weights at the
+    packed entries, the iterations used, the column error of each iteration
+    and the mask of columns with a candidate.
 
-    Only the candidate entries are evaluated, packed in row-major order
-    (see :func:`plrlab.core._pack`), with log K = lam * log f
-    formed on them once. Each iteration runs two exp passes: the row
-    logsumexp gives log u, the column logsumexp of log u + log K gives
-    log_col, and the column sums of the row-scaled kernel are then
-    exp(log_col + log v). Each exp'd pass is scattered into one zero
-    B x c buffer and summed there, so every sum adds the same numbers in
-    the same order as a dense loop and the weights are bit-identical to
-    it. That buffer, row-normalized in place, is the output.
+    log K = lam * log f is formed on the candidate entries once. A row pass
+    exps log K + log v less each row's max into a zero B x c buffer, the only
+    dense write: numpy's pairwise row sums there fix the bits of log u and of
+    the output, and no packed sum reproduces them. A column pass exps
+    log K + log u less each column's max and sums it with ``np.bincount``,
+    which adds a column in row order, as a dense column sum does. One row
+    pass runs before the loop and one after each column update, so a
+    converged call returns the pass it holds. The weights equal a dense
+    loop's bit for bit.
     """
     n, c = f.shape
     fs = np.maximum(f.ravel()[flat], PROB_EPS)
-    cols = flat - rows * c
     row_starts = np.searchsorted(rows, np.arange(n))
     by_col = np.argsort(cols, kind="stable")
     feasible = np.bincount(cols, minlength=c) > 0
@@ -128,37 +137,33 @@ def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, r: np.ndar
     log_target = np.log(col_target)
 
     dense = np.zeros(n * c)
-    out = dense.reshape(n, c)
 
     def row_pass(log_v):
         z = log_k + log_v[cols]
         row_max = np.maximum.reduceat(z, row_starts)
         z -= row_max[rows]
         dense[flat] = np.exp(z, out=z)
-        return row_max
+        return z, row_max, dense.reshape(n, c).sum(axis=1)
 
     log_v = np.zeros(c)
     col_max = np.zeros(c)  # stays 0 on infeasible columns
     history = []
+    kernel, row_max, row_sums = row_pass(log_v)
     # log(0) = -inf is the column logsumexp of an infeasible column; its
     # target is dropped, so the -inf never reaches log_v.
     with np.errstate(divide="ignore"):
         for iterations in range(1, cfg.max_iters + 1):
-            row_max = row_pass(log_v)
-            log_u = -(np.log(out.sum(axis=1)) + row_max)
+            log_u = -(np.log(row_sums) + row_max)
             z = log_k + log_u[rows]
             col_max[feasible] = np.maximum.reduceat(z[by_col], col_starts)
             z -= col_max[cols]
-            dense[flat] = np.exp(z, out=z)
-            log_col = np.log(out.sum(axis=0)) + col_max
+            log_col = np.log(np.bincount(cols, weights=np.exp(z, out=z), minlength=c)) + col_max
             col_err = float(np.abs(np.exp(log_col + log_v) - col_target).max() / n)
             history.append(col_err)
             if col_err <= cfg.tol:
                 break
             log_v = np.where(feasible, log_target - log_col, log_v)
+            kernel, row_max, row_sums = row_pass(log_v)
 
-    # Final row renormalization; row scalings cancel, so only the latest
-    # column scaling matters (includes the pending one on the relaxed path).
-    row_pass(log_v)
-    out /= out.sum(axis=1, keepdims=True)
-    return out, iterations, history, feasible
+    kernel /= row_sums[rows]
+    return kernel, iterations, history, feasible

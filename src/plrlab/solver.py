@@ -15,8 +15,9 @@ masked renormalization of the predictions.
 
 The kernel is zero off the candidate set, and a long-tailed batch has a
 handful of candidates per row out of c classes. So :func:`plr_update` and
-:func:`proden_update` evaluate it on the candidate entries only, check the
-normalized weights there and scatter them into one zero matrix.
+:func:`proden_update` evaluate it on the entries of the packed index
+(:attr:`plrlab.core.CandidateMatrix.packed`) only, check the normalized
+weights there and scatter them into one zero matrix, as ``solar_update`` does.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
-    flat, rows = s.packed
+    flat, rows, _ = s.packed
     return PseudoLabelMatrix._from_packed(
-        _plr_weights(f.values, flat, rows, r.values, h.lam, h.m), flat, rows, s.bits.shape)
+        _plr_weights(f.values, *s.packed, r.values, h.lam, h.m), flat, rows, s.bits.shape)
 
 
 # Natural logs of the smallest normal and the largest float64.
@@ -103,17 +104,17 @@ _LN_TINY = math.log(np.finfo(np.float64).tiny)
 _LN_MAX = math.log(np.finfo(np.float64).max)
 
 
-def _plr_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, r: np.ndarray,
-                 lam: float, m: float) -> np.ndarray:
+def _plr_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 r: np.ndarray, lam: float, m: float) -> np.ndarray:
     """The :func:`plr_update` kernel on plain arrays: the weights at the packed
-    candidate entries ``flat`` (in rows ``rows``; see :func:`plrlab.core._pack`).
+    candidate entries ``flat``, in rows ``rows`` and columns ``cols`` (see
+    :func:`plrlab.core._pack`).
 
     Expects what ``plr_update`` validates: row-stochastic ``f``, the index of
     a CandidateMatrix of its shape and a clamped prior ``r``.
     """
     n, c = f.shape
     fs = np.maximum(f.ravel()[flat], PROB_EPS)
-    cols = flat - rows * c
     # Direct only where exact: each candidate entry is at least PROB_EPS^lam,
     # a normal float, and each row sum at most c * max(r^-m), a finite one.
     if (lam * math.log(PROB_EPS) > _LN_TINY
@@ -137,7 +138,7 @@ def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
     Evaluated on the candidate entries only, like :func:`plr_update`.
     """
     _check_pair(f, s)
-    flat, rows = s.packed
+    flat, rows, _ = s.packed
     fs = np.maximum(f.values.ravel()[flat], PROB_EPS)
     fs /= np.bincount(rows, weights=fs)[rows]
     return PseudoLabelMatrix._from_packed(fs, flat, rows, s.bits.shape)

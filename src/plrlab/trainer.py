@@ -36,6 +36,7 @@ from .core import (
     PseudoLabelMatrix,
     Rng,
     ShapeMismatch,
+    _check_integers,
     _check_support,
     _pack,
     _scatter,
@@ -117,15 +118,14 @@ class TrainConfig:
     freeze_prior: bool = False
     # Inert: nothing reads it. It stays only because the benchmark still
     # passes timing=False (benchmarks/workloads.py:58 and
-    # benchmarks/tests/test_smoke.py:22); it goes once ROADMAP item 1
+    # benchmarks/tests/test_smoke.py:22); it goes once ROADMAP item 8
     # stops passing it.
     timing: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.epochs, self.batch_size, self.pre_epochs, *self.hidden)
-        if not all(isinstance(n, (int, np.integer)) for n in counts):
-            raise ValueError("epochs, batch_size, pre_epochs and hidden widths must be integers")
+        _check_integers(epochs=self.epochs, batch_size=self.batch_size,
+                        pre_epochs=self.pre_epochs, hidden=self.hidden, seed=self.seed)
         if self.epochs < 1 or self.batch_size < 1 or self.pre_epochs < 0:
             raise ValueError("epochs and batch_size must be positive, pre_epochs nonnegative")
         if any(width < 1 for width in self.hidden):
@@ -257,13 +257,13 @@ def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
             lam_mix * w + (1.0 - lam_mix) * w[perm])
 
 
-def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray],
+def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray],
                    est: PriorEstimator, cfg: TrainConfig) -> np.ndarray:
     """Pseudo-label array for validated-upstream predictions and packed candidates."""
-    if cfg.solver == "sinkhorn":
-        return _solar_weights(probs, *index, est.r.values, cfg.sinkhorn)[0]
-    return _scatter(_plr_weights(probs, *index, est.r.values, cfg.plr.lam, cfg.plr.m),
-                    index[0], probs.shape)
+    r = est.r.values
+    weights = (_solar_weights(probs, *index, r, cfg.sinkhorn)[0] if cfg.solver == "sinkhorn"
+               else _plr_weights(probs, *index, r, cfg.plr.lam, cfg.plr.m))
+    return _scatter(weights, index[0], probs.shape)
 
 
 def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
@@ -376,10 +376,14 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     """Two-stage run: prior pre-estimation, re-init, then the real training.
 
     Returns the trained parameters, per-epoch metrics for the second
-    stage, and the final prior estimator.
+    stage, and the final prior estimator. A ``test`` split whose class count
+    or feature dim differs from ``ds``'s raises ShapeMismatch up front.
     """
-    rng = Rng(cfg.seed)
     c = ds.n_classes
+    if test is not None and (test.n_classes, test.feature_dim) != (c, ds.feature_dim):
+        raise ShapeMismatch(f"test set has {test.n_classes} classes and {test.feature_dim} "
+                            f"features, training set {c} and {ds.feature_dim}")
+    rng = Rng(cfg.seed)
     est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
     if cfg.pre_epochs > 0 and not cfg.freeze_prior:
         pre_params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(0))

@@ -139,6 +139,16 @@ class TestTrain:
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
 
+    def test_test_split_with_other_classes_exits_one(self, tmp_path, capsys):
+        # Used to exit 0 and report accuracies for the wrong groups.
+        ds = _gen(tmp_path)
+        _gen(tmp_path, "other.txt", ["--classes", "4"])
+        assert main(["train", "-d", str(ds), "--test", str(tmp_path / "other_test.txt"),
+                     "--epochs", "2", "--pre-epochs", "1"]) == 1
+        assert "test set has 4 classes" in capsys.readouterr().err
+        assert not (tmp_path / "ds_metrics.txt").exists()
+        assert not (tmp_path / "ds_model.txt").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_numeric_blowup_exits_two(self, tmp_path, capsys):
@@ -273,6 +283,17 @@ class TestEval:
         assert main(["eval", "-m", str(model_path), "-d", str(tmp_path / "ds_test.txt"),
                      "--phi", phi, "-o", str(out)]) == 1
         assert "plrlab eval: error: phi must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_with_other_classes_exits_one(self, tmp_path, capsys):
+        # Used to exit 0 and report accuracies for the wrong groups.
+        ds = _gen(tmp_path)
+        _, model_path = _train(tmp_path, ds)
+        _gen(tmp_path, "other.txt", ["--classes", "4"])
+        out = tmp_path / "e.txt"
+        assert main(["eval", "-m", str(model_path), "-d", str(tmp_path / "other_test.txt"),
+                     "-o", str(out)]) == 1
+        assert "dataset has 4 classes, the model 6" in capsys.readouterr().err
         assert not out.exists()
 
     def test_phi_never_touches_the_model_file(self, tmp_path):

@@ -49,9 +49,10 @@ class TestPackedIndex:
         s = CandidateMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         index = s.packed
         assert s.packed is index
-        flat, rows = index
+        flat, rows, cols = index
         np.testing.assert_array_equal(flat, [0, 2, 4])
         np.testing.assert_array_equal(rows, [0, 0, 1])
+        np.testing.assert_array_equal(cols, flat % 3)
         for arr in index:
             with pytest.raises(ValueError):
                 arr[0] = 1

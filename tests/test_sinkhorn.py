@@ -137,6 +137,14 @@ def _sinkhorn_inputs(draw):
 # Zero predictions on candidates are floored at PROB_EPS before lam=3.
 @example((np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]), np.ones((3, 3)),
           np.array([0.5, 0.3, 0.2]), SinkhornConfig(lam=3.0)))
+# Cyclic rows are column-uniform, so the first iteration converges and the
+# call returns the row pass made before the loop.
+@example((row_normalize(np.array([[1.0, 2.0, 4.0], [4.0, 1.0, 2.0], [2.0, 4.0, 1.0]])),
+          np.ones((3, 3)), np.ones(3), SinkhornConfig(lam=2.0)))
+# A skewed prior is still 0.05 off after two iterations, so the call stops at
+# the cap and returns the row pass made after the second column update.
+@example((row_normalize(np.array([[9.0, 1.0], [4.0, 1.0], [3.0, 2.0]])), np.ones((3, 2)),
+          np.array([1.0, 4.0]), SinkhornConfig(max_iters=2)))
 def test_scaling_loop_matches_the_three_pass_loop(case):
     f, bits, masses, cfg = case
     r = clamp_prior(masses)

@@ -33,12 +33,39 @@ def _nonzeros(tree: ast.Module) -> list[int]:
             and node.func.attr == "nonzero"]
 
 
+# Subtracting from, floor-dividing or taking the remainder of a flat index
+# derives its row or column, as operators or as numpy (or builtin) calls.
+_SPLIT_OPS = (ast.Sub, ast.FloorDiv, ast.Mod)
+_SPLIT_CALLS = {"divmod", "floor_divide", "remainder", "mod", "fmod", "subtract"}
+
+
+def _splits_flat(tree: ast.Module) -> list[int]:
+    """Line numbers where the name ``flat`` is split into rows or columns."""
+    def is_flat(node):
+        return isinstance(node, ast.Name) and node.id == "flat"
+
+    def call_name(func):
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, _SPLIT_OPS)
+                and is_flat(node.left))
+            or (isinstance(node, ast.AugAssign) and isinstance(node.op, _SPLIT_OPS)
+                and is_flat(node.target))
+            or (isinstance(node, ast.Call) and call_name(node.func) in _SPLIT_CALLS
+                and node.args and is_flat(node.args[0]))]
+
+
 def test_only_core_packs_candidates():
     # The packing rule of candidate entries has one home: core._pack, which
-    # CandidateMatrix caches and the trainer calls on plain batch bits.
-    # The one assert also fails when the scan finds no call in core.py.
-    packing = {name: _nonzeros(tree) for name, tree in _trees().items()}
+    # CandidateMatrix caches and the trainer calls on plain batch bits. It
+    # alone finds the entries and derives their rows and columns. Each
+    # assert also fails when the scan finds nothing in core.py.
+    trees = _trees()
+    packing = {name: _nonzeros(tree) for name, tree in trees.items()}
     assert {name for name, lines in packing.items() if lines} == {"core"}, packing
+    splitting = {name: _splits_flat(tree) for name, tree in trees.items()}
+    assert {name for name, lines in splitting.items() if lines} == {"core"}, splitting
 
 
 def _imports_time(tree: ast.Module) -> bool:

@@ -539,6 +539,23 @@ class TestTrain:
         with pytest.raises(ValueError):
             _quick_cfg(**overrides)
 
+    @pytest.mark.parametrize("change", [dict(n_classes=5), dict(feature_dim=7)],
+                             ids=["classes", "feature-dim"])
+    def test_mismatched_test_split_rejected_before_the_first_epoch(self, monkeypatch, change):
+        # A test split with other classes was scored against the wrong
+        # groups; one with another feature dim failed only after a stage.
+        import plrlab.trainer as trainer_module
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer_module, "_run_stage", no_epoch)
+        ds, _ = _tiny_dataset()
+        _, other = gen_dataset(DatasetSpec(**{**dict(n_classes=4, head_count=40, feature_dim=6,
+                                                     test_per_class=5), **change}))
+        with pytest.raises(ShapeMismatch, match="test set has"):
+            train(ds, _quick_cfg(), other)
+
     @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-3,)])
     def test_hidden_width_below_one_rejected(self, hidden):
         with pytest.raises(ValueError, match="hidden"):
@@ -631,3 +648,29 @@ def test_train_matches_the_reference_trainer(overrides):
     np.testing.assert_allclose([dataclasses.astuple(m) for m in metrics],
                                [dataclasses.astuple(m) for m in metrics_ref],
                                rtol=REFERENCE_RTOL)
+
+
+@pytest.mark.parametrize("config, name, value", [
+    # Each was accepted: a float count silently rounded or truncated
+    # (head_count 500.6 gave class 0 501 samples, test_per_class 2.7 gave 2),
+    # seed 1.9 replayed seed 1, n_classes 3.0 failed later in numpy with a
+    # bare TypeError, and a bool counted as 0 or 1.
+    pytest.param(DatasetSpec, "n_classes", 3.0, id="spec-n-classes-float"),
+    pytest.param(DatasetSpec, "head_count", 500.6, id="spec-head-count-float"),
+    pytest.param(DatasetSpec, "feature_dim", 4.0, id="spec-feature-dim-float"),
+    pytest.param(DatasetSpec, "test_per_class", 2.7, id="spec-test-per-class-float"),
+    pytest.param(DatasetSpec, "seed", 1.9, id="spec-seed-float"),
+    pytest.param(DatasetSpec, "n_classes", True, id="spec-n-classes-bool"),
+    pytest.param(DatasetSpec, "seed", False, id="spec-seed-bool"),
+    pytest.param(TrainConfig, "seed", 1.9, id="train-seed-float"),
+    pytest.param(TrainConfig, "seed", True, id="train-seed-bool"),
+    pytest.param(TrainConfig, "epochs", True, id="train-epochs-bool"),
+    pytest.param(TrainConfig, "batch_size", True, id="train-batch-size-bool"),
+    pytest.param(TrainConfig, "pre_epochs", False, id="train-pre-epochs-bool"),
+    pytest.param(TrainConfig, "hidden", (8, True), id="train-hidden-width-bool"),
+    pytest.param(SinkhornConfig, "max_iters", True, id="sinkhorn-max-iters-bool"),
+])
+def test_integer_settings_reject_floats_and_bools(config, name, value):
+    base = dict(n_classes=4, head_count=40) if config is DatasetSpec else {}
+    with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+        config(**{**base, name: value})
