@@ -61,16 +61,6 @@ class NonPositiveWeightOnSupport(PlrError):
         self.col = col
 
 
-class SupportViolation(PlrError):
-    """Pseudo-label mass found outside the candidate set."""
-
-    def __init__(self, row: int, col: int, mass: float):
-        super().__init__(f"mass {mass:g} at non-candidate entry ({row}, {col})")
-        self.row = row
-        self.col = col
-        self.mass = mass
-
-
 class EmptyBatch(PlrError):
     """An update was requested on a batch with no samples."""
 
@@ -207,9 +197,9 @@ class PredictionMatrix(_RowStochastic):
 class PseudoLabelMatrix(_RowStochastic):
     """Row-stochastic disambiguation weights over classes.
 
-    Support containment (zero mass outside a candidate set) is relative to
-    a paired :class:`CandidateMatrix`, so it is not checked here; the
-    training loop checks it after every solve.
+    Support containment (zero mass outside a paired :class:`CandidateMatrix`)
+    holds by construction: every update returns its kernel's weights at the
+    packed candidate entries, and one scatter writes them into a zero matrix.
     """
 
 
@@ -288,18 +278,6 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, key={self._key})"
-
-
-def _check_support(w: np.ndarray, bits: np.ndarray) -> None:
-    """Raise SupportViolation if ``w`` carries mass outside the candidate set.
-
-    ``w`` and ``bits`` are same-shape plain arrays; the error names the
-    first (row-major) entry with positive mass where ``bits`` is zero.
-    """
-    outside = (w > 0.0) & (bits == 0.0)
-    if outside.any():
-        i, j = np.unravel_index(int(np.argmax(outside)), outside.shape)
-        raise SupportViolation(int(i), int(j), float(w[i, j]))
 
 
 def _check_integers(**settings) -> None:

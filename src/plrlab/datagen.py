@@ -85,9 +85,7 @@ class DatasetSpec:
         if not 0.0 <= self.class_separation < math.inf:
             raise ValueError("class_separation must be finite and nonnegative")
         if self.hierarchy is not None:
-            flat = sorted(j for group in self.hierarchy for j in group)
-            if flat != list(range(self.n_classes)):
-                raise ValueError("hierarchy must partition the class indices")
+            _group_of(self.hierarchy, self.n_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +139,7 @@ def longtail_counts(head_count: int, imbalance_ratio: float, n_classes: int) -> 
     Endpoints are exact: class 0 gets head_count, the last class gets
     round(head_count / imbalance_ratio).
     """
+    _check_integers(head_count=head_count, n_classes=n_classes)
     if n_classes < 1 or head_count < 1 or not 1.0 <= imbalance_ratio < math.inf:
         raise ValueError("need n_classes >= 1, head_count >= 1, finite imbalance_ratio >= 1")
     if n_classes == 1:
@@ -163,13 +162,30 @@ def _sample_split(means: np.ndarray, counts: np.ndarray, rng: Rng) -> tuple[np.n
     return feats, labels
 
 
+def _group_of(hierarchy, n_classes: int) -> np.ndarray:
+    """Each class's group index; ValueError names a class id that is not an integer,
+    lies outside range(n_classes), is named twice or is in no group."""
+    group_of = np.full(n_classes, -1, dtype=np.int64)
+    for g, group in enumerate(hierarchy):
+        for j in group:
+            _check_integers(**{"hierarchy class": j})
+            if not 0 <= j < n_classes:
+                raise ValueError(f"hierarchy names class {j}, outside range({n_classes})")
+            if group_of[j] >= 0:
+                raise ValueError(f"hierarchy names class {j} twice")
+            group_of[j] = g
+    if np.any(group_of < 0):
+        raise ValueError(f"hierarchy puts class {np.argmin(group_of)} in no group")
+    return group_of
+
+
 def gen_candidates(true_labels, flip_prob: float, hierarchy, rng: Rng,
                    n_classes: int) -> CandidateMatrix:
     """Candidate sets: the true label plus independently flipped negatives.
 
     With a hierarchy, labels outside the true label's superclass never
-    become candidates. Labels and hierarchy entries must lie in
-    range(n_classes), and the hierarchy must cover every class.
+    become candidates. Labels must lie in range(n_classes), and the
+    hierarchy must partition it.
     """
     if not 0.0 <= flip_prob < 1.0:
         raise ValueError("flip_prob must lie in [0, 1)")
@@ -178,14 +194,7 @@ def gen_candidates(true_labels, flip_prob: float, hierarchy, rng: Rng,
         raise ValueError(f"true labels must lie in range({n_classes})")
     bits = (rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob).astype(np.float64)
     if hierarchy is not None:
-        group_of = np.full(n_classes, -1, dtype=np.int64)
-        for g, group in enumerate(hierarchy):
-            for j in group:
-                if not 0 <= j < n_classes:
-                    raise ValueError(f"hierarchy names class {j}, outside range({n_classes})")
-                group_of[j] = g
-        if np.any(group_of < 0):
-            raise ValueError("hierarchy must cover every class")
+        group_of = _group_of(hierarchy, n_classes)
         bits *= group_of[labels][:, None] == group_of[None, :]
     bits[np.arange(labels.shape[0]), labels] = 1.0
     return CandidateMatrix(bits)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior
+from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_integers, _check_prior
 
 __all__ = ["SelectionConfig", "rho_at", "select_reliable"]
 
@@ -26,6 +26,7 @@ class SelectionConfig:
     ramp_epochs: int = 50
 
     def __post_init__(self):
+        _check_integers(ramp_epochs=self.ramp_epochs)
         if not 0.0 <= self.rho_start <= self.rho_end <= 1.0:
             raise ValueError("need 0 <= rho_start <= rho_end <= 1")
         if self.ramp_epochs < 1:

@@ -37,7 +37,6 @@ from .core import (
     Rng,
     ShapeMismatch,
     _check_integers,
-    _check_support,
     _pack,
     _scatter,
     clamp_prior,
@@ -259,11 +258,11 @@ def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
 
 def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray],
                    est: PriorEstimator, cfg: TrainConfig) -> np.ndarray:
-    """Pseudo-label array for validated-upstream predictions and packed candidates."""
+    """Kernel weights at the packed candidate entries ``index`` for validated-upstream
+    predictions; scattered into a zero matrix, they hold no mass off the candidates."""
     r = est.r.values
-    weights = (_solar_weights(probs, *index, r, cfg.sinkhorn)[0] if cfg.solver == "sinkhorn"
-               else _plr_weights(probs, *index, r, cfg.plr.lam, cfg.plr.m))
-    return _scatter(weights, index[0], probs.shape)
+    return (_solar_weights(probs, *index, r, cfg.sinkhorn)[0] if cfg.solver == "sinkhorn"
+            else _plr_weights(probs, *index, r, cfg.plr.lam, cfg.plr.m))
 
 
 def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
@@ -303,8 +302,8 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
     if not np.all(np.isfinite(probs)):
         raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
                             f"batch {batch}; try a smaller learning rate")
-    w = _pseudo_labels(probs, _pack(bits), est, cfg)
-    _check_support(w, bits)
+    index = _pack(bits)
+    w = _scatter(_pseudo_labels(probs, index, est, cfg), index[0], probs.shape)
 
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
@@ -354,8 +353,9 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         if not cfg.freeze_prior:
             _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
-                source = PseudoLabelMatrix(
-                    _pseudo_labels(source.values, ds.candidates.packed, est, cfg))
+                index = ds.candidates.packed
+                source = PseudoLabelMatrix._from_packed(
+                    _pseudo_labels(source.values, index, est, cfg), *index[:2], source.values.shape)
             est = update_prior(est, source)
 
         if metrics_out is not None:

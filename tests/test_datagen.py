@@ -49,6 +49,14 @@ class TestLongtailCounts:
         with pytest.raises(ValueError, match="finite imbalance_ratio"):
             longtail_counts(10, gamma, 3)
 
+    def test_counts_take_integers_only(self):
+        # head_count 500.6 gave [501, 50, 5], although class 0 gets exactly
+        # head_count, and a float n_classes was accepted.
+        with pytest.raises(ValueError, match="^head_count takes integers only"):
+            longtail_counts(500.6, 100.0, 3)
+        with pytest.raises(ValueError, match="^n_classes takes integers only"):
+            longtail_counts(500, 100.0, 3.0)
+
 
 class TestGenFeatures:
     def test_zero_separation_means_no_signal(self):
@@ -137,6 +145,21 @@ class TestGenCandidates:
             gen_candidates(labels, 0.3, ((0, 1), (2, 3)), Rng(0), n_classes=3)
         with pytest.raises(ValueError, match="class -1"):
             gen_candidates(labels, 0.3, ((0, 1, -1), (2,)), Rng(0), n_classes=3)
+
+    @pytest.mark.parametrize("hierarchy, n_classes, match", [
+        pytest.param(((0, 1, 2), (2, 3)), 4, "class 2 twice", id="overlap"),
+        pytest.param(((0, True), (2, 1)), 3, "got True", id="bool"),
+        pytest.param(((0, 1.5), (2, 1)), 3, "got 1.5", id="float"),
+    ])
+    def test_hierarchy_must_partition_the_classes(self, hierarchy, n_classes, match):
+        # Each was accepted or raised a bare IndexError. With class 2 in two
+        # groups only the second counted, so labels 0 and 1 never got class 2
+        # as a candidate; True stood for class 1.
+        labels = np.arange(n_classes)
+        with pytest.raises(ValueError, match=match):
+            gen_candidates(labels, 0.9, hierarchy, Rng(0), n_classes=n_classes)
+        with pytest.raises(ValueError, match=match):
+            DatasetSpec(n_classes=n_classes, head_count=40, hierarchy=hierarchy)
 
     def test_label_outside_class_count_rejected(self):
         for labels in ([0, 3], [-1, 0]):

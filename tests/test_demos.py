@@ -1,9 +1,10 @@
-"""Every name a demo or the README imports from plrlab exists, checked without running it."""
+"""The demos run, and every name a demo or the README imports from plrlab exists."""
 
 import ast
 import importlib
 import inspect
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,15 @@ def test_demo_imports_resolve(path):
     assert imports, f"{path.name} imports nothing from plrlab"
     missing = _missing(imports)
     assert not missing, f"{path.name} imports names plrlab lacks: {missing}"
+
+
+# Demo 04 trains several acceptance-config models, seconds each; tier-1 time
+# is a measured cost, so only its imports are checked.
+@pytest.mark.parametrize("path", [p for p in DEMOS if not p.stem.startswith("04_")],
+                         ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip(), f"{path.name} printed nothing"
 
 
 def test_readme_imports_resolve():

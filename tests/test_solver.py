@@ -16,6 +16,7 @@ from plrlab.core import (
     PseudoLabelMatrix,
     ShapeMismatch,
     _pack,
+    _scatter,
     clamp_prior,
     row_normalize,
 )
@@ -383,15 +384,18 @@ def test_public_updates_equal_the_trainers_plain_array_kernels(inputs, lam, m, i
     est = PriorEstimator(r)
     h = PlrHyperparams(lam=lam, m=m)
     sink = SinkhornConfig(max_iters=iters, lam=lam)
+
+    def trainer_labels(cfg):
+        return _scatter(_pseudo_labels(f.values, index, est, cfg), index[0], bits.shape)
+
     np.testing.assert_array_equal(plr_update(f, s, r, h).values,
-                                  _pseudo_labels(f.values, index, est, TrainConfig(plr=h)))
+                                  trainer_labels(TrainConfig(plr=h)))
     # PRODEN is plr at lam 1, m 0, where the kernel is f itself.
     proden = TrainConfig(plr=PlrHyperparams(lam=1.0, m=0.0))
-    np.testing.assert_array_equal(proden_update(f, s).values,
-                                  _pseudo_labels(f.values, index, est, proden))
+    np.testing.assert_array_equal(proden_update(f, s).values, trainer_labels(proden))
     np.testing.assert_array_equal(
         solar_update(f, s, r, sink).w.values,
-        _pseudo_labels(f.values, index, est, TrainConfig(solver="sinkhorn", sinkhorn=sink)))
+        trainer_labels(TrainConfig(solver="sinkhorn", sinkhorn=sink)))
 
 
 def _sparse_batch(batch, c, seed):

@@ -9,13 +9,17 @@ import plrlab
 SRC = Path(plrlab.__file__).resolve().parent
 
 
-def _opens(path: Path) -> list[int]:
-    """Line numbers of every ``open(...)`` or ``<x>.open(...)`` call in a module."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+def _calls(tree: ast.Module, name: str) -> list[int]:
+    """Line numbers of every ``name(...)`` or ``<x>.name(...)`` call in a module."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name) and node.func.id == "open")
-                or (isinstance(node.func, ast.Attribute) and node.func.attr == "open"))]
+                (isinstance(node.func, ast.Name) and node.func.id == name)
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == name))]
+
+
+def _opens(path: Path) -> list[int]:
+    """Line numbers of every ``open(...)`` or ``<x>.open(...)`` call in a module."""
+    return _calls(ast.parse(path.read_text(encoding="utf-8"), str(path)), "open")
 
 
 def test_only_core_opens_files():
@@ -66,6 +70,19 @@ def test_only_core_packs_candidates():
     assert {name for name, lines in packing.items() if lines} == {"core"}, packing
     splitting = {name: _splits_flat(tree) for name, tree in trees.items()}
     assert {name for name, lines in splitting.items() if lines} == {"core"}, splitting
+
+
+def test_only_packed_weights_become_pseudo_labels():
+    # Support containment holds by construction: every PseudoLabelMatrix the
+    # package builds comes from kernel weights at the packed candidate
+    # entries, which _from_packed scatters into a zero matrix. The dense
+    # constructor would keep any mass off the candidate set that it is given.
+    trees = _trees()
+    assert any(_calls(tree, "_from_packed") for tree in trees.values()), \
+        "the scan found no _from_packed call"
+    dense = {name: lines for name, tree in trees.items()
+             if (lines := _calls(tree, "PseudoLabelMatrix"))}
+    assert not dense, dense
 
 
 def _imports_time(tree: ast.Module) -> bool:
