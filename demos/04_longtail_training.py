@@ -12,7 +12,7 @@ the two plr arms alone took 3.8-4.4 s.
 
 import numpy as np
 
-from plrlab import DatasetSpec, PlrHyperparams, TrainConfig, gen_dataset, train
+from plrlab import DatasetSpec, PlrHyperparams, SinkhornConfig, TrainConfig, gen_dataset, train
 
 spec = DatasetSpec(n_classes=10, head_count=500, imbalance_ratio=100.0,
                    flip_prob=0.5, feature_dim=16, class_separation=4.0,
@@ -23,14 +23,14 @@ print("mean candidate-set size:", train_ds.candidates.bits.sum(axis=1).mean())
 print()
 
 arms = {
-    "plain (m=0)": dict(plr=PlrHyperparams(lam=3.0, m=0.0)),
-    "regularized (m=2)": dict(plr=PlrHyperparams(lam=3.0, m=2.0)),
-    "sinkhorn": dict(solver="sinkhorn"),
+    "plain (m=0)": PlrHyperparams(lam=3.0, m=0.0),
+    "regularized (m=2)": PlrHyperparams(lam=3.0, m=2.0),
+    "sinkhorn": SinkhornConfig(),
 }
 print(f"{'arm':18s} {'all':>5s} {'many':>5s} {'medium':>6s} {'few':>5s}  estimated prior")
-for label, arm in arms.items():
-    cfg = TrainConfig(epochs=100, pre_epochs=20, batch_size=64,
-                      weak_noise_sigma=0.2, strong_noise_sigma=0.8, seed=1, **arm)
+for label, solver in arms.items():
+    cfg = TrainConfig(epochs=100, pre_epochs=20, batch_size=64, solver=solver,
+                      weak_noise_sigma=0.2, strong_noise_sigma=0.8, seed=1)
     _, metrics, est = train(train_ds, cfg, test_ds)
     last = metrics[-1]
     print(f"{label:18s} {last.acc_all:5.1f} {last.acc_many:5.1f} {last.acc_med:6.1f} "

@@ -156,28 +156,29 @@ _GEN_OPTS = [
          "output path for the test split (default: <out stem>_test<ext>)"),
 ]
 
-# Train and bench defaults come from the config dataclasses, so each lives
-# in one place. gen keeps its literals: they are the acceptance dataset,
-# whose gamma and psi differ from DatasetSpec's defaults.
+# Train and bench defaults come from the config dataclasses, so each lives in one
+# place; "plr" is the CLI name of TrainConfig().solver's type, and a test pins that they
+# agree. gen keeps its literals: the acceptance dataset's gamma and psi are not DatasetSpec's.
 _TRAIN = TrainConfig()
 
 _TRAIN_OPTS = [
     _opt(["-d", "--data"], "data", str, None, "training dataset file (required)"),
     _opt(["--test"], "test", str, None,
          "test dataset file for per-epoch metrics (default: <data stem>_test<ext> if present)"),
-    _opt(["--lambda"], "lam", float, _TRAIN.plr.lam,
+    _opt(["--lambda"], "lam", float, PlrHyperparams().lam,
          "entropy temperature of the pseudo-label solver"),
-    _opt(["--m"], "m", float, _TRAIN.plr.m, "prior-penalty exponent of the pseudo-label solver"),
+    _opt(["--m"], "m", float, PlrHyperparams().m,
+         "prior-penalty exponent of the pseudo-label solver"),
     _opt(["--epochs"], "epochs", int, _TRAIN.epochs, "training epochs (after pre-estimation)"),
     _opt(["--pre-epochs"], "pre_epochs", int, _TRAIN.pre_epochs, "prior pre-estimation epochs"),
     _opt(["--batch"], "batch", int, _TRAIN.batch_size, "batch size"),
     _opt(["--lr"], "lr", float, _TRAIN.lr0, "initial learning rate (cosine-decayed)"),
     _opt(["--momentum"], "momentum", float, _TRAIN.momentum, "SGD momentum"),
     _opt(["--hidden"], "hidden", _int_list, _TRAIN.hidden, "hidden layer sizes, comma-separated"),
-    _opt(["--solver"], "solver", str, _TRAIN.solver, "pseudo-label solver: plr or sinkhorn"),
-    _opt(["--sk-iters"], "sk_iters", int, _TRAIN.sinkhorn.max_iters, "Sinkhorn iteration cap"),
-    _opt(["--sk-tol"], "sk_tol", float, _TRAIN.sinkhorn.tol, "Sinkhorn marginal tolerance"),
-    _opt(["--sk-lambda"], "sk_lambda", float, _TRAIN.sinkhorn.lam,
+    _opt(["--solver"], "solver", str, "plr", "pseudo-label solver: plr or sinkhorn"),
+    _opt(["--sk-iters"], "sk_iters", int, SinkhornConfig().max_iters, "Sinkhorn iteration cap"),
+    _opt(["--sk-tol"], "sk_tol", float, SinkhornConfig().tol, "Sinkhorn marginal tolerance"),
+    _opt(["--sk-lambda"], "sk_lambda", float, SinkhornConfig().lam,
          "Sinkhorn prediction temperature"),
     _opt(["--prior-rule"], "prior_rule", str, _TRAIN.prior_rule,
          "prior estimation rule: hard-pred, soft-pred, or hard-pseudo"),
@@ -337,6 +338,8 @@ def _cmd_gen(values: dict) -> int:
 
 def _cmd_train(values: dict) -> int:
     _require(values, ["data"])
+    if values["solver"] not in ("plr", "sinkhorn"):
+        raise ValueError(f"--solver must be plr or sinkhorn, got {values['solver']!r}")
     metrics_out = values["metrics_out"] or _companion(values["data"], "_metrics")
     model_out = values["model_out"] or _companion(values["data"], "_model")
     test_path = values["test"]
@@ -350,7 +353,8 @@ def _cmd_train(values: dict) -> int:
     cfg = TrainConfig(
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
         momentum=values["momentum"], hidden=tuple(values["hidden"]),
-        plr=PlrHyperparams(lam=values["lam"], m=values["m"]),
+        solver=(PlrHyperparams(values["lam"], values["m"]) if values["solver"] == "plr" else
+                SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"])),
         selection=SelectionConfig(values["rho_start"], values["rho_end"],
                                   values["ramp_epochs"]),
         prior_rule=values["prior_rule"], mu_schedule=(values["mu1"], values["mu2"]),
@@ -358,8 +362,6 @@ def _cmd_train(values: dict) -> int:
         strong_noise_sigma=values["strong_sigma"], strong_dropout_p=values["dropout"],
         mixup_alpha=values["mixup_alpha"],
         loss_weights=(values["w_cls"], values["w_cons"], values["w_mix"]),
-        solver=values["solver"],
-        sinkhorn=SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"]),
         restrict_all_losses=values["restrict_losses"],
         freeze_prior=values["freeze_prior"], seed=values["seed"],
     )

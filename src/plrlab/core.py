@@ -252,6 +252,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
+        _check_integers(seed=seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = int(seed)
         self._key = tuple(int(k) for k in _key)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)
@@ -295,6 +298,11 @@ def _check_prior(c: int, r: ClassPrior) -> None:
         raise ShapeMismatch(f"prior has {r.n_classes} classes, expected {c}")
 
 
+def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
+    if f.values.shape != s.bits.shape:
+        raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
+
+
 def clamp_prior(raw) -> ClassPrior:
     """Clamp nonnegative class masses to at least 1e-8 and renormalize."""
     raw = np.ascontiguousarray(raw, dtype=np.float64)
@@ -304,7 +312,11 @@ def clamp_prior(raw) -> ClassPrior:
         raise ValueError("prior masses must be finite")
     if np.any(raw < 0.0):
         raise ValueError("prior masses must be nonnegative")
-    total = raw.sum()
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if total == math.inf:  # finite masses whose sum overflows: scale them down first
+        raw = raw / raw.max()
+        total = raw.sum()
     if not total > 0.0:
         raise AllZeroPrior("no class has prior mass")
     clamped = np.maximum(raw / total, PRIOR_EPS)
@@ -316,9 +328,11 @@ def row_normalize(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeMismatch("row_normalize expects a 2-d matrix")
-    if np.any(v < 0.0):
-        raise ValueError("row_normalize expects nonnegative entries")
-    sums = v.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = v.sum(axis=1, keepdims=True)
+    # Negated, so NaN fails too; a finite row sum rules out an inf entry and overflow.
+    if not (np.all(v >= 0.0) and np.isfinite(sums).all()):
+        raise ValueError("row_normalize expects nonnegative entries and finite row sums")
     zero = np.flatnonzero(sums[:, 0] == 0.0)
     if zero.size:
         raise ZeroRowSum(int(zero[0]))

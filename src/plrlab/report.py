@@ -29,6 +29,7 @@ from .core import (
     Rng,
     ShapeMismatch,
     TooFewReps,
+    _check_integers,
     body_lines,
     clamp_prior,
     read_ascii,
@@ -142,6 +143,7 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     the per-call wall-clock seconds. The first warm-up call also builds
     the candidate matrix's packed index, which every later call reuses.
     """
+    _check_integers(batch_size=batch_size, n_classes=n_classes, reps=reps)
     if reps < 3:
         raise TooFewReps(f"need at least 3 repetitions, got {reps}")
     f, s, r = _bench_instance(batch_size, n_classes, rng)

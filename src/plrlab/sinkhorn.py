@@ -28,9 +28,9 @@ from .core import (
     PredictionMatrix,
     PseudoLabelMatrix,
     _check_integers,
+    _check_pair,
     _check_prior,
 )
-from .solver import _check_pair
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
 

@@ -36,6 +36,7 @@ from .core import (
     PredictionMatrix,
     PseudoLabelMatrix,
     ShapeMismatch,
+    _check_pair,
     _check_prior,
     xlogx,
 )
@@ -74,11 +75,6 @@ class KktReport:
     max_row_sum_violation: float
     max_support_violation: float
     multipliers: np.ndarray
-
-
-def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
-    if f.values.shape != s.bits.shape:
-        raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
 
 
 def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,

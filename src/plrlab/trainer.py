@@ -94,14 +94,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run needs besides the dataset itself."""
+    """Everything a training run needs besides the dataset itself; ``solver`` holds the
+    pseudo-label solver's config, whose type names it: PlrHyperparams or SinkhornConfig."""
 
     epochs: int = 100
     batch_size: int = 256
     lr0: float = 0.01
     momentum: float = 0.9
     hidden: tuple[int, ...] = (64, 64)
-    plr: PlrHyperparams = field(default_factory=PlrHyperparams)
+    solver: PlrHyperparams | SinkhornConfig = field(default_factory=PlrHyperparams)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     prior_rule: str = "hard-pred"
     mu_schedule: tuple[float, float] = (0.1, 0.01)
@@ -111,8 +112,6 @@ class TrainConfig:
     strong_dropout_p: float = 0.2
     mixup_alpha: float = 4.0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    solver: str = "plr"
-    sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     restrict_all_losses: bool = False
     freeze_prior: bool = False
     # Inert: nothing reads it. It stays only because the benchmark still
@@ -144,8 +143,8 @@ class TrainConfig:
             raise ValueError("mixup_alpha must be positive and finite")
         if not all(0 <= wt < math.inf for wt in self.loss_weights) or not any(self.loss_weights):
             raise ValueError("loss weights must be nonnegative and finite, and one positive")
-        if self.solver not in ("plr", "sinkhorn"):
-            raise ValueError("solver must be 'plr' or 'sinkhorn'")
+        if not isinstance(self.solver, (PlrHyperparams, SinkhornConfig)):
+            raise ValueError(f"solver must be a PlrHyperparams or SinkhornConfig: {self.solver!r}")
 
 
 def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
@@ -257,12 +256,11 @@ def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
 
 
 def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   est: PriorEstimator, cfg: TrainConfig) -> np.ndarray:
-    """Kernel weights at the packed candidate entries ``index`` for validated-upstream
-    predictions; scattered into a zero matrix, they hold no mass off the candidates."""
-    r = est.r.values
-    return (_solar_weights(probs, *index, r, cfg.sinkhorn)[0] if cfg.solver == "sinkhorn"
-            else _plr_weights(probs, *index, r, cfg.plr.lam, cfg.plr.m))
+                   r: np.ndarray, solver: PlrHyperparams | SinkhornConfig) -> np.ndarray:
+    """The weights of the kernel ``solver`` names at the packed candidate entries ``index``,
+    from validated-upstream ``probs`` and prior ``r``; scattered, they stay on the candidates."""
+    return (_solar_weights(probs, *index, r, solver)[0] if isinstance(solver, SinkhornConfig)
+            else _plr_weights(probs, *index, r, solver.lam, solver.m))
 
 
 def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
@@ -303,7 +301,7 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
         raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
                             f"batch {batch}; try a smaller learning rate")
     index = _pack(bits)
-    w = _scatter(_pseudo_labels(probs, index, est, cfg), index[0], probs.shape)
+    w = _scatter(_pseudo_labels(probs, index, est.r.values, cfg.solver), index[0], probs.shape)
 
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
@@ -334,8 +332,9 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
-               metrics_out: list | None, test: PartialDataset | None):
+               test: PartialDataset | None) -> tuple[PriorEstimator, list[EpochMetrics]]:
     velocity = np.zeros_like(params.flat)
+    metrics = []
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
@@ -353,22 +352,21 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         if not cfg.freeze_prior:
             _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
-                index = ds.candidates.packed
+                index, f = ds.candidates.packed, source.values
                 source = PseudoLabelMatrix._from_packed(
-                    _pseudo_labels(source.values, index, est, cfg), *index[:2], source.values.shape)
+                    _pseudo_labels(f, index, est.r.values, cfg.solver), *index[:2], f.shape)
             est = update_prior(est, source)
 
-        if metrics_out is not None:
-            accs = (math.nan,) * 4
-            if test is not None:
-                _, test_probs = forward(params, test.features)
-                preds = np.argmax(test_probs.values, axis=1)
-                acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
-                accs = (acc.overall, acc.many, acc.medium, acc.few)
-            prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
-            means = [s / n if n else 0.0 for s, n in zip(*totals)]
-            metrics_out.append(EpochMetrics(epoch, lr, *means, *accs, prior_err))
-    return est
+        accs = (math.nan,) * 4
+        if test is not None:
+            _, test_probs = forward(params, test.features)
+            preds = np.argmax(test_probs.values, axis=1)
+            acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
+            accs = (acc.overall, acc.many, acc.medium, acc.few)
+        prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
+        means = [s / n if n else 0.0 for s, n in zip(*totals)]
+        metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_err))
+    return est, metrics
 
 
 def train(ds: PartialDataset, cfg: TrainConfig,
@@ -387,12 +385,11 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
     if cfg.pre_epochs > 0 and not cfg.freeze_prior:
         pre_params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(0))
-        est = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1), None, None)
+        est, _ = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1), None)
 
     params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(2))
     est = replace(est, mu=cfg.mu_schedule[1])
-    metrics: list[EpochMetrics] = []
-    est = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), metrics, test)
+    est, metrics = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), test)
     # With a frozen prior and no test set, nothing else checks the last step.
     if not np.isfinite(params.flat).all():
         raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")

@@ -23,7 +23,7 @@ from plrlab.core import (
 from plrlab.prior import prior_error, update_prior
 from plrlab.report import EpochMetrics, group_accuracy
 from plrlab.selection import rho_at
-from plrlab.sinkhorn import solar_update
+from plrlab.sinkhorn import SinkhornConfig, solar_update
 from plrlab.solver import plr_update
 from plrlab.trainer import cosine_lr
 
@@ -260,9 +260,9 @@ def _soft_ce_loss(weights, biases, x, targets):
 
 def _reference_pseudo_labels(probs, bits, est, cfg):
     f, s = PredictionMatrix(probs), CandidateMatrix(bits)
-    if cfg.solver == "sinkhorn":
-        return solar_update(f, s, est.r, cfg.sinkhorn).w
-    return plr_update(f, s, est.r, cfg.plr)
+    if isinstance(cfg.solver, SinkhornConfig):
+        return solar_update(f, s, est.r, cfg.solver).w
+    return plr_update(f, s, est.r, cfg.solver)
 
 
 def init_params_reference(dims, rng):

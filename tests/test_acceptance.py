@@ -230,7 +230,7 @@ def longtail_runs():
         for seed in SEEDS:
             spec = DatasetSpec(seed=seed, **LONGTAIL_SPEC)
             train_ds, test_ds = gen_dataset(spec)
-            cfg = TrainConfig(plr=PlrHyperparams(lam=3.0, m=m), seed=seed,
+            cfg = TrainConfig(solver=PlrHyperparams(lam=3.0, m=m), seed=seed,
                               **LONGTAIL_TRAIN)
             params, metrics, est = train(train_ds, cfg, test_ds)
             runs[(m, seed)] = (params, est, test_ds, metrics)

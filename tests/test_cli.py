@@ -73,7 +73,8 @@ class TestGen:
         assert out.read_bytes() == first
 
     @pytest.mark.parametrize("flag, value", [("--sep", "nan"), ("--sep", "inf"),
-                                             ("--gamma", "nan"), ("--gamma", "inf")])
+                                             ("--gamma", "nan"), ("--gamma", "inf"),
+                                             ("--superclass-size", "3")])
     def test_non_finite_spec_exits_one_and_writes_nothing(self, tmp_path, capsys, flag, value):
         # --sep nan used to exit 0 and write all-nan features.
         out = tmp_path / "bad.txt"
@@ -135,6 +136,27 @@ class TestTrain:
         ds = _gen(tmp_path)
         metrics_path, _ = _train(tmp_path, ds, ["--solver", "sinkhorn"])
         assert len(read_metrics(metrics_path)) == 3
+
+    def test_unknown_solver_exits_one_naming_both(self, tmp_path, capsys):
+        ds = _gen(tmp_path)
+        assert main(["train", "-d", str(ds), "--solver", "newton"]) == 1
+        assert "--solver must be plr or sinkhorn, got 'newton'" in capsys.readouterr().err
+        assert not (tmp_path / "ds_metrics.txt").exists()
+        assert not (tmp_path / "ds_model.txt").exists()
+
+    @pytest.mark.parametrize("text, expected", [("yes", True), ("Off", False)])
+    def test_boolean_config_keys(self, tmp_path, monkeypatch, text, expected):
+        seen = []
+
+        def capture(ds, cfg, test=None):
+            seen.append(cfg)
+            raise PlrError("captured")
+
+        monkeypatch.setattr("plrlab.cli.train", capture)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"freeze-prior = {text}\nrestrict_losses = {text}\n")
+        assert main(["train", "-d", str(_gen(tmp_path)), "--config", str(cfg)]) == 1
+        assert (seen[0].freeze_prior, seen[0].restrict_all_losses) == (expected, expected)
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
@@ -358,6 +380,18 @@ class TestHelpAndUsage:
         assert "default:" in text
         assert "--config" in text
 
+    @pytest.mark.parametrize("cmd", ["gen", "train", "bench"])
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys, cmd):
+        # Each used to exit 1 with numpy's "expected non-negative integer".
+        args = {"gen": ["-o", str(tmp_path / "g.txt")],
+                "train": ["-d", str(_gen(tmp_path)), "--epochs", "1", "--pre-epochs", "0"],
+                "bench": ["--batch", "8", "--classes", "4", "--reps", "3",
+                          "-o", str(tmp_path / "b.csv")]}[cmd]
+        before = sorted(tmp_path.iterdir())
+        assert main([cmd, *args, "--seed", "-1"]) == 1
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 1
         assert "usage:" in capsys.readouterr().err
@@ -473,6 +507,7 @@ class TestModelFile:
         (4, b"", "inconsistent", 6),
         (2, b"0.5 0.5", "prior", 2),
         (3, b"1 1 1 1 1 1\n\nb0 nan", "finite", 5),
+        (4, b"abc", "bad numbers under 'b0'", 4),
     ])
     def test_hostile_file_reports_line_number(self, tmp_path, edit, token, match, line):
         params = ModelParams([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])

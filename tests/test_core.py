@@ -108,6 +108,17 @@ class TestClampPrior:
         with pytest.raises(ValueError, match="finite"):
             clamp_prior(np.array([bad, 0.5]))
 
+    def test_overflowing_total_scaled_before_the_sum(self):
+        # The masses are finite but their total overflows; this used to
+        # return the uniform prior, with an overflow warning.
+        r = clamp_prior(np.array([1e308, 1e308, 1.0]))
+        np.testing.assert_allclose(r.values, [0.5, 0.5, 1e-8], rtol=1e-7)
+
+    @pytest.mark.parametrize("raw", [np.ones((2, 2)), np.array([])], ids=["matrix", "empty"])
+    def test_non_vector_rejected(self, raw):
+        with pytest.raises(ShapeMismatch, match="prior must be a nonempty vector"):
+            clamp_prior(raw)
+
 
 class TestRowNormalize:
     def test_even_row(self):
@@ -125,6 +136,19 @@ class TestRowNormalize:
         rng = np.random.default_rng(3)
         out = row_normalize(rng.uniform(size=(40, 7)))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("v", [[[np.nan, 1.0]], [[np.inf, 1.0]], [[1e308, 1e308]],
+                                   [[-0.5, 1.0]]], ids=["nan", "inf", "overflow", "negative"])
+    def test_nan_negative_or_non_finite_sum_rejected(self, v):
+        # A NaN row used to come back all NaN with no warning, an inf entry
+        # gave a NaN row and an overflowing row an all-zero one, each with
+        # only a RuntimeWarning.
+        with pytest.raises(ValueError, match="nonnegative entries and finite row sums"):
+            row_normalize(v)
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ShapeMismatch, match="2-d matrix"):
+            row_normalize([0.5, 0.5])
 
 
 class TestMatrixTypes:
@@ -155,6 +179,15 @@ class TestMatrixTypes:
     def test_prior_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             ClassPrior(np.array([np.nan, 0.5]))
+
+    @pytest.mark.parametrize("values, error, match", [
+        pytest.param(np.full((1, 1), 1.0), ShapeMismatch, "nonempty vector", id="matrix"),
+        pytest.param(np.array([1.0 - 1e-9, 1e-9]), ValueError, "at least 1e-8",
+                     id="entry-below-floor"),
+    ])
+    def test_prior_rejects_a_non_vector_or_an_entry_below_the_floor(self, values, error, match):
+        with pytest.raises(error, match=match):
+            ClassPrior(values)
 
     def test_arrays_frozen_after_construction(self):
         f = PredictionMatrix(np.array([[0.5, 0.5]]))
@@ -213,6 +246,21 @@ class TestRng:
         parent.uniform(size=100)
         np.testing.assert_array_equal(parent.child(0).uniform(size=8),
                                       Rng(5).child(0).uniform(size=8))
+
+    @pytest.mark.parametrize("seed, match", [
+        pytest.param(-1, "seed must be nonnegative, got -1", id="negative"),
+        pytest.param(1.5, "seed takes integers only, got 1.5", id="float"),
+        pytest.param(True, "seed takes integers only, got True", id="bool"),
+    ])
+    def test_bad_seed_names_itself(self, seed, match):
+        # A negative seed used to fail in numpy with a message naming no
+        # setting, and 1.5 silently seeded as 1.
+        with pytest.raises(ValueError, match=match):
+            Rng(seed)
+
+    def test_numpy_integer_seed_keeps_its_stream(self):
+        np.testing.assert_array_equal(Rng(np.int64(20240901)).uniform(size=8),
+                                      Rng(20240901).uniform(size=8))
 
 
 class TestXlogx:

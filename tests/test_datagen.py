@@ -161,6 +161,11 @@ class TestGenCandidates:
         with pytest.raises(ValueError, match=match):
             DatasetSpec(n_classes=n_classes, head_count=40, hierarchy=hierarchy)
 
+    @pytest.mark.parametrize("psi", [1.0, -0.1, float("nan")])
+    def test_flip_prob_outside_the_unit_interval_rejected(self, psi):
+        with pytest.raises(ValueError, match=r"flip_prob must lie in \[0, 1\)"):
+            gen_candidates(np.array([0, 1]), psi, None, Rng(0), n_classes=3)
+
     def test_label_outside_class_count_rejected(self):
         for labels in ([0, 3], [-1, 0]):
             with pytest.raises(ValueError, match="range"):
@@ -183,6 +188,10 @@ class TestGroupSplit:
     def test_unsorted_counts_rejected(self):
         with pytest.raises(ValueError):
             group_split(np.array([1, 5, 3]), 3)
+
+    def test_count_per_class_required(self):
+        with pytest.raises(ShapeMismatch, match="3 counts for 4 classes"):
+            group_split(np.array([5, 3, 1]), 4)
 
 
 class TestGenDataset:
@@ -214,6 +223,7 @@ class TestGenDataset:
         ("class_separation", float("nan")), ("class_separation", float("inf")),
         ("class_separation", -1.0), ("imbalance_ratio", float("nan")),
         ("imbalance_ratio", float("inf")), ("imbalance_ratio", 0.5),
+        ("feature_dim", 0), ("test_per_class", 0),
     ])
     def test_non_finite_or_out_of_range_spec_rejected(self, field, value):
         # NaN passed the old '< 0' and '< 1' tests.
@@ -252,6 +262,12 @@ class TestDatasetFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-4]) + "\n")
         with pytest.raises(FormatError):
+            read_dataset(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("")
+        with pytest.raises(FormatError, match="line 1: missing header"):
             read_dataset(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -344,6 +360,20 @@ class TestDatasetFile:
         write_dataset(gen_dataset(spec)[0], a)
         write_dataset(gen_dataset(spec)[0], b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n_feature_rows, labels, bits, error, match", [
+    pytest.param(3, [0, 1], [[1, 0], [0, 1]], ShapeMismatch, "features and labels",
+                 id="features-vs-labels"),
+    pytest.param(2, [0, 1], [[1, 0], [0, 1], [1, 1]], ShapeMismatch, "candidates disagree",
+                 id="candidates-vs-features"),
+    pytest.param(2, [0, 2], [[1, 0], [0, 1]], ValueError, "out of class range",
+                 id="label-out-of-range"),
+])
+def test_partial_dataset_rejects_inconsistent_parts(n_feature_rows, labels, bits, error, match):
+    with pytest.raises(error, match=match):
+        PartialDataset(np.zeros((n_feature_rows, 2)), np.array(labels),
+                       CandidateMatrix(np.array(bits, dtype=float)))
 
 
 def test_partial_dataset_rejects_truth_outside_candidates():

@@ -86,6 +86,11 @@ class TestLogitsAdjust:
         with pytest.raises(ValueError):
             logits_adjust_predict(np.array([[np.inf, 0.0]]), r, 0.5)
 
+    def test_logits_of_another_class_count_rejected(self):
+        r = clamp_prior(np.array([0.5, 0.5]))
+        with pytest.raises(ShapeMismatch, match=r"logits \(3, 3\) vs 2 classes"):
+            logits_adjust_predict(np.zeros((3, 3)), r, 0.5)
+
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_non_finite_phi_rejected(self, phi):
         # A NaN or infinite phi used to predict class 0 for every row.
@@ -98,6 +103,16 @@ class TestBenchPseudo:
     def test_too_few_reps(self):
         with pytest.raises(TooFewReps):
             bench_pseudo(["plr"], 32, 5, 2, Rng(0))
+
+    @pytest.mark.parametrize("args, name", [
+        pytest.param((8.0, 5, 3), "batch_size", id="batch-size"),
+        pytest.param((8, 5.0, 3), "n_classes", id="classes"),
+        pytest.param((8, 5, 3.5), "reps", id="reps"),
+    ])
+    def test_non_integer_size_or_reps_names_itself(self, args, name):
+        # Each used to raise numpy's bare TypeError.
+        with pytest.raises(ValueError, match=f"{name} takes integers only"):
+            bench_pseudo(["plr"], *args, Rng(0))
 
     def test_records_well_formed(self):
         records = bench_pseudo(["plr", "proden", "sinkhorn"], 64, 10, 3, Rng(1))

@@ -261,6 +261,17 @@ class TestKktResidual:
         with pytest.raises(NonPositiveWeightOnSupport):
             kkt_residual(w, f, r, PlrHyperparams(), s)
 
+    @pytest.mark.parametrize("diagnostic", ["objective", "kkt"])
+    def test_pseudo_labels_of_another_shape_rejected(self, diagnostic):
+        f = PredictionMatrix(np.array([[0.5, 0.5], [0.2, 0.8]]))
+        s = CandidateMatrix(np.ones((2, 2)))
+        r = clamp_prior(np.array([0.5, 0.5]))
+        w = PseudoLabelMatrix(np.array([[0.5, 0.5]]))
+        call = {"objective": lambda: plr_objective(w, f, r, PlrHyperparams()),
+                "kkt": lambda: kkt_residual(w, f, r, PlrHyperparams(), s)}[diagnostic]
+        with pytest.raises(ShapeMismatch, match=r"pseudo-labels \(1, 2\) vs predictions \(2, 2\)"):
+            call()
+
     def test_report_fields_nonnegative(self):
         rng = np.random.default_rng(42)
         f, s, r, h = _instance(rng)
@@ -284,6 +295,11 @@ class TestHessianBound:
         w = PseudoLabelMatrix(np.array([[0.9, 0.1]]))
         got = hessian_min_eigen_lower_bound(w, PlrHyperparams(lam=1.0, m=0.0))
         assert got == pytest.approx(1.0 / 0.9)
+
+    def test_no_rows_no_support(self):
+        w = PseudoLabelMatrix(np.zeros((0, 3)))
+        with pytest.raises(NonPositiveWeightOnSupport, match=r"\(0, 0\) is not positive"):
+            hessian_min_eigen_lower_bound(w, PlrHyperparams())
 
     def test_always_positive_on_random_updates(self):
         rng = np.random.default_rng(51)
@@ -386,16 +402,17 @@ def test_public_updates_equal_the_trainers_plain_array_kernels(inputs, lam, m, i
     sink = SinkhornConfig(max_iters=iters, lam=lam)
 
     def trainer_labels(cfg):
-        return _scatter(_pseudo_labels(f.values, index, est, cfg), index[0], bits.shape)
+        return _scatter(_pseudo_labels(f.values, index, est.r.values, cfg.solver), index[0],
+                        bits.shape)
 
     np.testing.assert_array_equal(plr_update(f, s, r, h).values,
-                                  trainer_labels(TrainConfig(plr=h)))
+                                  trainer_labels(TrainConfig(solver=h)))
     # PRODEN is plr at lam 1, m 0, where the kernel is f itself.
-    proden = TrainConfig(plr=PlrHyperparams(lam=1.0, m=0.0))
+    proden = TrainConfig(solver=PlrHyperparams(lam=1.0, m=0.0))
     np.testing.assert_array_equal(proden_update(f, s).values, trainer_labels(proden))
     np.testing.assert_array_equal(
         solar_update(f, s, r, sink).w.values,
-        trainer_labels(TrainConfig(solver="sinkhorn", sinkhorn=sink)))
+        trainer_labels(TrainConfig(solver=sink)))
 
 
 def _sparse_batch(batch, c, seed):

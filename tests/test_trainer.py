@@ -74,6 +74,16 @@ class TestForward:
         with pytest.raises(NonFiniteLoss):
             forward(params, np.ones((2, 6)))
 
+    @pytest.mark.parametrize("weights, biases, error, match", [
+        pytest.param([np.ones((2, 3))], [], ShapeMismatch, "weights and biases must pair up",
+                     id="unpaired"),
+        pytest.param([np.full((2, 3), np.inf)], [np.zeros(3)], ValueError,
+                     "model parameters must be finite", id="non-finite"),
+    ])
+    def test_unpaired_or_non_finite_layers_rejected(self, weights, biases, error, match):
+        with pytest.raises(error, match=match):
+            ModelParams(weights, biases)
+
 
 def _mean_scale(n_rows):
     """The per-row weights of a mean over the batch, as the SGD step passes them."""
@@ -444,7 +454,7 @@ class TestTrain:
 
     def test_sinkhorn_solver_path_runs(self):
         ds, test = _tiny_dataset()
-        _, metrics, _ = train(ds, _quick_cfg(epochs=2, solver="sinkhorn"), test)
+        _, metrics, _ = train(ds, _quick_cfg(epochs=2, solver=SinkhornConfig()), test)
         assert len(metrics) == 2
 
     def test_sinkhorn_pseudo_labels_equal_the_public_update(self):
@@ -458,16 +468,17 @@ class TestTrain:
         probs = rng.uniform(0.05, 1.0, ds.candidates.bits.shape)
         probs /= probs.sum(axis=1, keepdims=True)
         est = PriorEstimator(clamp_prior(rng.uniform(0.1, 1.0, ds.n_classes)))
-        cfg = _quick_cfg(solver="sinkhorn", sinkhorn=SinkhornConfig(max_iters=7, lam=2.0))
+        cfg = _quick_cfg(solver=SinkhornConfig(max_iters=7, lam=2.0))
         index = ds.candidates.packed
-        got = _scatter(_pseudo_labels(probs, index, est, cfg), index[0], probs.shape)
-        expected = solar_update(PredictionMatrix(probs), ds.candidates, est.r, cfg.sinkhorn)
+        got = _scatter(_pseudo_labels(probs, index, est.r.values, cfg.solver), index[0],
+                       probs.shape)
+        expected = solar_update(PredictionMatrix(probs), ds.candidates, est.r, cfg.solver)
         np.testing.assert_array_equal(got, expected.w.values)
 
     def test_m_zero_differs_from_m_two_on_imbalanced_data(self):
         ds, test = _tiny_dataset(flip=0.5)
-        _, base, _ = train(ds, _quick_cfg(plr=PlrHyperparams(lam=1.0, m=0.0)), test)
-        _, reg, _ = train(ds, _quick_cfg(plr=PlrHyperparams(lam=1.0, m=2.0)), test)
+        _, base, _ = train(ds, _quick_cfg(solver=PlrHyperparams(lam=1.0, m=0.0)), test)
+        _, reg, _ = train(ds, _quick_cfg(solver=PlrHyperparams(lam=1.0, m=2.0)), test)
         assert base != reg
 
     def test_restrict_all_losses_flag_runs(self):
@@ -486,6 +497,41 @@ class TestTrain:
         with pytest.raises(EmptyCandidateRow) as exc:
             CandidateMatrix(bits)
         assert exc.value.row == 7
+
+    @pytest.mark.parametrize("overrides, match", [
+        pytest.param(dict(strong_dropout_p=1.5), r"strong_dropout_p must lie in \[0, 1\]",
+                     id="dropout-above-one"),
+        pytest.param(dict(strong_dropout_p=np.nan), r"strong_dropout_p must lie in \[0, 1\]",
+                     id="dropout-nan"),
+        pytest.param(dict(solver="sinkhorn"),
+                     "solver must be a PlrHyperparams or SinkhornConfig: 'sinkhorn'",
+                     id="solver-name"),
+        pytest.param(dict(solver=SelectionConfig()),
+                     "solver must be a PlrHyperparams or SinkhornConfig: SelectionConfig",
+                     id="solver-other-config"),
+    ])
+    def test_bad_setting_named_in_its_error(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            _quick_cfg(**overrides)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_strong_view_names_the_consistency_loss(self, monkeypatch):
+        # The weak view stays finite, so its predictions and the pseudo-labels
+        # pass their checks; the strong rows overflow the forward pass.
+        import plrlab.trainer as trainer_module
+        from plrlab.core import NonFiniteLoss
+
+        real = trainer_module.augment
+
+        def augment(x, rng, kind, cfg):
+            out = real(x, rng, kind, cfg)
+            return np.full_like(out, 1e308) if kind == "strong" else out
+
+        monkeypatch.setattr(trainer_module, "augment", augment)
+        ds, _ = _tiny_dataset()
+        with pytest.raises(NonFiniteLoss, match="consistency loss is nan at epoch 0, batch 0"):
+            train(ds, _quick_cfg(pre_epochs=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -608,8 +654,8 @@ REFERENCE_RTOL = 1e-9
 
 @pytest.mark.parametrize("overrides", [
     pytest.param(dict(), id="plr"),
-    pytest.param(dict(solver="sinkhorn", sinkhorn=SinkhornConfig(max_iters=20),
-                      prior_rule="hard-pseudo"), id="sinkhorn-hard-pseudo"),
+    pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"),
+                 id="sinkhorn-hard-pseudo"),
     pytest.param(dict(restrict_all_losses=True), id="restrict-all-losses"),
     pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), id="nothing-selected"),
 ])
