@@ -41,6 +41,7 @@ from .core import (
     write_ascii,
 )
 from .datagen import DatasetSpec, gen_dataset, read_dataset, write_dataset
+from .prior import init_uniform
 from .report import bench_pseudo, emit_bench, emit_metrics, group_accuracy, logits_adjust_predict
 from .selection import SelectionConfig
 from .sinkhorn import SinkhornConfig
@@ -201,7 +202,7 @@ _TRAIN_OPTS = [
     _opt(["--w-cls"], "w_cls", float, _TRAIN.loss_weights[0], "classification loss weight"),
     _opt(["--w-cons"], "w_cons", float, _TRAIN.loss_weights[1], "consistency loss weight"),
     _opt(["--w-mix"], "w_mix", float, _TRAIN.loss_weights[2], "mixup loss weight"),
-    _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.freeze_prior,
+    _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.fixed_prior is not None,
          "keep the prior uniform instead of estimating it", flag=True),
     _opt(["--restrict-losses"], "restrict_losses", _bool, _TRAIN.restrict_all_losses,
          "apply the classification loss only to selected samples", flag=True),
@@ -362,8 +363,8 @@ def _cmd_train(values: dict) -> int:
         strong_noise_sigma=values["strong_sigma"], strong_dropout_p=values["dropout"],
         mixup_alpha=values["mixup_alpha"],
         loss_weights=(values["w_cls"], values["w_cons"], values["w_mix"]),
-        restrict_all_losses=values["restrict_losses"],
-        freeze_prior=values["freeze_prior"], seed=values["seed"],
+        restrict_all_losses=values["restrict_losses"], seed=values["seed"],
+        fixed_prior=init_uniform(ds.n_classes).r if values["freeze_prior"] else None,
     )
     params, metrics, est = train(ds, cfg, test_ds)
     comments = _config_comments("train", values)

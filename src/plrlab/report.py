@@ -144,6 +144,9 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     the candidate matrix's packed index, which every later call reuses.
     """
     _check_integers(batch_size=batch_size, n_classes=n_classes, reps=reps)
+    for name, size in (("batch_size", batch_size), ("n_classes", n_classes)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     if reps < 3:
         raise TooFewReps(f"need at least 3 repetitions, got {reps}")
     f, s, r = _bench_instance(batch_size, n_classes, rng)

@@ -31,6 +31,7 @@ from .core import (
     PROB_EPS,
     CandidateMatrix,
     ClassPrior,
+    EmptyBatch,
     NonPositiveWeightOnSupport,
     PlrHyperparams,
     PredictionMatrix,
@@ -201,9 +202,8 @@ def hessian_min_eigen_lower_bound(w: PseudoLabelMatrix, h: PlrHyperparams) -> fl
 
     The objective's Hessian in w is diagonal with entries 1/(lam * w_ij)
     on the support, so the minimum eigenvalue is 1/(lam * max w_ij);
-    strictly positive, certifying strict convexity there.
+    strictly positive, certifying strict convexity there. No rows: EmptyBatch.
     """
-    positive = w.values > 0.0
-    if not positive.any():
-        raise NonPositiveWeightOnSupport(0, 0)
-    return float(1.0 / (h.lam * w.values[positive].max()))
+    if w.n_samples == 0:
+        raise EmptyBatch("pseudo-label matrix has no rows, so no support to bound")
+    return float(1.0 / (h.lam * w.values.max()))

@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     PROB_EPS,
+    ClassPrior,
     NonFiniteLoss,
     PlrHyperparams,
     PredictionMatrix,
@@ -37,6 +38,7 @@ from .core import (
     Rng,
     ShapeMismatch,
     _check_integers,
+    _check_prior,
     _pack,
     _scatter,
     clamp_prior,
@@ -113,7 +115,7 @@ class TrainConfig:
     mixup_alpha: float = 4.0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     restrict_all_losses: bool = False
-    freeze_prior: bool = False
+    fixed_prior: ClassPrior | None = None
     # Inert: nothing reads it. It stays only because the benchmark still
     # passes timing=False (benchmarks/workloads.py:58 and
     # benchmarks/tests/test_smoke.py:22); it goes once ROADMAP item 8
@@ -145,6 +147,8 @@ class TrainConfig:
             raise ValueError("loss weights must be nonnegative and finite, and one positive")
         if not isinstance(self.solver, (PlrHyperparams, SinkhornConfig)):
             raise ValueError(f"solver must be a PlrHyperparams or SinkhornConfig: {self.solver!r}")
+        if not isinstance(self.fixed_prior, (ClassPrior, type(None))):
+            raise ValueError(f"fixed_prior must be a ClassPrior or None: {self.fixed_prior!r}")
 
 
 def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
@@ -348,8 +352,8 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
-        # under a frozen prior leaves every later epoch unchanged.
-        if not cfg.freeze_prior:
+        # under a fixed prior leaves every later epoch unchanged.
+        if cfg.fixed_prior is None:
             _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
                 index, f = ds.candidates.packed, source.values
@@ -373,9 +377,10 @@ def train(ds: PartialDataset, cfg: TrainConfig,
           test: PartialDataset | None = None) -> tuple[ModelParams, list[EpochMetrics], PriorEstimator]:
     """Two-stage run: prior pre-estimation, re-init, then the real training.
 
-    Returns the trained parameters, per-epoch metrics for the second
-    stage, and the final prior estimator. A ``test`` split whose class count
-    or feature dim differs from ``ds``'s raises ShapeMismatch up front.
+    A ``cfg.fixed_prior`` takes the first stage's place and is never refreshed.
+    Returns the trained parameters, per-epoch metrics for the second stage, and
+    the final prior estimator. A ``test`` split or fixed prior that does not fit
+    ``ds`` (class count; feature dim for the split) raises ShapeMismatch up front.
     """
     c = ds.n_classes
     if test is not None and (test.n_classes, test.feature_dim) != (c, ds.feature_dim):
@@ -383,14 +388,17 @@ def train(ds: PartialDataset, cfg: TrainConfig,
                             f"features, training set {c} and {ds.feature_dim}")
     rng = Rng(cfg.seed)
     est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
-    if cfg.pre_epochs > 0 and not cfg.freeze_prior:
+    if cfg.fixed_prior is not None:
+        _check_prior(c, cfg.fixed_prior)
+        est = replace(est, r=cfg.fixed_prior)
+    elif cfg.pre_epochs > 0:
         pre_params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(0))
         est, _ = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1), None)
 
     params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(2))
     est = replace(est, mu=cfg.mu_schedule[1])
     est, metrics = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), test)
-    # With a frozen prior and no test set, nothing else checks the last step.
+    # With a fixed prior and no test set, nothing else checks the last step.
     if not np.isfinite(params.flat).all():
         raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")
     return params, metrics, est

@@ -331,7 +331,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             stepped = [a - lr * v for a, v in zip(weights + biases, velocity)]
             weights, biases = stepped[: len(weights)], stepped[len(weights) :]
 
-        if not cfg.freeze_prior:
+        if cfg.fixed_prior is None:
             x_full = ds.features + cfg.weak_noise_sigma * ep.normal(size=ds.features.shape)
             _, probs = _mlp_forward(weights, biases, x_full)
             source = PredictionMatrix(probs)

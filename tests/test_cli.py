@@ -156,7 +156,8 @@ class TestTrain:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"freeze-prior = {text}\nrestrict_losses = {text}\n")
         assert main(["train", "-d", str(_gen(tmp_path)), "--config", str(cfg)]) == 1
-        assert (seen[0].freeze_prior, seen[0].restrict_all_losses) == (expected, expected)
+        assert (seen[0].fixed_prior is not None,
+                seen[0].restrict_all_losses) == (expected, expected)
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
@@ -368,6 +369,12 @@ class TestBench:
 
     def test_too_few_reps_exits_one(self, tmp_path):
         assert main(["bench", "--reps", "2", "-o", str(tmp_path / "b.csv")]) == 1
+
+    def test_empty_batch_exits_one_naming_the_setting(self, tmp_path, capsys):
+        # Used to fail with "candidate matrix must have at least one row".
+        assert main(["bench", "--batch", "0", "--reps", "3", "-o", str(tmp_path / "b.csv")]) == 1
+        assert "error: batch_size must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestHelpAndUsage:

@@ -70,9 +70,10 @@ class TestGenFeatures:
                      for k in range(3)]
         assert max(np.abs(a - b).max() for a in per_class for b in per_class) < 1.0
 
+        from plrlab.prior import init_uniform
         from plrlab.trainer import TrainConfig, train as run_training
 
-        cfg = TrainConfig(epochs=15, pre_epochs=0, freeze_prior=True,
+        cfg = TrainConfig(epochs=15, pre_epochs=0, fixed_prior=init_uniform(3).r,
                           batch_size=64, hidden=(16,), seed=2)
         _, metrics, _ = run_training(train, cfg, test)
         assert metrics[-1].acc_all < 60.0  # chance is 33%
@@ -87,9 +88,10 @@ class TestGenFeatures:
                            class_separation=10.0 * np.sqrt(d),
                            test_per_class=20, seed=12)
         train, test = gen_dataset(spec)
+        from plrlab.prior import init_uniform
         from plrlab.trainer import TrainConfig, train as run_training
 
-        cfg = TrainConfig(epochs=30, pre_epochs=0, freeze_prior=True,
+        cfg = TrainConfig(epochs=30, pre_epochs=0, fixed_prior=init_uniform(5).r,
                           batch_size=32, hidden=(16,), seed=12)
         _, metrics, _ = run_training(train, cfg, test)
         assert metrics[-1].acc_all > 95.0

@@ -114,6 +114,16 @@ class TestBenchPseudo:
         with pytest.raises(ValueError, match=f"{name} takes integers only"):
             bench_pseudo(["plr"], *args, Rng(0))
 
+    @pytest.mark.parametrize("args, name", [
+        pytest.param((0, 5, 3), "batch_size", id="batch-size"),
+        pytest.param((8, 0, 3), "n_classes", id="classes"),
+    ])
+    def test_size_below_one_names_itself(self, args, name):
+        # An empty batch failed in CandidateMatrix, naming no bench setting;
+        # zero classes failed in longtail_counts.
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+            bench_pseudo(["plr"], *args, Rng(0))
+
     def test_records_well_formed(self):
         records = bench_pseudo(["plr", "proden", "sinkhorn"], 64, 10, 3, Rng(1))
         assert [r.method for r in records] == ["plr", "proden", "sinkhorn"]

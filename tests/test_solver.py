@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from plrlab.core import (
     CandidateMatrix,
+    EmptyBatch,
     EmptyCandidateRow,
     NonPositiveWeightOnSupport,
     PlrHyperparams,
@@ -298,7 +299,7 @@ class TestHessianBound:
 
     def test_no_rows_no_support(self):
         w = PseudoLabelMatrix(np.zeros((0, 3)))
-        with pytest.raises(NonPositiveWeightOnSupport, match=r"\(0, 0\) is not positive"):
+        with pytest.raises(EmptyBatch, match="has no rows, so no support to bound"):
             hessian_min_eigen_lower_bound(w, PlrHyperparams())
 
     def test_always_positive_on_random_updates(self):

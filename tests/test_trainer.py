@@ -425,7 +425,7 @@ class TestTrain:
                            flip_prob=0.0, feature_dim=5, class_separation=8.0,
                            test_per_class=10, seed=3)
         ds, test = gen_dataset(spec)
-        cfg = _quick_cfg(epochs=20, pre_epochs=0, freeze_prior=True)
+        cfg = _quick_cfg(epochs=20, pre_epochs=0, fixed_prior=init_uniform(3).r)
         _, metrics, _ = train(ds, cfg, test)
         losses = [m.loss_cls for m in metrics]
         assert losses[-1] < losses[0]
@@ -509,6 +509,9 @@ class TestTrain:
         pytest.param(dict(solver=SelectionConfig()),
                      "solver must be a PlrHyperparams or SinkhornConfig: SelectionConfig",
                      id="solver-other-config"),
+        pytest.param(dict(fixed_prior=np.full(4, 0.25)),
+                     r"fixed_prior must be a ClassPrior or None: array\(",
+                     id="fixed-prior-array"),
     ])
     def test_bad_setting_named_in_its_error(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -590,6 +593,34 @@ class TestTrain:
         with pytest.raises(ShapeMismatch, match="test set has"):
             train(ds, _quick_cfg(), other)
 
+    def test_fixed_prior_of_another_class_count_rejected_before_the_first_epoch(
+            self, monkeypatch):
+        import plrlab.trainer as trainer_module
+
+        def no_epoch(*args):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(trainer_module, "_run_stage", no_epoch)
+        ds, test = _tiny_dataset()
+        with pytest.raises(ShapeMismatch, match="prior has 5 classes, expected 4"):
+            train(ds, _quick_cfg(fixed_prior=init_uniform(5).r), test)
+
+    def test_fixed_prior_skips_the_pre_estimation_stage(self, monkeypatch):
+        # A pre-stage run from a fixed prior leaves the outputs unchanged, so
+        # only the stage count shows the wasted epochs.
+        import plrlab.trainer as trainer_module
+
+        stages, real = [], trainer_module._run_stage
+
+        def counting(params, ds, cfg, est, epochs, rng, test):
+            stages.append(epochs)
+            return real(params, ds, cfg, est, epochs, rng, test)
+
+        monkeypatch.setattr(trainer_module, "_run_stage", counting)
+        ds, test = _tiny_dataset()
+        train(ds, _quick_cfg(pre_epochs=2, fixed_prior=init_uniform(4).r), test)
+        assert stages == [3]
+
     @pytest.mark.parametrize("hidden", [(0,), (16, 0), (-3,)])
     def test_hidden_width_below_one_rejected(self, hidden):
         with pytest.raises(ValueError, match="hidden"):
@@ -612,7 +643,7 @@ class TestTrain:
         from plrlab.core import NonFiniteLoss
 
         ds, _ = _tiny_dataset()
-        cfg = _quick_cfg(lr0=1e308, epochs=1, pre_epochs=0, freeze_prior=True,
+        cfg = _quick_cfg(lr0=1e308, epochs=1, pre_epochs=0, fixed_prior=init_uniform(4).r,
                          batch_size=ds.n_samples)
         with pytest.raises(NonFiniteLoss):
             train(ds, cfg)
@@ -621,7 +652,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("batches, overrides, where", [
         pytest.param(2, dict(epochs=1), "epoch 0, batch 1", id="second-batch"),
-        pytest.param(1, dict(epochs=2, freeze_prior=True), "epoch 1, batch 0",
+        pytest.param(1, dict(epochs=2, fixed_prior=init_uniform(4).r), "epoch 1, batch 0",
                      id="second-epoch"),
     ])
     def test_divergence_names_the_step_that_saw_it(self, batches, overrides, where):
@@ -658,6 +689,9 @@ REFERENCE_RTOL = 1e-9
                  id="sinkhorn-hard-pseudo"),
     pytest.param(dict(restrict_all_losses=True), id="restrict-all-losses"),
     pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), id="nothing-selected"),
+    # pre_epochs stays 1: a given prior skips the pre-stage and every refresh.
+    pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))),
+                 id="fixed-prior"),
 ])
 def test_train_matches_the_reference_trainer(overrides):
     ds, test = _tiny_dataset()
@@ -668,9 +702,12 @@ def test_train_matches_the_reference_trainer(overrides):
     rng = Rng(cfg.seed)
     dims = (ds.feature_dim, *cfg.hidden, ds.n_classes)
     est_ref = init_uniform(ds.n_classes, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
-    weights, biases = init_params_reference(dims, rng.child(0))
-    *_, est_ref, _ = run_stage_reference(weights, biases, ds, cfg, est_ref,
-                                         cfg.pre_epochs, rng.child(1), None)
+    if cfg.fixed_prior is None:
+        weights, biases = init_params_reference(dims, rng.child(0))
+        *_, est_ref, _ = run_stage_reference(weights, biases, ds, cfg, est_ref,
+                                             cfg.pre_epochs, rng.child(1), None)
+    else:
+        est_ref = dataclasses.replace(est_ref, r=cfg.fixed_prior)
     weights, biases = init_params_reference(dims, rng.child(2))
     est_ref = dataclasses.replace(est_ref, mu=cfg.mu_schedule[1])
     weights, biases, est_ref, metrics_ref = run_stage_reference(
@@ -679,6 +716,8 @@ def test_train_matches_the_reference_trainer(overrides):
     for got, want in zip(params.weights + params.biases, weights + biases, strict=True):
         np.testing.assert_allclose(got, want, rtol=REFERENCE_RTOL)
     np.testing.assert_allclose(est.r.values, est_ref.r.values, rtol=REFERENCE_RTOL)
+    if cfg.fixed_prior is not None:
+        np.testing.assert_array_equal(est.r.values, cfg.fixed_prior.values)
     np.testing.assert_allclose([dataclasses.astuple(m) for m in metrics],
                                [dataclasses.astuple(m) for m in metrics_ref],
                                rtol=REFERENCE_RTOL)
