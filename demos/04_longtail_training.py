@@ -9,11 +9,12 @@ again, each given the true class prior as ``TrainConfig.fixed_prior`` (no
 pre-estimation, no refresh). Reported is the test accuracy overall and per
 class-frequency group, and the final prior's mass on the few-shot group
 (the true share is about 0.02). Given the true prior, Sinkhorn scales its
-pseudo-labels toward it and has the best overall accuracy, yet its
-few-group accuracy stays below m=2's on the same prior: the tail's total
-weight under the prior is too small to learn from. m=2 on the true prior
-pays for its tail gain with the head. One run of this script took
-9.4-11.3 s on a 2-core machine (three repetitions, one BLAS thread).
+pseudo-labels toward it and has the better overall accuracy of the two
+true-prior arms, yet its few-group accuracy stays below m=2's on the same
+prior: the tail's total weight under the prior is too small to learn from.
+m=2 on the true prior pays for its tail gain with the head. These findings
+come from seed 1 alone. One run of this script took 9.4-11.3 s on a 2-core
+machine (three repetitions, one BLAS thread).
 """
 
 import numpy as np

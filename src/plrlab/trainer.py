@@ -377,10 +377,9 @@ def train(ds: PartialDataset, cfg: TrainConfig,
           test: PartialDataset | None = None) -> tuple[ModelParams, list[EpochMetrics], PriorEstimator]:
     """Two-stage run: prior pre-estimation, re-init, then the real training.
 
-    A ``cfg.fixed_prior`` takes the first stage's place and is never refreshed.
-    Returns the trained parameters, per-epoch metrics for the second stage, and
-    the final prior estimator. A ``test`` split or fixed prior that does not fit
-    ``ds`` (class count; feature dim for the split) raises ShapeMismatch up front.
+    Returns the parameters, the second stage's per-epoch metrics and the final
+    prior estimator; a ``cfg.fixed_prior`` replaces the first stage and is never
+    refreshed. A ``test`` split or fixed prior not fitting ``ds`` raises ShapeMismatch.
     """
     c = ds.n_classes
     if test is not None and (test.n_classes, test.feature_dim) != (c, ds.feature_dim):

@@ -7,6 +7,7 @@ ordinary pytest failure.
 
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -228,7 +229,11 @@ def _longtail_run(m, seed):
     spec = DatasetSpec(seed=seed, **LONGTAIL_SPEC)
     train_ds, test_ds = gen_dataset(spec)
     cfg = TrainConfig(solver=PlrHyperparams(lam=3.0, m=m), seed=seed, **LONGTAIL_TRAIN)
-    params, metrics, est = train(train_ds, cfg, test_ds)
+    # pytest.ini's filter does not reach a spawned worker; a leaked
+    # RuntimeWarning raises here and so fails the fixture, as in-process.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        params, metrics, est = train(train_ds, cfg, test_ds)
     # Pickling would not keep the layers as views of one vector; the caller rebuilds it.
     return (params.weights, params.biases), est, test_ds, metrics
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plrlab.cli import _config_comments, _parse_config_file, main, read_model, write_model
 from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams, Rng
 from plrlab.datagen import read_dataset
+from plrlab.prior import init_uniform
 from plrlab.report import read_metrics
 from plrlab.sinkhorn import SinkhornConfig
 from plrlab.trainer import ModelParams, TrainConfig, init_params
@@ -158,6 +159,9 @@ class TestTrain:
         assert main(["train", "-d", str(_gen(tmp_path)), "--config", str(cfg)]) == 1
         assert (seen[0].fixed_prior is not None,
                 seen[0].restrict_all_losses) == (expected, expected)
+        if expected:
+            # --freeze-prior means the uniform prior over _gen's 6 classes, bit for bit.
+            assert np.array_equal(seen[0].fixed_prior.values, init_uniform(6).r.values)
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
