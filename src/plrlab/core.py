@@ -4,13 +4,16 @@ Everything downstream (solvers, prior estimation, training) works on the
 four matrix/vector types defined here. All types are immutable after
 construction and carry their invariants: predictions and pseudo-labels are
 row-stochastic, candidate sets are binary with no empty row, class priors
-live on the clamped simplex.
+live on the clamped simplex. Copies and unpickled instances of these types,
+and of ``PartialDataset`` and ``ModelParams``, are rebuilt by the
+constructor, so they are checked too: copying a ``ModelParams`` that has
+gone non-finite raises, as the constructor does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -90,14 +93,21 @@ def _as_float_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _freeze(obj, **arrays) -> None:
-    for key, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, key, arr)
+class _Validated:
+    """Base of the validated array types: a copy or an unpickled instance is built by
+    the constructor from the dataclass init fields, so it is checked as the original was."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def _freeze(self, **arrays) -> None:
+        for key, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, key, arr)
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateMatrix:
+class CandidateMatrix(_Validated):
     """Binary indicator of which labels are plausible for each sample.
 
     Every row must hold at least one candidate: the constructor raises
@@ -116,7 +126,7 @@ class CandidateMatrix:
         nonempty = bits.any(axis=1)
         if not nonempty.all():
             raise EmptyCandidateRow(int(np.argmin(nonempty)))
-        _freeze(self, bits=bits)
+        self._freeze(bits=bits)
 
     @cached_property
     def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,7 +168,7 @@ def _check_row_stochastic(name: str, values: np.ndarray, sums: np.ndarray) -> No
 
 
 @dataclass(frozen=True, eq=False)
-class _RowStochastic:
+class _RowStochastic(_Validated):
     """A matrix with entries in [0, 1] and rows that sum to 1."""
 
     values: np.ndarray
@@ -168,17 +178,17 @@ class _RowStochastic:
         values = _as_float_matrix(self.values, name)
         # BLAS matvec: faster than sum(axis=1)
         _check_row_stochastic(name, values, values @ np.ones(values.shape[1]))
-        _freeze(self, values=values)
+        self._freeze(values=values)
 
     @classmethod
-    def _from_packed(cls, values: np.ndarray, flat: np.ndarray, rows: np.ndarray,
-                     shape: tuple[int, int]):
-        """``values`` at row-major ``flat`` indices (rows ``rows``), zero elsewhere;
-        checked before the scatter, since a zero entry can fail no check."""
-        _check_row_stochastic(cls.__name__, values,
-                              np.bincount(rows, weights=values, minlength=shape[0]))
+    def _from_packed(cls, values: np.ndarray, s: CandidateMatrix):
+        """``values`` at the packed entries of candidates ``s`` (:attr:`CandidateMatrix.packed`),
+        zero elsewhere; checked before the scatter, since a zero entry can fail no check."""
+        flat, rows, _ = s.packed
+        # Every row of ``s`` holds an entry, so the bincount has a sum per row.
+        _check_row_stochastic(cls.__name__, values, np.bincount(rows, weights=values))
         obj = object.__new__(cls)
-        _freeze(obj, values=_scatter(values, flat, shape))
+        obj._freeze(values=_scatter(values, flat, s.bits.shape))
         return obj
 
     @property
@@ -204,7 +214,7 @@ class PseudoLabelMatrix(_RowStochastic):
 
 
 @dataclass(frozen=True, eq=False)
-class ClassPrior:
+class ClassPrior(_Validated):
     """Strictly positive class marginal on the clamped simplex.
 
     Build instances through :func:`clamp_prior`; direct construction
@@ -222,7 +232,7 @@ class ClassPrior:
             raise ValueError("class prior entries must be at least 1e-8")
         if not abs(values.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValueError("class prior must be finite and sum to 1 within 1e-9")
-        _freeze(self, values=values)
+        self._freeze(values=values)
 
     @property
     def n_classes(self) -> int:

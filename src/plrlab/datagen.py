@@ -35,8 +35,8 @@ from .core import (
     FormatError,
     Rng,
     ShapeMismatch,
+    _Validated,
     _check_integers,
-    _freeze,
     body_lines,
     read_ascii,
     write_ascii,
@@ -89,7 +89,7 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PartialDataset:
+class PartialDataset(_Validated):
     """Feature matrix, hidden true labels, and candidate sets for one split.
 
     The constructor derives ``class_counts``, the true labels per class,
@@ -118,7 +118,7 @@ class PartialDataset:
             raise ValueError("every true label must be inside its candidate set")
         counts = np.bincount(labels, minlength=c)
         object.__setattr__(self, "group_boundaries", group_split(counts, c))
-        _freeze(self, features=feats, true_labels=labels, class_counts=counts)
+        self._freeze(features=feats, true_labels=labels, class_counts=counts)
 
     @property
     def n_samples(self) -> int:

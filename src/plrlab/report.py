@@ -15,13 +15,13 @@ precision so parsing recovers them exactly. '#' lines are comments.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CandidateMatrix,
     ClassPrior,
     FormatError,
     PlrHyperparams,
@@ -36,7 +36,7 @@ from .core import (
     row_normalize,
     write_ascii,
 )
-from .datagen import longtail_counts
+from .datagen import gen_candidates, longtail_counts
 from .sinkhorn import SinkhornConfig, solar_update
 from .solver import plr_update, proden_update
 
@@ -92,7 +92,8 @@ class BenchRecord:
 
 
 def group_accuracy(preds, truth, boundaries: tuple[int, int]) -> GroupAccuracy:
-    """Percent correct overall and per class group (grouping by true class)."""
+    """Percent correct overall and per class group (grouping by true class); a group
+    with no sample, as the many and few groups of 1 or 2 classes, reads NaN, not 0."""
     preds = np.asarray(preds, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if preds.shape != truth.shape or preds.ndim != 1:
@@ -102,7 +103,7 @@ def group_accuracy(preds, truth, boundaries: tuple[int, int]) -> GroupAccuracy:
     out = []
     for mask in (np.ones_like(truth, dtype=bool), truth < lo,
                  (truth >= lo) & (truth < hi), truth >= hi):
-        out.append(100.0 * correct[mask].mean() if mask.any() else 0.0)
+        out.append(100.0 * correct[mask].mean() if mask.any() else math.nan)
     return GroupAccuracy(*out)
 
 
@@ -127,10 +128,9 @@ def _bench_instance(batch_size: int, n_classes: int, rng: Rng):
     flip = min(0.5, 5.0 / max(n_classes - 1, 1))
     r = clamp_prior(longtail_counts(1000, 100.0, n_classes).astype(np.float64))
     labels = rng.generator.choice(n_classes, size=batch_size, p=r.values)
-    bits = (rng.uniform(size=(batch_size, n_classes)) < flip).astype(np.float64)
-    bits[np.arange(batch_size), labels] = 1.0
+    s = gen_candidates(labels, flip, None, rng, n_classes)
     f = PredictionMatrix(row_normalize(rng.uniform(0.05, 1.0, (batch_size, n_classes))))
-    return f, CandidateMatrix(bits), r
+    return f, s, r
 
 
 def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,

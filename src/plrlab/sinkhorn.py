@@ -95,9 +95,8 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
 
-    flat, rows, _ = s.packed
     weights, iterations, history, feasible = _solar_weights(f.values, *s.packed, r.values, cfg)
-    w = PseudoLabelMatrix._from_packed(weights, flat, rows, s.bits.shape)
+    w = PseudoLabelMatrix._from_packed(weights, s)
     row_err, col_err = marginal_errors(w, r)
     infeasible = tuple(int(j) for j in np.flatnonzero(~feasible))
     relaxed = bool(infeasible) or col_err > cfg.tol

@@ -91,9 +91,8 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
-    flat, rows, _ = s.packed
     return PseudoLabelMatrix._from_packed(
-        _plr_weights(f.values, *s.packed, r.values, h.lam, h.m), flat, rows, s.bits.shape)
+        _plr_weights(f.values, *s.packed, r.values, h.lam, h.m), s)
 
 
 # Natural logs of the smallest normal and the largest float64.
@@ -138,7 +137,7 @@ def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
     flat, rows, _ = s.packed
     fs = np.maximum(f.values.ravel()[flat], PROB_EPS)
     fs /= np.bincount(rows, weights=fs)[rows]
-    return PseudoLabelMatrix._from_packed(fs, flat, rows, s.bits.shape)
+    return PseudoLabelMatrix._from_packed(fs, s)
 
 
 def plr_objective(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,

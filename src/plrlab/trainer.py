@@ -37,6 +37,7 @@ from .core import (
     PseudoLabelMatrix,
     Rng,
     ShapeMismatch,
+    _Validated,
     _check_integers,
     _check_prior,
     _pack,
@@ -44,7 +45,7 @@ from .core import (
     clamp_prior,
 )
 from .datagen import PartialDataset
-from .prior import PriorEstimator, init_uniform, prior_error, update_prior
+from .prior import RULES, PriorEstimator, init_uniform, prior_error, update_prior
 from .report import EpochMetrics, group_accuracy
 from .selection import SelectionConfig, _select_rows, rho_at
 from .sinkhorn import SinkhornConfig, _solar_weights
@@ -63,7 +64,7 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class ModelParams:
+class ModelParams(_Validated):
     """MLP weights and biases, one pair per layer, as views into one vector."""
 
     weights: list[np.ndarray]
@@ -73,9 +74,12 @@ class ModelParams:
         arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
         if len(self.weights) != len(self.biases):
             raise ShapeMismatch("weights and biases must pair up")
-        for w, b in zip(arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :]):
+        for layer, (w, b) in enumerate(zip(arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :])):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeMismatch("layer weight/bias shapes disagree")
+            if layer and w.shape[0] != arrays[layer - 1].shape[1]:
+                raise ShapeMismatch(f"layer {layer} takes {w.shape[0]} inputs, but layer "
+                                    f"{layer - 1} gives {arrays[layer - 1].shape[1]}")
         # One owned vector, weights then biases; gradients and velocity share its layout.
         self.flat = np.concatenate([a.ravel() for a in arrays])
         if not np.isfinite(self.flat).all():
@@ -145,6 +149,8 @@ class TrainConfig:
             raise ValueError("mixup_alpha must be positive and finite")
         if not all(0 <= wt < math.inf for wt in self.loss_weights) or not any(self.loss_weights):
             raise ValueError("loss weights must be nonnegative and finite, and one positive")
+        if self.prior_rule not in RULES:
+            raise ValueError(f"prior_rule must be one of {RULES}: {self.prior_rule!r}")
         if not isinstance(self.solver, (PlrHyperparams, SinkhornConfig)):
             raise ValueError(f"solver must be a PlrHyperparams or SinkhornConfig: {self.solver!r}")
         if not isinstance(self.fixed_prior, (ClassPrior, type(None))):
@@ -356,9 +362,8 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         if cfg.fixed_prior is None:
             _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
             if est.rule == "hard-pseudo":
-                index, f = ds.candidates.packed, source.values
-                source = PseudoLabelMatrix._from_packed(
-                    _pseudo_labels(f, index, est.r.values, cfg.solver), *index[:2], f.shape)
+                source = PseudoLabelMatrix._from_packed(_pseudo_labels(
+                    source.values, ds.candidates.packed, est.r.values, cfg.solver), ds.candidates)
             est = update_prior(est, source)
 
         accs = (math.nan,) * 4

@@ -37,7 +37,7 @@ from plrlab.report import (
 )
 from plrlab.sinkhorn import SinkhornConfig, solar_update
 from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
-from plrlab.trainer import ModelParams, TrainConfig, forward, train
+from plrlab.trainer import TrainConfig, forward, train
 from plrlab.trainer import _backward, _forward_cached, _grad_logits_soft_ce
 
 from oracles import grid_min_objective, row_objective
@@ -234,8 +234,7 @@ def _longtail_run(m, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         params, metrics, est = train(train_ds, cfg, test_ds)
-    # Pickling would not keep the layers as views of one vector; the caller rebuilds it.
-    return (params.weights, params.biases), est, test_ds, metrics
+    return params, est, test_ds, metrics
 
 
 @pytest.fixture(scope="session")
@@ -255,9 +254,7 @@ def longtail_runs():
         with ProcessPoolExecutor(max_workers=2,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = {key: pool.submit(_longtail_run, *key) for key in keys}
-            results = {key: future.result() for key, future in futures.items()}
-    runs = {key: (ModelParams(*layers), est, test_ds, metrics)
-            for key, (layers, est, test_ds, metrics) in results.items()}
+            runs = {key: future.result() for key, future in futures.items()}
     runs["elapsed"] = time.perf_counter() - start
     return runs
 

@@ -1,4 +1,4 @@
-"""Construction invariants, validation errors, and seeded randomness."""
+"""Construction invariants, validation errors, copies, and seeded randomness."""
 
 import hashlib
 
@@ -21,6 +21,8 @@ from plrlab.core import (
     row_normalize,
     xlogx,
 )
+from plrlab.datagen import PartialDataset
+from plrlab.trainer import init_params
 
 
 class TestValidateCandidates:
@@ -56,25 +58,77 @@ class TestPackedIndex:
                 arr[0] = 1
 
     def test_packed_constructor_scatters_checked_values(self):
-        w = PseudoLabelMatrix._from_packed(np.array([0.25, 0.75, 1.0]), np.array([0, 2, 4]),
-                                           np.array([0, 0, 1]), (2, 3))
+        s = CandidateMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        w = PseudoLabelMatrix._from_packed(np.array([0.25, 0.75, 1.0]), s)
         np.testing.assert_array_equal(w.values, [[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
         assert not w.values.flags.writeable
 
-    @pytest.mark.parametrize("values, flat, rows, match", [
-        ([0.25, np.nan, 1.0], [0, 2, 4], [0, 0, 1], "finite"),
-        ([0.25, 0.75, 1.0 + 5e-10], [0, 2, 4], [0, 0, 1], r"\[0, 1\]"),
-        ([0.25, 0.75 + 2e-9, 1.0], [0, 2, 4], [0, 0, 1], "sum to 1"),
-        ([0.25, 0.75], [0, 2], [0, 0], "sum to 1"),  # row 1 holds no entry
+    # No input has an empty row: a CandidateMatrix cannot hold one.
+    @pytest.mark.parametrize("values, match", [
+        pytest.param([0.25, np.nan, 1.0], "finite", id="nan"),
+        pytest.param([0.25, 0.75, 1.0 + 5e-10], r"\[0, 1\]", id="above-one"),
+        pytest.param([0.25, 0.75 + 2e-9, 1.0], "sum to 1", id="row-sum"),
     ])
-    def test_packed_constructor_rejects_what_the_dense_one_does(self, values, flat, rows,
-                                                                match):
-        values, flat, rows = np.array(values), np.array(flat), np.array(rows)
+    def test_packed_constructor_rejects_what_the_dense_one_does(self, values, match):
+        s = CandidateMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        values = np.array(values)
         with pytest.raises(ValueError, match=match) as dense:
-            PseudoLabelMatrix(_scatter(values, flat, (2, 3)))
+            PseudoLabelMatrix(_scatter(values, s.packed[0], (2, 3)))
         with pytest.raises(ValueError, match=match) as packed:
-            PseudoLabelMatrix._from_packed(values, flat, rows, (2, 3))
+            PseudoLabelMatrix._from_packed(values, s)
         assert str(packed.value) == str(dense.value)
+
+
+def _one_of_each() -> dict:
+    s = CandidateMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    return {
+        "candidates": s,  # with its packed index, which the next entry builds
+        "pseudo-labels": PseudoLabelMatrix._from_packed(np.array([0.25, 0.75, 1.0]), s),
+        "predictions": PredictionMatrix(np.array([[0.5, 0.5, 0.0], [0.1, 0.2, 0.7]])),
+        "prior": clamp_prior(np.array([3.0, 1.0])),
+        "dataset": PartialDataset(np.ones((2, 4)), np.array([0, 1]), s),
+        "params": init_params(3, (4,), 2, Rng(0)),
+    }
+
+
+def _arrays(obj) -> dict:
+    """Every array an instance holds, by attribute name, through a nested CandidateMatrix."""
+    out = {}
+    for key, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            out[key] = value
+        elif isinstance(value, CandidateMatrix):
+            out.update({f"{key}.{k}": v for k, v in _arrays(value).items()})
+    return out
+
+
+class TestCopies:
+    """A copy or an unpickled instance is rebuilt through the constructor."""
+
+    @pytest.mark.parametrize("kind", list(_one_of_each()))
+    def test_copy_is_built_by_the_constructor(self, kind, duplicate):
+        obj = _one_of_each()[kind]
+        dup = duplicate(obj)
+        assert type(dup) is type(obj)
+        arrays = _arrays(obj)
+        assert arrays and _arrays(dup).keys() == arrays.keys()
+        for key, arr in _arrays(dup).items():
+            np.testing.assert_array_equal(arr, arrays[key])
+            # ModelParams alone is mutable: SGD steps move its vector in place.
+            assert arr.flags.writeable == (kind == "params"), key
+
+    def test_a_copied_candidate_matrix_packs_its_own_bits(self, duplicate):
+        s = _one_of_each()["candidates"]
+        dup = duplicate(s)
+        assert "packed" not in vars(dup)
+        for got, want in zip(dup.packed, s.packed, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_copying_non_finite_params_raises_as_the_constructor_does(self, duplicate):
+        params = _one_of_each()["params"]
+        params.flat[0] = np.nan
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            duplicate(params)
 
 
 class TestClampPrior:

@@ -53,6 +53,14 @@ class TestGroupAccuracy:
         acc = group_accuracy(preds, truth, (3, 6))
         assert acc.overall == pytest.approx((acc.many + acc.medium + acc.few) / 3.0)
 
+    def test_empty_groups_read_nan(self):
+        # Two classes fill the medium group only (datagen.group_split gives (0, 2)).
+        # The empty groups read 0.0, which looked like a tail that missed every sample.
+        truth = np.array([0, 0, 1])
+        acc = group_accuracy(truth, truth, (0, 2))
+        assert acc.overall == acc.medium == 100.0
+        assert np.isnan(acc.many) and np.isnan(acc.few)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             group_accuracy(np.zeros(3, dtype=int), np.zeros(4, dtype=int), (1, 2))

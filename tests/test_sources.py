@@ -30,6 +30,21 @@ def test_only_core_opens_files():
     assert {name for name, lines in opening.items() if lines} == {"core.py"}, opening
 
 
+_COPY_HOOKS = {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__copy__",
+               "__deepcopy__"}
+
+
+def test_only_core_defines_copy_semantics():
+    # Copy semantics have one home: core's base class rebuilds every copied
+    # or unpickled instance through its constructor. A hook elsewhere would
+    # be a second construction path that skips the checks.
+    hooks = {name: [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name in _COPY_HOOKS]
+             for name, tree in _trees().items()}
+    assert hooks["core"], "the scan found no copy hook in core.py"
+    assert {name for name, lines in hooks.items() if lines} == {"core"}, hooks
+
+
 def _nonzeros(tree: ast.Module) -> list[int]:
     """Line numbers of every ``<x>.nonzero(...)`` call, ``np.nonzero`` among them."""
     return [node.lineno for node in ast.walk(tree)

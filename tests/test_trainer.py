@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from plrlab.core import PlrHyperparams, Rng, ShapeMismatch, clamp_prior
-from plrlab.datagen import DatasetSpec, gen_dataset
+from plrlab.datagen import DatasetSpec, PartialDataset, gen_candidates, gen_dataset
 from plrlab.prior import RULES, init_uniform, prior_error
 from plrlab.selection import SelectionConfig
 from plrlab.sinkhorn import SinkhornConfig
@@ -79,6 +81,9 @@ class TestForward:
                      id="unpaired"),
         pytest.param([np.full((2, 3), np.inf)], [np.zeros(3)], ValueError,
                      "model parameters must be finite", id="non-finite"),
+        # Was accepted with dims (2, 3, 1); forward then failed in numpy's matmul.
+        pytest.param([np.ones((2, 3)), np.ones((4, 1))], [np.zeros(3), np.zeros(1)],
+                     ShapeMismatch, "layer 1 takes 4 inputs, but layer 0 gives 3", id="unchained"),
     ])
     def test_unpaired_or_non_finite_layers_rejected(self, weights, biases, error, match):
         with pytest.raises(error, match=match):
@@ -296,6 +301,18 @@ class TestSgdMomentum:
         assert first == pytest.approx(lr)
         assert second == pytest.approx(1.9 * lr)
 
+    def test_a_step_on_a_copy_moves_the_copy_alone(self, duplicate):
+        # A copy is rebuilt by the constructor, so its layers view its own vector.
+        params = init_params(3, (4,), 2, Rng(0))
+        dup = duplicate(params)
+        assert all(np.shares_memory(a, dup.flat) for a in dup.weights + dup.biases)
+        x = Rng(1).normal(size=(5, 3))
+        before = forward(params, x)[0]
+        np.testing.assert_array_equal(forward(dup, x)[0], before)
+        sgd_momentum_step(dup, np.ones_like(dup.flat), np.zeros_like(dup.flat), 0.1, 0.0)
+        assert not np.array_equal(forward(dup, x)[0], before)
+        np.testing.assert_array_equal(forward(params, x)[0], before)
+
     def test_zero_lr_freezes_params(self):
         params = ModelParams([np.array([[2.0]])], [np.array([1.0])])
         g = np.array([5.0, 5.0])
@@ -512,6 +529,10 @@ class TestTrain:
         pytest.param(dict(fixed_prior=np.full(4, 0.25)),
                      r"fixed_prior must be a ClassPrior or None: array\(",
                      id="fixed-prior-array"),
+        # Was accepted; only train() failed, in init_uniform.
+        pytest.param(dict(prior_rule="bogus"),
+                     r"prior_rule must be one of \('hard-pred', 'soft-pred', 'hard-pseudo'\): "
+                     "'bogus'", id="prior-rule-unknown"),
     ])
     def test_bad_setting_named_in_its_error(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -695,7 +716,11 @@ REFERENCE_RTOL = 1e-9
 ])
 def test_train_matches_the_reference_trainer(overrides):
     ds, test = _tiny_dataset()
-    cfg = _quick_cfg(hidden=(12, 8), loss_weights=(1.0, 0.7, 0.4), **overrides)
+    _assert_train_matches_reference(
+        ds, _quick_cfg(hidden=(12, 8), loss_weights=(1.0, 0.7, 0.4), **overrides), test)
+
+
+def _assert_train_matches_reference(ds, cfg, test):
     params, metrics, est = train(ds, cfg, test)
 
     # train()'s two stages, each from its own child stream.
@@ -721,6 +746,54 @@ def test_train_matches_the_reference_trainer(overrides):
     np.testing.assert_allclose([dataclasses.astuple(m) for m in metrics],
                                [dataclasses.astuple(m) for m in metrics_ref],
                                rtol=REFERENCE_RTOL)
+
+
+@st.composite
+def _fuzz_dataset(draw):
+    """A tiny PartialDataset: 2-5 classes, non-increasing counts, 5-40 rows, 2-4 features."""
+    c = draw(st.integers(2, 5))
+    counts = sorted(draw(st.lists(st.integers(0, 12), min_size=c, max_size=c)), reverse=True)
+    assume(5 <= sum(counts) <= 40)
+    rng = Rng(draw(st.integers(0, 2**16)))
+    labels = np.repeat(np.arange(c), counts)
+    d = draw(st.integers(2, 4))
+    features = 2.0 * rng.normal(size=(c, d))[labels] + rng.normal(size=(labels.size, d))
+    bits = gen_candidates(labels, draw(st.sampled_from([0.0, 0.3, 0.7])), None, rng, c)
+    return PartialDataset(features, labels, bits)
+
+
+@st.composite
+def _fuzz_config(draw, n_samples: int, c: int):
+    """A config for ``n_samples`` rows of ``c`` classes: every prior rule and prior source,
+    both solvers with plr's log-space branch (lam > 25.6), batch sizes that do not divide
+    N, zero loss weights, restricted losses and selection fractions at 0 and 1."""
+    solver = draw(st.sampled_from([PlrHyperparams(lam, m) for lam in (0.5, 3.0, 30.0)
+                                   for m in (0.0, 2.0)]
+                                  + [SinkhornConfig(max_iters=k) for k in range(1, 6)]))
+    rho = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=2)))
+    weights = draw(st.tuples(*[st.sampled_from([0.0, 0.6, 1.0])] * 3).filter(any))
+    drawn = clamp_prior(np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c))))
+    # None twice: only a prior that is not fixed is refreshed.
+    fixed_prior = draw(st.sampled_from([None, None, init_uniform(c).r, drawn]))
+    return TrainConfig(
+        epochs=draw(st.integers(1, 2)), pre_epochs=draw(st.integers(0, 1)),
+        batch_size=draw(st.integers(1, n_samples + 3)), lr0=draw(st.sampled_from([0.01, 0.2])),
+        hidden=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
+        solver=solver, selection=SelectionConfig(*rho, ramp_epochs=draw(st.integers(1, 2))),
+        prior_rule=draw(st.sampled_from(RULES)), fixed_prior=fixed_prior,
+        loss_weights=weights, restrict_all_losses=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_matches_the_reference_trainer_on_drawn_runs(data):
+    # Differential fuzz: the fixed cases above cover five configs. With a
+    # class group missing from the test split, it reads NaN on both sides.
+    ds = data.draw(_fuzz_dataset())
+    cfg = data.draw(_fuzz_config(ds.n_samples, ds.n_classes))
+    _assert_train_matches_reference(ds, cfg, data.draw(st.sampled_from([None, ds])))
 
 
 @pytest.mark.parametrize("config, name, value", [
