@@ -310,18 +310,12 @@ def _distinct_paths(*paths) -> None:
 
 def _cmd_gen(values: dict) -> int:
     _require(values, ["out"])
-    hierarchy = None
-    if values["superclass_size"]:
-        size, c = values["superclass_size"], values["classes"]
-        if c % size != 0:
-            raise ValueError("--classes must be divisible by --superclass-size")
-        hierarchy = tuple(tuple(range(g, g + size)) for g in range(0, c, size))
     spec = DatasetSpec(
         n_classes=values["classes"], head_count=values["head"],
         imbalance_ratio=values["gamma"], flip_prob=values["psi"],
         feature_dim=values["dim"], class_separation=values["sep"],
-        test_per_class=values["test_per_class"], hierarchy=hierarchy,
-        seed=values["seed"],
+        test_per_class=values["test_per_class"],
+        superclass_size=values["superclass_size"], seed=values["seed"],
     )
     test_out = values["test_out"] or _companion(values["out"], "_test")
     _distinct_paths(values["out"], test_out, values["config"])

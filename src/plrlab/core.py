@@ -302,6 +302,16 @@ def _check_integers(**settings) -> None:
             raise ValueError(f"{name} takes integers only, got {value!r}")
 
 
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """``values`` as a contiguous int64 array; ValueError names the first entry that
+    is a bool or not a whole number (0.7, NaN, inf), which a cast would truncate."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for i, v in enumerate(np.asarray(values, dtype=object).ravel()):
+            if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+                raise ValueError(f"{name} takes whole numbers only, got {v!r} at index {i}")
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
 def _check_prior(c: int, r: ClassPrior) -> None:
     """Raise ShapeMismatch unless the prior ``r`` covers ``c`` classes."""
     if r.n_classes != c:

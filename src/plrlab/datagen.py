@@ -5,7 +5,7 @@ head/imbalance_ratio; features are isotropic Gaussian clouds around class
 means drawn on a hypersphere whose radius sets the task difficulty.
 Candidate sets contain the true label plus each negative label flipped in
 independently with the ambiguity probability, optionally restricted to the
-true label's superclass.
+true label's superclass, a block of ``superclass_size`` contiguous classes.
 
 Datasets serialize to a line-oriented text format::
 
@@ -37,6 +37,7 @@ from .core import (
     ShapeMismatch,
     _Validated,
     _check_integers,
+    _whole_numbers,
     body_lines,
     read_ascii,
     write_ascii,
@@ -65,7 +66,7 @@ class DatasetSpec:
     feature_dim: int = 16
     class_separation: float = 4.0
     test_per_class: int = 50
-    hierarchy: tuple[tuple[int, ...], ...] | None = None
+    superclass_size: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -84,8 +85,7 @@ class DatasetSpec:
             raise ValueError("test_per_class must be positive")
         if not 0.0 <= self.class_separation < math.inf:
             raise ValueError("class_separation must be finite and nonnegative")
-        if self.hierarchy is not None:
-            _group_of(self.hierarchy, self.n_classes)
+        _superclass_of(self.superclass_size, self.n_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +105,7 @@ class PartialDataset(_Validated):
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.true_labels, dtype=np.int64)
+        labels = _whole_numbers("true_labels", self.true_labels)
         if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
             raise ShapeMismatch("features and labels disagree on the sample count")
         if feats.shape[0] != self.candidates.n_samples:
@@ -162,40 +162,32 @@ def _sample_split(means: np.ndarray, counts: np.ndarray, rng: Rng) -> tuple[np.n
     return feats, labels
 
 
-def _group_of(hierarchy, n_classes: int) -> np.ndarray:
-    """Each class's group index; ValueError names a class id that is not an integer,
-    lies outside range(n_classes), is named twice or is in no group."""
-    group_of = np.full(n_classes, -1, dtype=np.int64)
-    for g, group in enumerate(hierarchy):
-        for j in group:
-            _check_integers(**{"hierarchy class": j})
-            if not 0 <= j < n_classes:
-                raise ValueError(f"hierarchy names class {j}, outside range({n_classes})")
-            if group_of[j] >= 0:
-                raise ValueError(f"hierarchy names class {j} twice")
-            group_of[j] = g
-    if np.any(group_of < 0):
-        raise ValueError(f"hierarchy puts class {np.argmin(group_of)} in no group")
-    return group_of
+def _superclass_of(size: int, n_classes: int) -> np.ndarray | None:
+    """Each class's superclass, j // size, or None for size 0 (unrestricted);
+    ValueError unless the size is a nonnegative integer that divides n_classes."""
+    _check_integers(superclass_size=size)
+    if size < 0 or size and n_classes % size:
+        raise ValueError(f"superclass_size {size} is not 0 or a positive divisor of {n_classes}")
+    return np.arange(n_classes) // size if size else None
 
 
-def gen_candidates(true_labels, flip_prob: float, hierarchy, rng: Rng,
-                   n_classes: int) -> CandidateMatrix:
+def gen_candidates(true_labels, flip_prob: float, rng: Rng, n_classes: int,
+                   superclass_size: int = 0) -> CandidateMatrix:
     """Candidate sets: the true label plus independently flipped negatives.
 
-    With a hierarchy, labels outside the true label's superclass never
-    become candidates. Labels must lie in range(n_classes), and the
-    hierarchy must partition it.
+    Labels must be whole numbers in range(n_classes). A nonzero
+    superclass_size must divide n_classes; labels outside the true label's
+    block of that many contiguous classes then never become candidates.
     """
     if not 0.0 <= flip_prob < 1.0:
         raise ValueError("flip_prob must lie in [0, 1)")
-    labels = np.asarray(true_labels, dtype=np.int64)
+    block = _superclass_of(superclass_size, n_classes)
+    labels = _whole_numbers("true_labels", true_labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"true labels must lie in range({n_classes})")
     bits = (rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob).astype(np.float64)
-    if hierarchy is not None:
-        group_of = _group_of(hierarchy, n_classes)
-        bits *= group_of[labels][:, None] == group_of[None, :]
+    if block is not None:
+        bits *= block[labels][:, None] == block[None, :]
     bits[np.arange(labels.shape[0]), labels] = 1.0
     return CandidateMatrix(bits)
 
@@ -229,9 +221,9 @@ def gen_dataset(spec: DatasetSpec) -> tuple[PartialDataset, PartialDataset]:
     test_counts = np.full(spec.n_classes, spec.test_per_class, dtype=np.int64)
     test_x, test_y = _sample_split(means, test_counts, rng.child(2))
 
-    train_s = gen_candidates(train_y, spec.flip_prob, spec.hierarchy, rng.child(3),
-                             n_classes=spec.n_classes)
-    test_s = gen_candidates(test_y, 0.0, None, rng.child(4), n_classes=spec.n_classes)
+    train_s = gen_candidates(train_y, spec.flip_prob, rng.child(3), spec.n_classes,
+                             spec.superclass_size)
+    test_s = gen_candidates(test_y, 0.0, rng.child(4), spec.n_classes)
 
     train = PartialDataset(train_x, train_y, train_s)
     test = PartialDataset(test_x, test_y, test_s)

@@ -30,6 +30,7 @@ from .core import (
     ShapeMismatch,
     TooFewReps,
     _check_integers,
+    _whole_numbers,
     body_lines,
     clamp_prior,
     read_ascii,
@@ -55,7 +56,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    """Per-epoch observables recorded during stage-2 training."""
+    """Per-epoch observables recorded during stage-2 training; loss_cons and loss_mix
+    read NaN for an epoch that selects no row, as a group accuracy does for an empty group."""
 
     epoch: int
     lr: float
@@ -94,8 +96,7 @@ class BenchRecord:
 def group_accuracy(preds, truth, boundaries: tuple[int, int]) -> GroupAccuracy:
     """Percent correct overall and per class group (grouping by true class); a group
     with no sample, as the many and few groups of 1 or 2 classes, reads NaN, not 0."""
-    preds = np.asarray(preds, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    preds, truth = _whole_numbers("preds", preds), _whole_numbers("truth", truth)
     if preds.shape != truth.shape or preds.ndim != 1:
         raise ShapeMismatch(f"predictions {preds.shape} vs truth {truth.shape}")
     lo, hi = boundaries
@@ -128,7 +129,7 @@ def _bench_instance(batch_size: int, n_classes: int, rng: Rng):
     flip = min(0.5, 5.0 / max(n_classes - 1, 1))
     r = clamp_prior(longtail_counts(1000, 100.0, n_classes).astype(np.float64))
     labels = rng.generator.choice(n_classes, size=batch_size, p=r.values)
-    s = gen_candidates(labels, flip, None, rng, n_classes)
+    s = gen_candidates(labels, flip, rng, n_classes)
     f = PredictionMatrix(row_normalize(rng.uniform(0.05, 1.0, (batch_size, n_classes))))
     return f, s, r
 

@@ -72,8 +72,8 @@ class ModelParams(_Validated):
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
-        if len(self.weights) != len(self.biases):
-            raise ShapeMismatch("weights and biases must pair up")
+        if len(self.weights) != len(self.biases) or not self.weights:
+            raise ShapeMismatch("weights and biases must pair up, with at least one layer")
         for layer, (w, b) in enumerate(zip(arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :])):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeMismatch("layer weight/bias shapes disagree")
@@ -373,7 +373,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
         prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
-        means = [s / n if n else 0.0 for s, n in zip(*totals)]
+        means = [s / n if n else math.nan for s, n in zip(*totals)]
         metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_err))
     return est, metrics
 

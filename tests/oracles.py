@@ -345,6 +345,6 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             acc = group_accuracy(np.argmax(test_probs, axis=1), test.true_labels,
                                  test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
-        means = [np.concatenate(rows).mean() if rows else 0.0 for rows in epoch_losses]
+        means = [np.concatenate(rows).mean() if rows else math.nan for rows in epoch_losses]
         metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_error(est, truth)))
     return weights, biases, est, metrics

@@ -75,13 +75,16 @@ class TestGen:
 
     @pytest.mark.parametrize("flag, value", [("--sep", "nan"), ("--sep", "inf"),
                                              ("--gamma", "nan"), ("--gamma", "inf"),
-                                             ("--superclass-size", "3")])
+                                             ("--superclass-size", "3"),
+                                             ("--superclass-size", "-1")])
     def test_non_finite_spec_exits_one_and_writes_nothing(self, tmp_path, capsys, flag, value):
         # --sep nan used to exit 0 and write all-nan features.
         out = tmp_path / "bad.txt"
         assert main(["gen", "--classes", "4", "--head", "60", flag, value,
                      "-o", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert flag != "--superclass-size" or "superclass_size" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_ascii_output_path_is_echoed_escaped(self, tmp_path):

@@ -18,6 +18,7 @@ from plrlab.core import (
     ZeroRowSum,
     clamp_prior,
     _scatter,
+    _whole_numbers,
     row_normalize,
     xlogx,
 )
@@ -315,6 +316,17 @@ class TestRng:
     def test_numpy_integer_seed_keeps_its_stream(self):
         np.testing.assert_array_equal(Rng(np.int64(20240901)).uniform(size=8),
                                       Rng(20240901).uniform(size=8))
+
+
+@pytest.mark.parametrize("values, expected", [
+    pytest.param([2.0, 0.0], [2, 0], id="whole-floats"),
+    pytest.param(np.array([3, 1], dtype=np.uint8), [3, 1], id="unsigned"),
+    pytest.param(np.array([], dtype=np.float64), [], id="empty"),
+])
+def test_whole_numbers_keep_integers_whole_floats_and_empty_inputs(values, expected):
+    got = _whole_numbers("labels", values)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestXlogx:

@@ -20,6 +20,7 @@ from plrlab.datagen import (
     read_dataset,
     write_dataset,
 )
+from plrlab.report import group_accuracy
 
 
 class TestLongtailCounts:
@@ -100,78 +101,70 @@ class TestGenFeatures:
 class TestGenCandidates:
     def test_no_flips_gives_singletons(self):
         labels = np.array([2, 0, 1, 1])
-        s = gen_candidates(labels, 0.0, None, Rng(0), n_classes=3)
+        s = gen_candidates(labels, 0.0, Rng(0), n_classes=3)
         np.testing.assert_array_equal(s.bits.sum(axis=1), 1.0)
         assert np.all(s.bits[np.arange(4), labels] == 1.0)
 
     def test_mean_candidate_count_matches_binomial(self):
         labels = Rng(1).integers(0, 10, 10000)
-        s = gen_candidates(labels, 0.5, None, Rng(2), n_classes=10)
+        s = gen_candidates(labels, 0.5, Rng(2), n_classes=10)
         mean_size = s.bits.sum(axis=1).mean()
         assert mean_size == pytest.approx(1.0 + 0.5 * 9.0, abs=0.1)
 
     def test_flip_rate_within_three_sigma(self):
         psi = 0.3
         labels = Rng(3).integers(0, 8, 12000)
-        s = gen_candidates(labels, psi, None, Rng(4), n_classes=8)
+        s = gen_candidates(labels, psi, Rng(4), n_classes=8)
         negatives = 12000 * 7
         flips = s.bits.sum() - 12000
         rate = flips / negatives
         sigma = np.sqrt(psi * (1 - psi) / negatives)
         assert abs(rate - psi) <= 3 * sigma
 
-    def test_hierarchy_blocks_cross_group_flips(self):
-        hierarchy = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
+    def test_superclass_blocks_cross_block_flips(self):
         labels = Rng(5).integers(0, 10, 500)
-        s = gen_candidates(labels, 0.5, hierarchy, Rng(6), n_classes=10)
-        group_of = np.array([0] * 5 + [1] * 5)
+        s = gen_candidates(labels, 0.5, Rng(6), n_classes=10, superclass_size=5)
+        block = np.array([0] * 5 + [1] * 5)
         for i in range(500):
             cands = np.flatnonzero(s.bits[i])
-            assert np.all(group_of[cands] == group_of[labels[i]])
+            assert np.all(block[cands] == block[labels[i]])
+
+    def test_superclass_draw_is_the_free_draw_masked_to_the_blocks(self):
+        # Restricting masks the same uniform draw and draws nothing more, so
+        # the rest of a dataset is the same whatever the superclass size.
+        labels = Rng(9).integers(0, 6, 200)
+        free = gen_candidates(labels, 0.6, Rng(10), n_classes=6).bits
+        got = gen_candidates(labels, 0.6, Rng(10), n_classes=6, superclass_size=2).bits
+        np.testing.assert_array_equal(got, free * (labels[:, None] // 2 == np.arange(6) // 2))
+        assert np.all(got[np.arange(200), labels] == 1.0)
 
     def test_true_label_always_candidate(self):
         labels = Rng(7).integers(0, 6, 300)
-        s = gen_candidates(labels, 0.4, None, Rng(8), n_classes=6)
+        s = gen_candidates(labels, 0.4, Rng(8), n_classes=6)
         assert np.all(s.bits[np.arange(300), labels] == 1.0)
 
-    def test_partial_hierarchy_rejected(self):
-        labels = np.array([0, 1, 2])
-        with pytest.raises(ValueError):
-            gen_candidates(labels, 0.3, ((0, 1),), Rng(0), n_classes=3)
-
-    def test_hierarchy_beyond_class_count_rejected(self):
-        # Class 3 does not exist among three classes; it must not widen
-        # the matrix to four columns.
-        labels = np.array([0, 1, 2])
-        with pytest.raises(ValueError, match="class 3"):
-            gen_candidates(labels, 0.3, ((0, 1), (2, 3)), Rng(0), n_classes=3)
-        with pytest.raises(ValueError, match="class -1"):
-            gen_candidates(labels, 0.3, ((0, 1, -1), (2,)), Rng(0), n_classes=3)
-
-    @pytest.mark.parametrize("hierarchy, n_classes, match", [
-        pytest.param(((0, 1, 2), (2, 3)), 4, "class 2 twice", id="overlap"),
-        pytest.param(((0, True), (2, 1)), 3, "got True", id="bool"),
-        pytest.param(((0, 1.5), (2, 1)), 3, "got 1.5", id="float"),
+    @pytest.mark.parametrize("size, match", [
+        pytest.param(3, "superclass_size 3 is not 0 or a positive divisor of 4", id="indivisible"),
+        pytest.param(-1, "superclass_size -1 is not 0 or a positive divisor of 4", id="negative"),
+        pytest.param(True, "superclass_size takes integers only, got True", id="bool"),
+        pytest.param(1.5, "superclass_size takes integers only, got 1.5", id="float"),
     ])
-    def test_hierarchy_must_partition_the_classes(self, hierarchy, n_classes, match):
-        # Each was accepted or raised a bare IndexError. With class 2 in two
-        # groups only the second counted, so labels 0 and 1 never got class 2
-        # as a candidate; True stood for class 1.
-        labels = np.arange(n_classes)
+    def test_superclass_size_must_divide_the_classes(self, size, match):
+        # True would have stood for blocks of one class.
         with pytest.raises(ValueError, match=match):
-            gen_candidates(labels, 0.9, hierarchy, Rng(0), n_classes=n_classes)
+            gen_candidates(np.arange(4), 0.9, Rng(0), n_classes=4, superclass_size=size)
         with pytest.raises(ValueError, match=match):
-            DatasetSpec(n_classes=n_classes, head_count=40, hierarchy=hierarchy)
+            DatasetSpec(n_classes=4, head_count=40, superclass_size=size)
 
     @pytest.mark.parametrize("psi", [1.0, -0.1, float("nan")])
     def test_flip_prob_outside_the_unit_interval_rejected(self, psi):
         with pytest.raises(ValueError, match=r"flip_prob must lie in \[0, 1\)"):
-            gen_candidates(np.array([0, 1]), psi, None, Rng(0), n_classes=3)
+            gen_candidates(np.array([0, 1]), psi, Rng(0), n_classes=3)
 
     def test_label_outside_class_count_rejected(self):
         for labels in ([0, 3], [-1, 0]):
             with pytest.raises(ValueError, match="range"):
-                gen_candidates(np.array(labels), 0.3, None, Rng(0), n_classes=3)
+                gen_candidates(np.array(labels), 0.3, Rng(0), n_classes=3)
 
 
 class TestGroupSplit:
@@ -217,8 +210,6 @@ class TestGenDataset:
             DatasetSpec(n_classes=10, head_count=10, imbalance_ratio=100.0)
         with pytest.raises(ValueError):
             DatasetSpec(n_classes=2, head_count=10, flip_prob=1.0)
-        with pytest.raises(ValueError):
-            DatasetSpec(n_classes=3, head_count=5, hierarchy=((0, 1),))
 
 
     @pytest.mark.parametrize("field, value", [
@@ -384,6 +375,27 @@ def test_partial_dataset_rejects_truth_outside_candidates():
     cands = CandidateMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         PartialDataset(feats, labels, cands)
+
+
+_LABEL_TAKERS = {
+    "PartialDataset": lambda y: PartialDataset(np.zeros((2, 3)), y, CandidateMatrix(np.ones((2, 2)))),
+    "gen_candidates": lambda y: gen_candidates(y, 0.0, Rng(0), n_classes=2),
+    "group_accuracy": lambda y: group_accuracy(y, [0, 1], (0, 2)),
+}
+
+
+@pytest.mark.parametrize("taker", _LABEL_TAKERS)
+@pytest.mark.parametrize("labels, match", [
+    pytest.param([0.7, 1.9], "got 0.7 at index 0", id="fraction"),
+    pytest.param([0, np.nan], "got nan at index 1", id="nan"),
+    pytest.param(np.array([0.0, np.inf]), "got inf at index 1", id="inf"),
+    pytest.param([0, True], "got True at index 1", id="bool"),
+])
+def test_labels_take_whole_numbers_only(taker, labels, match):
+    # Each was cast to int64: [0.7, 1.9] became [0, 1], and group_accuracy
+    # read predictions 0.9 and 1.2 as 100 % correct.
+    with pytest.raises(ValueError, match=f"takes whole numbers only, {match}"):
+        _LABEL_TAKERS[taker](labels)
 
 
 # Features the %-template and f"{x:.17g}" must print alike: signed zeros,

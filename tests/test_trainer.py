@@ -84,6 +84,8 @@ class TestForward:
         # Was accepted with dims (2, 3, 1); forward then failed in numpy's matmul.
         pytest.param([np.ones((2, 3)), np.ones((4, 1))], [np.zeros(3), np.zeros(1)],
                      ShapeMismatch, "layer 1 takes 4 inputs, but layer 0 gives 3", id="unchained"),
+        # Raised numpy's bare "need at least one array to concatenate".
+        pytest.param([], [], ShapeMismatch, "at least one layer", id="no-layer"),
     ])
     def test_unpaired_or_non_finite_layers_rejected(self, weights, biases, error, match):
         with pytest.raises(error, match=match):
@@ -503,6 +505,20 @@ class TestTrain:
         _, metrics, _ = train(ds, _quick_cfg(restrict_all_losses=True), test)
         assert len(metrics) == 3
 
+    def test_epoch_that_selects_no_row_reads_nan_losses(self, tmp_path):
+        # Read 0, which a reader could not tell from a zero loss.
+        from plrlab.report import emit_metrics, read_metrics
+
+        ds, test = _tiny_dataset()
+        _, metrics, _ = train(ds, _quick_cfg(selection=SelectionConfig(0.0, 0.0, 1)), test)
+        for m in metrics:
+            assert np.isnan(m.loss_cons) and np.isnan(m.loss_mix)
+            assert np.isfinite(m.loss_cls)
+        emit_metrics(metrics, tmp_path / "m.txt")
+        np.testing.assert_array_equal(  # NaN equals NaN here
+            [dataclasses.astuple(m) for m in read_metrics(tmp_path / "m.txt")],
+            [dataclasses.astuple(m) for m in metrics])
+
     def test_empty_candidate_row_raises(self):
         # train() cannot be handed an empty row: the CandidateMatrix its
         # dataset holds rejects one when it is built.
@@ -758,7 +774,7 @@ def _fuzz_dataset(draw):
     labels = np.repeat(np.arange(c), counts)
     d = draw(st.integers(2, 4))
     features = 2.0 * rng.normal(size=(c, d))[labels] + rng.normal(size=(labels.size, d))
-    bits = gen_candidates(labels, draw(st.sampled_from([0.0, 0.3, 0.7])), None, rng, c)
+    bits = gen_candidates(labels, draw(st.sampled_from([0.0, 0.3, 0.7])), rng, c)
     return PartialDataset(features, labels, bits)
 
 
