@@ -25,6 +25,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .core import (
     PlrHyperparams,
     Rng,
     ShapeMismatch,
+    _check_prior,
     body_lines,
     read_ascii,
     write_ascii,
@@ -51,7 +53,9 @@ __all__ = ["main", "write_model", "read_model"]
 
 
 def write_model(params: ModelParams, prior: ClassPrior, path, comments=()) -> None:
-    """Serialize MLP weights and the estimated class prior."""
+    """Serialize MLP weights and the estimated class prior; a prior that does not cover
+    the model's output classes raises ShapeMismatch before the file is opened."""
+    _check_prior(params.dims[-1], prior)
     dims = ",".join(str(d) for d in params.dims)
     lines = [("prior", prior.values)]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -204,8 +208,6 @@ _TRAIN_OPTS = [
     _opt(["--w-mix"], "w_mix", float, _TRAIN.loss_weights[2], "mixup loss weight"),
     _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.fixed_prior is not None,
          "keep the prior uniform instead of estimating it", flag=True),
-    _opt(["--restrict-losses"], "restrict_losses", _bool, _TRAIN.restrict_all_losses,
-         "apply the classification loss only to selected samples", flag=True),
     _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
     _opt(["--metrics-out"], "metrics_out", str, None,
          "metrics file path (default: <data stem>_metrics.txt)"),
@@ -343,8 +345,6 @@ def _cmd_train(values: dict) -> int:
         test_path = candidate if os.path.exists(candidate) else None
     _distinct_paths(values["data"], test_path, metrics_out, model_out, values["config"])
 
-    ds = read_dataset(values["data"])
-    test_ds = read_dataset(test_path) if test_path else None
     cfg = TrainConfig(
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
         momentum=values["momentum"], hidden=tuple(values["hidden"]),
@@ -357,9 +357,12 @@ def _cmd_train(values: dict) -> int:
         strong_noise_sigma=values["strong_sigma"], strong_dropout_p=values["dropout"],
         mixup_alpha=values["mixup_alpha"],
         loss_weights=(values["w_cls"], values["w_cons"], values["w_mix"]),
-        restrict_all_losses=values["restrict_losses"], seed=values["seed"],
-        fixed_prior=init_uniform(ds.n_classes).r if values["freeze_prior"] else None,
+        seed=values["seed"],
     )
+    ds = read_dataset(values["data"])
+    test_ds = read_dataset(test_path) if test_path else None
+    if values["freeze_prior"]:
+        cfg = replace(cfg, fixed_prior=init_uniform(ds.n_classes).r)
     params, metrics, est = train(ds, cfg, test_ds)
     comments = _config_comments("train", values)
     emit_metrics(metrics, metrics_out, comments)

@@ -18,6 +18,7 @@ from .core import (
     EmptyBatch,
     PredictionMatrix,
     PseudoLabelMatrix,
+    _check_integers,
     _check_prior,
     clamp_prior,
 )
@@ -50,6 +51,7 @@ class PriorEstimator:
 
 def init_uniform(c: int, mu: float = 0.1, rule: str = "hard-pred") -> PriorEstimator:
     """Estimator starting from the uniform prior over c classes."""
+    _check_integers(c=c)
     if c < 1:
         raise ValueError("need at least one class")
     return PriorEstimator(ClassPrior(np.full(c, 1.0 / c)), mu, rule)

@@ -118,7 +118,6 @@ class TrainConfig:
     strong_dropout_p: float = 0.2
     mixup_alpha: float = 4.0
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    restrict_all_losses: bool = False
     fixed_prior: ClassPrior | None = None
     # Inert: nothing reads it. It stays only because the benchmark still
     # passes timing=False (benchmarks/workloads.py:58 and
@@ -273,21 +272,13 @@ def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.nd
             else _plr_weights(probs, *index, r, solver.lam, solver.m))
 
 
-def _row_scales(batch: int, cls_rows: np.ndarray, n_selected: int,
+def _row_scales(batch: int, n_selected: int,
                 loss_weights: tuple[float, float, float]) -> np.ndarray:
-    """Per-row weight of the stacked [weak; strong_sel; mix] rows in dlogits.
-
-    Each loss is its weight times the mean over its rows: ``cls_rows`` of
-    the weak block (rows outside it get weight zero), and the whole of the
-    two ``n_selected``-row blocks.
-    """
-    weight_cls, weight_cons, weight_mix = loss_weights
-    scale = np.zeros(batch + 2 * n_selected)
-    scale[cls_rows] = weight_cls / cls_rows.size
-    if n_selected:
-        scale[batch : batch + n_selected] = weight_cons / n_selected
-        scale[batch + n_selected :] = weight_mix / n_selected
-    return scale
+    """Per-row weight of the stacked [weak; strong_sel; mix] rows in dlogits: each
+    loss is its weight times the mean over its block, so each of a block's rows takes
+    the weight over the block's row count; ``max`` guards the empty selected blocks."""
+    sizes = (batch, n_selected, n_selected)
+    return np.repeat([weight / max(n, 1) for weight, n in zip(loss_weights, sizes)], sizes)
 
 
 def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
@@ -316,9 +307,8 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
     k = selected.size
-    cls_rows = selected if cfg.restrict_all_losses and k else np.arange(x.shape[0])
-    loss_cls = _mean_loss("classification", losses[cls_rows], epoch, batch)
-    sums, counts = [loss_cls * cls_rows.size, 0.0, 0.0], [cls_rows.size, 0, 0]
+    loss_cls = _mean_loss("classification", losses, epoch, batch)
+    sums, counts = [loss_cls * x.shape[0], 0.0, 0.0], [x.shape[0], 0, 0]
 
     targets = w
     if k:
@@ -334,7 +324,7 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
         probs = np.concatenate((probs, probs_sm))
         targets = np.concatenate((w, targets_sm))
 
-    scale = _row_scales(x.shape[0], cls_rows, k, cfg.loss_weights)
+    scale = _row_scales(x.shape[0], k, cfg.loss_weights)
     grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
     sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
     return sums, counts

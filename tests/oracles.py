@@ -277,8 +277,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
     Per batch: a weak and a strong view; pseudo-labels from the weak-view
     predictions by the public ``plr_update`` or ``solar_update``; per-class
     small-loss selection by :func:`select_reliable_loop`; then the
-    classification loss on the whole batch (on the selected rows under
-    ``restrict_all_losses``, when there are any), the consistency loss on the
+    classification loss on the whole batch, the consistency loss on the
     strong view of the selected rows, and the mixup loss on a Beta-weighted
     mix of the selected weak rows with a permuted copy. Each loss takes its
     own forward and backward pass; their weighted gradients sum into one
@@ -312,9 +311,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             w = _reference_pseudo_labels(probs, bits, est, cfg).values
             losses = -(w * np.log(np.maximum(probs, PROB_EPS))).sum(axis=1)
             selected = select_reliable_loop(w, losses, est.r.values, rho)
-            restrict = cfg.restrict_all_losses and selected.size
-            cls_rows = selected if restrict else np.arange(len(idx))
-            blocks = [(weak[cls_rows], w[cls_rows])]
+            blocks = [(weak, w)]
             if selected.size:
                 lam_mix = ep.beta(cfg.mixup_alpha, cfg.mixup_alpha)
                 partner = ep.permutation(selected.size)

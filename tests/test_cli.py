@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plrlab.cli import _config_comments, _parse_config_file, main, read_model, write_model
-from plrlab.core import ClassPrior, FormatError, PlrError, PlrHyperparams, Rng
+from plrlab.core import (
+    ClassPrior,
+    FormatError,
+    PlrError,
+    PlrHyperparams,
+    Rng,
+    ShapeMismatch,
+    clamp_prior,
+)
 from plrlab.datagen import read_dataset
 from plrlab.prior import init_uniform
 from plrlab.report import read_metrics
@@ -158,16 +166,21 @@ class TestTrain:
 
         monkeypatch.setattr("plrlab.cli.train", capture)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"freeze-prior = {text}\nrestrict_losses = {text}\n")
+        cfg.write_text(f"freeze-prior = {text}\n")
         assert main(["train", "-d", str(_gen(tmp_path)), "--config", str(cfg)]) == 1
-        assert (seen[0].fixed_prior is not None,
-                seen[0].restrict_all_losses) == (expected, expected)
+        assert (seen[0].fixed_prior is not None) == expected
         if expected:
             # --freeze-prior means the uniform prior over _gen's 6 classes, bit for bit.
             assert np.array_equal(seen[0].fixed_prior.values, init_uniform(6).r.values)
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
+
+    def test_bad_option_is_named_before_the_dataset_is_read(self, tmp_path, capsys):
+        # Used to name the missing file: the dataset was read before the config was built.
+        assert main(["train", "-d", str(tmp_path / "missing.txt"), "--prior-rule", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "prior_rule" in err and "missing.txt" not in err
 
     def test_test_split_with_other_classes_exits_one(self, tmp_path, capsys):
         # Used to exit 0 and report accuracies for the wrong groups.
@@ -411,7 +424,8 @@ class TestHelpAndUsage:
         assert "usage:" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self):
-        for args in (["gen", "--bogus", "1"], ["train", "-d", "ds.txt", "--timing", "off"]):
+        for args in (["gen", "--bogus", "1"], ["train", "-d", "ds.txt", "--timing", "off"],
+                     ["train", "-d", "ds.txt", "--restrict-losses"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -439,9 +453,10 @@ class TestHelpAndUsage:
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
         assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
-        cfg.write_text("timing = off\n")
-        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
-        assert "error: unknown config key 'timing'" in capsys.readouterr().err
+        for key, value in (("timing", "off"), ("restrict_losses", "on")):
+            cfg.write_text(f"{key} = {value}\n")
+            assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
+            assert f"error: unknown config key '{key}'" in capsys.readouterr().err
 
     def test_echoed_values_escape_all_but_printable_ascii(self):
         lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})
@@ -492,6 +507,13 @@ class TestModelFile:
         for a, b in zip(params.biases, back.biases):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(prior.values, back_prior.values)
+
+    def test_prior_not_fitting_the_model_is_not_written(self, tmp_path):
+        # Used to write a file that read_model rejects: "5 prior entries for 2 classes".
+        path = tmp_path / "model.txt"
+        with pytest.raises(ShapeMismatch, match="prior has 5 classes, expected 2"):
+            write_model(init_params(3, (4,), 2, Rng(0)), clamp_prior(np.ones(5)), path)
+        assert not path.exists()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "model.txt"

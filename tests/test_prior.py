@@ -33,6 +33,10 @@ class TestInitUniform:
     def test_validation(self):
         with pytest.raises(ValueError):
             init_uniform(0)
+        # Both used to raise numpy's bare TypeError from np.full.
+        for count in (True, 2.0):
+            with pytest.raises(ValueError, match="c takes integers only"):
+                init_uniform(count)
         with pytest.raises(ValueError):
             init_uniform(3, mu=1.5)
         with pytest.raises(ValueError):

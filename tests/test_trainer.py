@@ -27,7 +27,6 @@ from plrlab.trainer import (
     _forward_cached,
     _grad_logits_soft_ce,
     _mixup,
-    _row_scales,
     _soft_ce,
 )
 
@@ -231,26 +230,6 @@ class TestStackedBackward:
         acts = [np.concatenate(layer) for layer in zip(*stacked_acts)]
         grad = _backward(params, acts, np.concatenate(stacked_d))
         np.testing.assert_allclose(grad, sum(per_block), rtol=1e-12)
-
-    def test_restricted_row_weights_match_the_zeroed_gradient(self):
-        # restrict_all_losses puts the classification loss on the selected
-        # rows only; as a row weight it must reproduce the old formula, a
-        # zeroed gradient with the selected rows over k.
-        rng = Rng(82)
-        params = init_params(6, (9,), 4, rng.child(0))
-        batch, selected = 10, np.array([1, 4, 5, 8])
-        k = selected.size
-        acts, _, probs = _forward_cached(params, rng.normal(size=(batch, 6)))
-        w = _random_targets(rng, batch, 4)
-        weights = (0.8, 1.0, 1.0)
-
-        d_old = np.zeros_like(probs)
-        d_old[selected] = (probs[selected] - w[selected]) / k
-        grad_old = _backward(params, acts, weights[0] * d_old)
-
-        weak_block = _row_scales(batch, selected, k, weights)[:batch]
-        grad = _backward(params, acts, (probs - w) * weak_block[:, None])
-        np.testing.assert_allclose(grad, grad_old, rtol=1e-12)
 
 
 class TestSgdMomentum:
@@ -500,11 +479,6 @@ class TestTrain:
         _, reg, _ = train(ds, _quick_cfg(solver=PlrHyperparams(lam=1.0, m=2.0)), test)
         assert base != reg
 
-    def test_restrict_all_losses_flag_runs(self):
-        ds, test = _tiny_dataset()
-        _, metrics, _ = train(ds, _quick_cfg(restrict_all_losses=True), test)
-        assert len(metrics) == 3
-
     def test_epoch_that_selects_no_row_reads_nan_losses(self, tmp_path):
         # Read 0, which a reader could not tell from a zero loss.
         from plrlab.report import emit_metrics, read_metrics
@@ -724,7 +698,6 @@ REFERENCE_RTOL = 1e-9
     pytest.param(dict(), id="plr"),
     pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"),
                  id="sinkhorn-hard-pseudo"),
-    pytest.param(dict(restrict_all_losses=True), id="restrict-all-losses"),
     pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), id="nothing-selected"),
     # pre_epochs stays 1: a given prior skips the pre-stage and every refresh.
     pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))),
@@ -782,7 +755,7 @@ def _fuzz_dataset(draw):
 def _fuzz_config(draw, n_samples: int, c: int):
     """A config for ``n_samples`` rows of ``c`` classes: every prior rule and prior source,
     both solvers with plr's log-space branch (lam > 25.6), batch sizes that do not divide
-    N, zero loss weights, restricted losses and selection fractions at 0 and 1."""
+    N, zero loss weights and selection fractions at 0 and 1."""
     solver = draw(st.sampled_from([PlrHyperparams(lam, m) for lam in (0.5, 3.0, 30.0)
                                    for m in (0.0, 2.0)]
                                   + [SinkhornConfig(max_iters=k) for k in range(1, 6)]))
@@ -797,15 +770,14 @@ def _fuzz_config(draw, n_samples: int, c: int):
         hidden=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
         solver=solver, selection=SelectionConfig(*rho, ramp_epochs=draw(st.integers(1, 2))),
         prior_rule=draw(st.sampled_from(RULES)), fixed_prior=fixed_prior,
-        loss_weights=weights, restrict_all_losses=draw(st.booleans()),
-        seed=draw(st.integers(0, 2**16)))
+        loss_weights=weights, seed=draw(st.integers(0, 2**16)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(data=st.data())
 def test_train_matches_the_reference_trainer_on_drawn_runs(data):
-    # Differential fuzz: the fixed cases above cover five configs. With a
+    # Differential fuzz: the fixed cases above cover four configs. With a
     # class group missing from the test split, it reads NaN on both sides.
     ds = data.draw(_fuzz_dataset())
     cfg = data.draw(_fuzz_config(ds.n_samples, ds.n_classes))
