@@ -203,9 +203,6 @@ _TRAIN_OPTS = [
          "strong-view coordinate dropout probability"),
     _opt(["--mixup-alpha"], "mixup_alpha", float, _TRAIN.mixup_alpha,
          "Beta(alpha, alpha) mixup coefficient"),
-    _opt(["--w-cls"], "w_cls", float, _TRAIN.loss_weights[0], "classification loss weight"),
-    _opt(["--w-cons"], "w_cons", float, _TRAIN.loss_weights[1], "consistency loss weight"),
-    _opt(["--w-mix"], "w_mix", float, _TRAIN.loss_weights[2], "mixup loss weight"),
     _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.fixed_prior is not None,
          "keep the prior uniform instead of estimating it", flag=True),
     _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
@@ -356,7 +353,6 @@ def _cmd_train(values: dict) -> int:
         pre_epochs=values["pre_epochs"], weak_noise_sigma=values["weak_sigma"],
         strong_noise_sigma=values["strong_sigma"], strong_dropout_p=values["dropout"],
         mixup_alpha=values["mixup_alpha"],
-        loss_weights=(values["w_cls"], values["w_cons"], values["w_mix"]),
         seed=values["seed"],
     )
     ds = read_dataset(values["data"])
@@ -367,10 +363,9 @@ def _cmd_train(values: dict) -> int:
     comments = _config_comments("train", values)
     emit_metrics(metrics, metrics_out, comments)
     write_model(params, est.r, model_out, comments)
-    if metrics:
-        last = metrics[-1]
-        print(f"epoch {last.epoch}: loss_cls={last.loss_cls:.4f} "
-              f"acc_all={last.acc_all:.2f} acc_few={last.acc_few:.2f}")
+    last = metrics[-1]
+    print(f"epoch {last.epoch}: loss_cls={last.loss_cls:.4f} "
+          f"acc_all={last.acc_all:.2f} acc_few={last.acc_few:.2f}")
     print(f"wrote {metrics_out} and {model_out}")
     return 0
 

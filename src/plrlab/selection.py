@@ -65,13 +65,13 @@ def _select_rows(labels: np.ndarray, losses: np.ndarray, r: np.ndarray,
                  rho: float) -> np.ndarray:
     """The :func:`select_reliable` kernel on plain arrays.
 
-    ``labels`` holds each row's pseudo-label argmax. Rows are sorted by
-    (label, loss, index); a row is kept when its rank inside its label
-    group is below the group's cap. The rank is below the group size, so
-    comparing with the cap alone applies min(group size, cap).
+    ``labels`` holds each row's pseudo-label argmax. A stable sort by (label,
+    loss) keeps tied rows in index order; a row is kept when its rank inside
+    its label group is below the group's cap. The rank is below the group
+    size, so comparing with the cap alone applies min(group size, cap).
     """
     batch = labels.size
-    order = np.lexsort((np.arange(batch), losses, labels))
+    order = np.lexsort((losses, labels))
     grouped = labels[order]
     rank = np.arange(batch) - np.searchsorted(grouped, grouped)
     # Ceiling with a relative guard so exact-integer budgets computed in

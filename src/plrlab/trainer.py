@@ -7,8 +7,8 @@ consistency loss on strong-view predictions of the reliably selected
 samples, and a mixup loss on convex combinations of the selected samples.
 One SGD step, ``_step``, works on plain arrays. It runs two forward passes
 (the weak view, then the strong selected rows stacked with the mixed rows)
-and a single backward pass over all three row blocks, each loss's weight
-and mean folded into the gradient at the logits. The epoch loop around
+and a single backward pass over all three row blocks, each loss's mean
+folded into the gradient at the logits. The epoch loop around
 it, ``_run_stage``, slices the batches, sums the losses, re-estimates the
 prior from full-train-set weak-view predictions and records the metrics.
 Training runs in two stages: a short pre-estimation stage whose only
@@ -117,7 +117,6 @@ class TrainConfig:
     strong_noise_sigma: float = 0.2
     strong_dropout_p: float = 0.2
     mixup_alpha: float = 4.0
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     fixed_prior: ClassPrior | None = None
     # Inert: nothing reads it. It stays only because the benchmark still
     # passes timing=False (benchmarks/workloads.py:58 and
@@ -136,8 +135,8 @@ class TrainConfig:
         # Each test is negated, so NaN fails it too.
         if not 0 < self.lr0 < math.inf or not 0.0 <= self.momentum < 1.0:
             raise ValueError("need a finite lr0 > 0 and momentum in [0, 1)")
-        if len(self.mu_schedule) != 2 or len(self.loss_weights) != 3:
-            raise ValueError("mu_schedule needs 2 entries and loss_weights 3")
+        if len(self.mu_schedule) != 2:
+            raise ValueError("mu_schedule needs 2 entries")
         if not all(0.0 <= mu <= 1.0 for mu in self.mu_schedule):
             raise ValueError("mu_schedule entries must lie in [0, 1]")
         if not (0 <= self.weak_noise_sigma < math.inf and 0 <= self.strong_noise_sigma < math.inf):
@@ -146,8 +145,6 @@ class TrainConfig:
             raise ValueError("strong_dropout_p must lie in [0, 1]")
         if not 0 < self.mixup_alpha < math.inf:
             raise ValueError("mixup_alpha must be positive and finite")
-        if not all(0 <= wt < math.inf for wt in self.loss_weights) or not any(self.loss_weights):
-            raise ValueError("loss weights must be nonnegative and finite, and one positive")
         if self.prior_rule not in RULES:
             raise ValueError(f"prior_rule must be one of {RULES}: {self.prior_rule!r}")
         if not isinstance(self.solver, (PlrHyperparams, SinkhornConfig)):
@@ -160,6 +157,9 @@ def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
                 rng: Rng) -> ModelParams:
     """He-initialized weights and zero biases."""
     dims = (input_dim,) + tuple(hidden) + (n_classes,)
+    _check_integers(dims=dims)
+    if min(dims) < 1:
+        raise ValueError(f"layer widths must be at least 1, got {dims}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = math.sqrt(2.0 / fan_in)
@@ -272,13 +272,12 @@ def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.nd
             else _plr_weights(probs, *index, r, solver.lam, solver.m))
 
 
-def _row_scales(batch: int, n_selected: int,
-                loss_weights: tuple[float, float, float]) -> np.ndarray:
-    """Per-row weight of the stacked [weak; strong_sel; mix] rows in dlogits: each
-    loss is its weight times the mean over its block, so each of a block's rows takes
-    the weight over the block's row count; ``max`` guards the empty selected blocks."""
+def _row_scales(batch: int, n_selected: int) -> np.ndarray:
+    """Per-row scale of the stacked [weak; strong_sel; mix] rows in dlogits: each row's
+    gradient is scaled by one over its loss's row count, so the step is the sum of the
+    three mean-loss gradients; ``max`` guards the empty selected blocks."""
     sizes = (batch, n_selected, n_selected)
-    return np.repeat([weight / max(n, 1) for weight, n in zip(loss_weights, sizes)], sizes)
+    return np.repeat([1.0 / max(n, 1) for n in sizes], sizes)
 
 
 def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
@@ -313,9 +312,9 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
     targets = w
     if k:
         w_sel = w[selected]
-        x_mix, w_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, rng)
+        x_mix, targets_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, rng)
         acts_sm, _, probs_sm = _forward_cached(params, np.concatenate((strong[selected], x_mix)))
-        targets_sm = np.concatenate((w_sel, w_mix))
+        targets_sm = np.concatenate((w_sel, targets_mix))
         losses_sm = _soft_ce(probs_sm, targets_sm)
         loss_cons = _mean_loss("consistency", losses_sm[:k], epoch, batch)
         loss_mix = _mean_loss("mixup", losses_sm[k:], epoch, batch)
@@ -324,7 +323,7 @@ def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.nda
         probs = np.concatenate((probs, probs_sm))
         targets = np.concatenate((w, targets_sm))
 
-    scale = _row_scales(x.shape[0], k, cfg.loss_weights)
+    scale = _row_scales(x.shape[0], k)
     grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
     sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
     return sums, counts

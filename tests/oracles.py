@@ -280,7 +280,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
     classification loss on the whole batch, the consistency loss on the
     strong view of the selected rows, and the mixup loss on a Beta-weighted
     mix of the selected weak rows with a permuted copy. Each loss takes its
-    own forward and backward pass; their weighted gradients sum into one
+    own forward and backward pass; their gradients sum into one
     out-of-place momentum SGD step. After each epoch the prior is blended
     with its rule's statistic of full-train-set weak-view predictions. The
     schedules are the library's public ``cosine_lr`` and ``rho_at``.
@@ -320,10 +320,10 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
                            (lam_mix * x_sel + (1.0 - lam_mix) * x_sel[partner],
                             lam_mix * w_sel + (1.0 - lam_mix) * w_sel[partner])]
             grad = [np.zeros_like(a) for a in velocity]
-            for rows_out, weight, (xb, tb) in zip(epoch_losses, cfg.loss_weights, blocks):
+            for rows_out, (xb, tb) in zip(epoch_losses, blocks):
                 rows, block_grad = _soft_ce_loss(weights, biases, xb, tb)
                 rows_out.append(rows)
-                grad = [g + weight * gb for g, gb in zip(grad, block_grad)]
+                grad = [g + gb for g, gb in zip(grad, block_grad)]
             velocity = [cfg.momentum * v + g for v, g in zip(velocity, grad)]
             stepped = [a - lr * v for a, v in zip(weights + biases, velocity)]
             weights, biases = stepped[: len(weights)], stepped[len(weights) :]

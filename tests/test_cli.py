@@ -240,6 +240,16 @@ class TestTrain:
         assert main(["train", "-d", str(ds), "--hidden", "0"]) == 1
         assert "error: hidden layer widths must be at least 1" in capsys.readouterr().err
 
+    def test_zero_feature_dim_dataset_exits_one(self, tmp_path, capsys):
+        # read_dataset accepts d=0; training died with a ZeroDivisionError traceback.
+        ds = tmp_path / "ds.txt"
+        ds.write_text("plrlab-dataset v1 N=3 c=2 d=0\n0\t0\t0\n1\t0\t0,1\n2\t1\t1\n")
+        args = ["train", "-d", str(ds), "--epochs", "1", "--pre-epochs", "0", "--batch", "2"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "error: layer widths must be at least 1, got (0, 64, 64, 2)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("lineno", [1, 2, 3])
     def test_config_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
         cfg = tmp_path / "run.cfg"
@@ -425,7 +435,8 @@ class TestHelpAndUsage:
 
     def test_unknown_flag_exits_one(self):
         for args in (["gen", "--bogus", "1"], ["train", "-d", "ds.txt", "--timing", "off"],
-                     ["train", "-d", "ds.txt", "--restrict-losses"]):
+                     ["train", "-d", "ds.txt", "--restrict-losses"],
+                     ["train", "-d", "ds.txt", "--w-cons", "0"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -453,7 +464,7 @@ class TestHelpAndUsage:
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
         assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
-        for key, value in (("timing", "off"), ("restrict_losses", "on")):
+        for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0")):
             cfg.write_text(f"{key} = {value}\n")
             assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
             assert f"error: unknown config key '{key}'" in capsys.readouterr().err

@@ -230,3 +230,33 @@ def test_the_package_has_no_assert():
                 asserts.append(f"{module}:{node.lineno}")
     assert raises > 50, f"the scan found only {raises} raise statements"
     assert not asserts, asserts
+
+
+_CONFIGS = {"TrainConfig", "SelectionConfig", "SinkhornConfig", "PlrHyperparams", "DatasetSpec"}
+# TrainConfig.timing is inert; it stays while the benchmark passes it (ROADMAP item 8).
+_UNREAD_FIELDS = {("TrainConfig", "timing")}
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute, ``<x>.name``, under ``node``."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_config_field_is_read():
+    # No inert setting: the package reads each config field outside its own
+    # class body. cli.py does not count, because it reads every default to
+    # show it in the help text.
+    trees = _trees()
+    classes = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in _CONFIGS}
+    assert set(classes) == _CONFIGS, f"the scan found only {sorted(classes)}"
+    fields = {(name, stmt.target.id) for name, node in classes.items() for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    assert len(fields) > 30, f"the scan found only {len(fields)} fields"
+    assert _UNREAD_FIELDS <= fields, f"no longer a field: {sorted(_UNREAD_FIELDS - fields)}"
+    reads = sum((_attribute_reads(tree) for module, tree in trees.items() if module != "cli"),
+                Counter())
+    unread = sorted(f"{name}.{field}" for name, field in fields - _UNREAD_FIELDS
+                    if reads[field] <= _attribute_reads(classes[name])[field])
+    assert not unread, unread

@@ -90,6 +90,20 @@ class TestForward:
         with pytest.raises(error, match=match):
             ModelParams(weights, biases)
 
+    @pytest.mark.parametrize("input_dim, n_classes, match", [
+        # Died with a ZeroDivisionError in the He scale.
+        pytest.param(0, 2, "layer widths must be at least 1", id="zero-input-dim"),
+        # Built a model with no outputs.
+        pytest.param(2, 0, "layer widths must be at least 1", id="zero-classes"),
+        # Raised a bare TypeError from numpy.
+        pytest.param(2.5, 2, "dims takes integers only", id="float-input-dim"),
+        # Raised "math domain error".
+        pytest.param(-1, 2, "layer widths must be at least 1", id="negative-input-dim"),
+    ])
+    def test_init_params_rejects_bad_layer_widths(self, input_dim, n_classes, match):
+        with pytest.raises(ValueError, match=match):
+            init_params(input_dim, (3,), n_classes, Rng(0))
+
 
 def _mean_scale(n_rows):
     """The per-row weights of a mean over the batch, as the SGD step passes them."""
@@ -560,16 +574,11 @@ class TestTrain:
         pytest.param(dict(weak_noise_sigma=np.nan), id="weak-sigma-nan"),
         pytest.param(dict(strong_noise_sigma=np.inf), id="strong-sigma-inf"),
         pytest.param(dict(mixup_alpha=np.inf), id="mixup-alpha-inf"),
-        pytest.param(dict(loss_weights=(1.0, np.nan, 1.0)), id="loss-weight-nan"),
-        pytest.param(dict(loss_weights=(1.0, 1.0, np.inf)), id="loss-weight-inf"),
-        pytest.param(dict(loss_weights=(0.0, 0.0, 0.0)), id="loss-weights-zero"),
         pytest.param(dict(mu_schedule=(np.nan, 0.01)), id="mu1-nan"),
         pytest.param(dict(mu_schedule=(0.1, 1.5)), id="mu2-above-one"),
         pytest.param(dict(mu_schedule=(-0.1, 0.01)), id="mu1-negative"),
         pytest.param(dict(mu_schedule=(0.1,)), id="mu-schedule-one-entry"),
         pytest.param(dict(mu_schedule=(0.1, 0.2, 0.3)), id="mu-schedule-three-entries"),
-        pytest.param(dict(loss_weights=(1.0, 1.0)), id="loss-weights-two-entries"),
-        pytest.param(dict(loss_weights=(1.0, 1.0, 1.0, 1.0)), id="loss-weights-four-entries"),
         pytest.param(dict(epochs=2.5), id="epochs-float"),
         pytest.param(dict(pre_epochs=1.0), id="pre-epochs-float"),
         pytest.param(dict(batch_size=16.0), id="batch-size-float"),
@@ -577,13 +586,11 @@ class TestTrain:
     ])
     def test_non_finite_or_degenerate_settings_rejected(self, overrides):
         # Each used to be accepted: training then ended in a numeric
-        # failure, returned the initial parameters unchanged (all loss
-        # weights zero), or, for a bad mu2, failed only after the whole
+        # failure or, for a bad mu2, failed only after the whole
         # pre-estimation stage. A one-entry mu_schedule failed the same
-        # way with an IndexError, a third entry was ignored, and a
-        # loss_weights tuple of the wrong length failed to unpack at the
-        # first step. A float count failed in range() with a TypeError,
-        # epochs only after the whole pre-estimation stage.
+        # way with an IndexError, and a third entry was ignored. A float
+        # count failed in range() with a TypeError, epochs only after the
+        # whole pre-estimation stage.
         with pytest.raises(ValueError):
             _quick_cfg(**overrides)
 
@@ -705,8 +712,7 @@ REFERENCE_RTOL = 1e-9
 ])
 def test_train_matches_the_reference_trainer(overrides):
     ds, test = _tiny_dataset()
-    _assert_train_matches_reference(
-        ds, _quick_cfg(hidden=(12, 8), loss_weights=(1.0, 0.7, 0.4), **overrides), test)
+    _assert_train_matches_reference(ds, _quick_cfg(hidden=(12, 8), **overrides), test)
 
 
 def _assert_train_matches_reference(ds, cfg, test):
@@ -755,12 +761,11 @@ def _fuzz_dataset(draw):
 def _fuzz_config(draw, n_samples: int, c: int):
     """A config for ``n_samples`` rows of ``c`` classes: every prior rule and prior source,
     both solvers with plr's log-space branch (lam > 25.6), batch sizes that do not divide
-    N, zero loss weights and selection fractions at 0 and 1."""
+    N and selection fractions at 0 and 1."""
     solver = draw(st.sampled_from([PlrHyperparams(lam, m) for lam in (0.5, 3.0, 30.0)
                                    for m in (0.0, 2.0)]
                                   + [SinkhornConfig(max_iters=k) for k in range(1, 6)]))
     rho = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=2)))
-    weights = draw(st.tuples(*[st.sampled_from([0.0, 0.6, 1.0])] * 3).filter(any))
     drawn = clamp_prior(np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c))))
     # None twice: only a prior that is not fixed is refreshed.
     fixed_prior = draw(st.sampled_from([None, None, init_uniform(c).r, drawn]))
@@ -770,7 +775,7 @@ def _fuzz_config(draw, n_samples: int, c: int):
         hidden=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
         solver=solver, selection=SelectionConfig(*rho, ramp_epochs=draw(st.integers(1, 2))),
         prior_rule=draw(st.sampled_from(RULES)), fixed_prior=fixed_prior,
-        loss_weights=weights, seed=draw(st.integers(0, 2**16)))
+        seed=draw(st.integers(0, 2**16)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100,
