@@ -5,12 +5,14 @@ solved in closed form from the weak-view predictions and the current class
 prior, then used three ways: a classification loss on the whole batch, a
 consistency loss on strong-view predictions of the reliably selected
 samples, and a mixup loss on convex combinations of the selected samples.
-One SGD step, ``_step``, works on plain arrays. It runs two forward passes
-(the weak view, then the strong selected rows stacked with the mixed rows)
-and a single backward pass over all three row blocks, each loss's mean
-folded into the gradient at the logits. The epoch loop around
-it, ``_run_stage``, slices the batches, sums the losses, re-estimates the
-prior from full-train-set weak-view predictions and records the metrics.
+One SGD step, ``_step``, works on plain arrays. Its three row blocks (the weak
+view, the strong view of the selected rows, their mix) live in one buffer that
+each stage allocates once. Two forward passes fill it (the weak view, then the
+other two blocks) and a single backward pass covers all three, each loss's mean
+folded into the gradient at the logits. The epoch loop around it, ``_run_stage``,
+packs the batches once per epoch, sums the losses, re-estimates the prior from
+full-train-set weak-view predictions and records the metrics; that refresh and
+the test-split forward pass reuse the same buffer.
 Training runs in two stages: a short pre-estimation stage whose only
 output is a coarse prior, after which the model is re-initialized and
 trained for real with that prior carried over.
@@ -168,18 +170,35 @@ def init_params(input_dim: int, hidden: tuple[int, ...], n_classes: int,
     return ModelParams(weights, biases)
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Forward pass keeping post-ReLU activations for backprop."""
-    acts = [x]
-    out = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        out = np.maximum(out @ w + b, 0.0)
-        acts.append(out)
-    logits = out @ params.weights[-1] + params.biases[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    return acts, logits, probs
+def _buffers(params: ModelParams, rows: int) -> list[np.ndarray]:
+    """Row buffers for a forward pass: its input, each layer's outputs, the probabilities."""
+    return [np.empty((rows, d)) for d in (*params.dims, params.dims[-1])]
+
+
+def _forward_cached(params: ModelParams, acts: list[np.ndarray]) -> np.ndarray:
+    """Forward pass in place on same-length row blocks laid out as :func:`_buffers`:
+    from the input ``acts[0]``, each layer writes its post-ReLU activations (the last
+    its logits) into the next block, and the row softmax fills the last, returned."""
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        out = acts[layer + 1]
+        np.dot(acts[layer], w, out=out)
+        out += b
+        if layer + 1 < len(params.weights):
+            np.maximum(out, 0.0, out=out)
+    logits, probs = acts[-2:]
+    np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=probs)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    return probs
+
+
+def _predict(params: ModelParams, x: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
+    """Probabilities of feature rows ``x``, computed in the first rows of ``acts``; raises
+    NonFiniteLoss when they are not finite, as they are once training has diverged."""
+    probs = _forward_cached(params, [x] + [a[: x.shape[0]] for a in acts[1:]])
+    if not np.isfinite(probs).all():
+        raise NonFiniteLoss("forward pass gave non-finite predictions")
+    return probs
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionMatrix]:
@@ -191,34 +210,34 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionM
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} vs input dim {params.weights[0].shape[0]}")
-    _, logits, probs = _forward_cached(params, x)
-    if not np.all(np.isfinite(probs)):
-        raise NonFiniteLoss("forward pass gave non-finite predictions")
-    return logits, PredictionMatrix(probs)
+    acts = _buffers(params, x.shape[0])  # fresh, so the returned arrays own their memory
+    _predict(params, x, acts)
+    return acts[-2], PredictionMatrix(acts[-1])
 
 
-def _backward(params: ModelParams, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar loss, laid out like ``params.flat``, from its gradient at the logits."""
-    out = np.empty_like(params.flat)
-    gw, gb = params.split(out)
-    grad = dlogits
+def _backward(params: ModelParams, acts: list[np.ndarray], deltas: list[np.ndarray],
+              gw: list[np.ndarray], gb: list[np.ndarray]) -> None:
+    """Backpropagation in place, from ``deltas[-1]``, a scalar loss's gradient at the logits,
+    into ``gw`` and ``gb``, the :meth:`ModelParams.split` views of a gradient vector. ``acts``
+    holds each layer's input rows; ``deltas[:-1]`` receive the hidden layers' gradients."""
     for layer in range(len(gw) - 1, -1, -1):
-        np.matmul(acts[layer].T, grad, out=gw[layer])
-        grad.sum(axis=0, out=gb[layer])
+        grad = deltas[layer]
+        np.dot(acts[layer].T, grad, out=gw[layer])
+        np.add.reduce(grad, axis=0, out=gb[layer])
         if layer > 0:
-            grad = (grad @ params.weights[layer].T) * (acts[layer] > 0.0)
-    return out
+            np.dot(grad, params.weights[layer].T, out=deltas[layer - 1])
+            deltas[layer - 1] *= acts[layer] > 0.0
 
 
 def _soft_ce(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-sample cross entropy of predictions ``p`` against soft targets ``w``."""
-    return -(w * np.log(np.maximum(p, PROB_EPS))).sum(axis=1)
+    return np.add.reduce(-(w * np.log(np.maximum(p, PROB_EPS))), axis=1)
 
 
-def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale) -> np.ndarray:
-    """Gradient of sum_i scale_i * soft_ce_i at the logits; ``scale`` is a
-    scalar or a column of per-row weights."""
-    return (p - w) * scale
+def _grad_logits_soft_ce(p: np.ndarray, w: np.ndarray, scale, out: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i scale_i * soft_ce_i at the logits, written into and returned in
+    ``out``; ``scale`` is a scalar or a column of per-row weights."""
+    return np.multiply(np.subtract(p, w, out=out), scale, out=out)
 
 
 def sgd_momentum_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarray,
@@ -272,84 +291,92 @@ def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.nd
             else _plr_weights(probs, *index, r, solver.lam, solver.m))
 
 
-def _row_scales(batch: int, n_selected: int) -> np.ndarray:
-    """Per-row scale of the stacked [weak; strong_sel; mix] rows in dlogits: each row's
-    gradient is scaled by one over its loss's row count, so the step is the sum of the
-    three mean-loss gradients; ``max`` guards the empty selected blocks."""
-    sizes = (batch, n_selected, n_selected)
-    return np.repeat([1.0 / max(n, 1) for n in sizes], sizes)
-
-
 def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
-    value = float(losses.mean())
+    value = float(np.add.reduce(losses) / losses.size)
     if not math.isfinite(value):
         raise NonFiniteLoss(f"{name} loss is {value} at epoch {epoch}, batch {batch}")
     return value
 
 
-def _step(params: ModelParams, velocity: np.ndarray, x: np.ndarray, bits: np.ndarray,
+def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, index: tuple,
           est: PriorEstimator, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
-          epoch: int, batch: int) -> tuple[list[float], list[int]]:
-    """One SGD step on a batch, in place on ``params`` and ``velocity``.
-
-    Returns each loss's row-weighted sum and row count: (cls, cons, mix).
-    """
+          epoch: int, batch: int) -> tuple[list[float], int]:
+    """One SGD step on a batch with packed candidates ``index``, in place on ``params``,
+    ``velocity`` and the stage's buffers ``ws``; returns each loss's row-weighted sum
+    (cls, cons, mix) and the selected row count."""
+    acts, deltas, targets, grad, gw, gb = ws
+    n = x.shape[0]
     weak = augment(x, rng, "weak", cfg)
     strong = augment(x, rng, "strong", cfg)
-    acts, _, probs = _forward_cached(params, weak)
-    if not np.all(np.isfinite(probs)):
+    acts[0][:n] = weak
+    probs = _forward_cached(params, [a[:n] for a in acts])
+    if not np.isfinite(probs).all():
         raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
                             f"batch {batch}; try a smaller learning rate")
-    index = _pack(bits)
     w = _scatter(_pseudo_labels(probs, index, est.r.values, cfg.solver), index[0], probs.shape)
 
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
     k = selected.size
-    loss_cls = _mean_loss("classification", losses, epoch, batch)
-    sums, counts = [loss_cls * x.shape[0], 0.0, 0.0], [x.shape[0], 0, 0]
-
-    targets = w
+    m = n + 2 * k
+    sums = [_mean_loss("classification", losses, epoch, batch) * n, 0.0, 0.0]
+    _grad_logits_soft_ce(probs, w, 1.0 / n, deltas[-1][:n])
     if k:
-        w_sel = w[selected]
-        x_mix, targets_mix = _mixup(weak[selected], w_sel, cfg.mixup_alpha, rng)
-        acts_sm, _, probs_sm = _forward_cached(params, np.concatenate((strong[selected], x_mix)))
-        targets_sm = np.concatenate((w_sel, targets_mix))
-        losses_sm = _soft_ce(probs_sm, targets_sm)
-        loss_cons = _mean_loss("consistency", losses_sm[:k], epoch, batch)
-        loss_mix = _mean_loss("mixup", losses_sm[k:], epoch, batch)
-        sums[1:], counts[1:] = [loss_cons * k, loss_mix * k], [k, k]
-        acts = [np.concatenate(pair) for pair in zip(acts, acts_sm)]
-        probs = np.concatenate((probs, probs_sm))
-        targets = np.concatenate((w, targets_sm))
+        # Rows [n:n+k] take the strong view of the selected rows, [n+k:m] their mix.
+        t = targets[: 2 * k]
+        np.take(strong, selected, axis=0, out=acts[0][n : n + k])
+        np.take(w, selected, axis=0, out=t[:k])
+        acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], cfg.mixup_alpha, rng)
+        probs_sm = _forward_cached(params, [a[n:m] for a in acts])
+        losses_sm = _soft_ce(probs_sm, t)
+        sums[1] = _mean_loss("consistency", losses_sm[:k], epoch, batch) * k
+        sums[2] = _mean_loss("mixup", losses_sm[k:], epoch, batch) * k
+        _grad_logits_soft_ce(probs_sm, t, 1.0 / k, deltas[-1][n:m])
 
-    scale = _row_scales(x.shape[0], k)
-    grad = _backward(params, acts, _grad_logits_soft_ce(probs, targets, scale[:, None]))
+    _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], gw, gb)
     sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
-    return sums, counts
+    return sums, k
 
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                test: PartialDataset | None) -> tuple[PriorEstimator, list[EpochMetrics]]:
+    # Every pass of the stage runs in buffers allocated once: a step's rows [weak; strong
+    # selected; mixed] fill at most 3 batches, and the refresh and test forward passes
+    # reuse the activations.
+    b = min(cfg.batch_size, ds.n_samples)
+    acts = _buffers(params, max(3 * b, ds.n_samples, 0 if test is None else test.n_samples))
+    grad = np.empty_like(params.flat)
+    ws = (acts, [np.empty((3 * b, w.shape[1])) for w in params.weights],
+          np.empty((2 * b, ds.n_classes)), grad, *params.split(grad))
     velocity = np.zeros_like(params.flat)
+    truth = clamp_prior(ds.class_counts.astype(np.float64))
     metrics = []
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
         rho = rho_at(cfg.selection, epoch)
         order = ep_rng.permutation(ds.n_samples)
-        totals = np.zeros((2, 3))  # each loss's sum over rows, then its row count
-        for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            totals += _step(params, velocity, ds.features[idx], ds.candidates.bits[idx],
-                            est, cfg, ep_rng, lr, rho, epoch, batch)
+        # Gathered and packed once per epoch; a batch's packed entries are one range.
+        features = ds.features[order]
+        flat, rows, cols = _pack(ds.candidates.bits[order])
+        starts = range(0, ds.n_samples, cfg.batch_size)
+        ends = np.searchsorted(rows, [*starts, ds.n_samples]).tolist()
+        sums, kept = [0.0, 0.0, 0.0], 0
+        for batch, start in enumerate(starts):
+            lo, hi = ends[batch], ends[batch + 1]
+            index = (flat[lo:hi] - start * ds.n_classes, rows[lo:hi] - start, cols[lo:hi])
+            step_sums, k = _step(params, velocity, ws, features[start : start + cfg.batch_size],
+                                 index, est, cfg, ep_rng, lr, rho, epoch, batch)
+            sums = [s + t for s, t in zip(sums, step_sums)]
+            kept += k
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
         # under a fixed prior leaves every later epoch unchanged.
         if cfg.fixed_prior is None:
-            _, source = forward(params, augment(ds.features, ep_rng, "weak", cfg))
+            weak = augment(ds.features, ep_rng, "weak", cfg)
+            source = PredictionMatrix(_predict(params, weak, acts))
             if est.rule == "hard-pseudo":
                 source = PseudoLabelMatrix._from_packed(_pseudo_labels(
                     source.values, ds.candidates.packed, est.r.values, cfg.solver), ds.candidates)
@@ -357,13 +384,11 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
 
         accs = (math.nan,) * 4
         if test is not None:
-            _, test_probs = forward(params, test.features)
-            preds = np.argmax(test_probs.values, axis=1)
+            preds = np.argmax(_predict(params, test.features, acts), axis=1)
             acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
-        prior_err = prior_error(est, clamp_prior(ds.class_counts.astype(np.float64)))
-        means = [s / n if n else math.nan for s, n in zip(*totals)]
-        metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_err))
+        means = [s / n if n else math.nan for s, n in zip(sums, (ds.n_samples, kept, kept))]
+        metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_error(est, truth)))
     return est, metrics
 
 

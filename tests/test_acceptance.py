@@ -38,7 +38,7 @@ from plrlab.report import (
 from plrlab.sinkhorn import SinkhornConfig, solar_update
 from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
 from plrlab.trainer import TrainConfig, forward, train
-from plrlab.trainer import _backward, _forward_cached, _grad_logits_soft_ce
+from plrlab.trainer import _backward, _buffers, _forward_cached, _grad_logits_soft_ce
 
 from oracles import grid_min_objective, row_objective
 
@@ -127,10 +127,15 @@ def test_criterion_4_full_mlp_gradient_check():
     wvals = rng.uniform(0.05, 1.0, (4, 3))
     wvals /= wvals.sum(axis=1, keepdims=True)
 
-    acts, _, probs = _forward_cached(params, x)
+    acts = _buffers(params, x.shape[0])
+    acts[0] = x
+    probs = _forward_cached(params, acts)
     # The per-row weights of a mean over the batch, as the SGD step passes them.
     row_scale = np.full((x.shape[0], 1), 1.0 / x.shape[0])
-    gw, gb = params.split(_backward(params, acts, _grad_logits_soft_ce(probs, wvals, row_scale)))
+    deltas = [np.empty_like(a) for a in acts[1:-1]]
+    _grad_logits_soft_ce(probs, wvals, row_scale, deltas[-1])
+    gw, gb = params.split(np.empty_like(params.flat))
+    _backward(params, acts, deltas, gw, gb)
 
     def loss_with(weights, biases):
         out = x

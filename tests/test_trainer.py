@@ -24,6 +24,7 @@ from plrlab.trainer import (
 )
 from plrlab.trainer import (
     _backward,
+    _buffers,
     _forward_cached,
     _grad_logits_soft_ce,
     _mixup,
@@ -61,6 +62,13 @@ class TestForward:
         x = Rng(2).normal(size=(11, 6))
         _, probs = forward(params, x)
         np.testing.assert_allclose(probs.values.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_outputs_own_their_memory(self):
+        # The kernel writes into row buffers; forward() hands back whole fresh ones,
+        # never a view that a later pass could overwrite.
+        params = init_params(6, (9, 7), 4, Rng(1))
+        logits, probs = forward(params, Rng(2).normal(size=(11, 6)))
+        assert logits.flags.owndata and probs.values.flags.owndata
 
     def test_shape_mismatch(self):
         params = init_params(6, (9,), 4, Rng(1))
@@ -110,6 +118,26 @@ def _mean_scale(n_rows):
     return np.full((n_rows, 1), 1.0 / n_rows)
 
 
+def _fresh_forward(params, x):
+    """The in-place forward kernel on fresh buffers: (each layer's rows, probabilities)."""
+    acts = _buffers(params, x.shape[0])
+    acts[0] = x
+    return acts, _forward_cached(params, acts)
+
+
+def _fresh_backward(params, acts, dlogits):
+    """The in-place backward kernel on fresh buffers: the gradient vector, like ``flat``."""
+    grad = np.empty_like(params.flat)
+    _backward(params, acts, [np.empty_like(a) for a in acts[1:-2]] + [dlogits],
+              *params.split(grad))
+    return grad
+
+
+def _fresh_grad_logits(p, w, scale):
+    """The in-place logits gradient into a fresh array."""
+    return _grad_logits_soft_ce(p, w, scale, np.empty_like(p))
+
+
 class TestSoftCe:
     def test_matching_one_hot_is_zero(self):
         probs = np.array([[1.0, 0.0]])
@@ -131,14 +159,14 @@ class TestGradLogits:
     def test_zero_at_match(self):
         probs = np.array([[0.3, 0.7]])
         w = np.array([[0.3, 0.7]])
-        np.testing.assert_allclose(_grad_logits_soft_ce(probs, w, _mean_scale(1)), 0.0,
+        np.testing.assert_allclose(_fresh_grad_logits(probs, w, _mean_scale(1)), 0.0,
                                    atol=1e-15)
 
     def test_rows_sum_to_zero_for_one_hot_targets(self):
         probs = np.array([[0.2, 0.5, 0.3]])
         w = np.array([[0.0, 1.0, 0.0]])
         np.testing.assert_allclose(
-            _grad_logits_soft_ce(probs, w, _mean_scale(1)).sum(axis=1), 0.0, atol=1e-15)
+            _fresh_grad_logits(probs, w, _mean_scale(1)).sum(axis=1), 0.0, atol=1e-15)
 
     def test_matches_finite_differences_at_logit_level(self):
         rng = Rng(33)
@@ -155,7 +183,7 @@ class TestGradLogits:
         shifted = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
-        analytic = _grad_logits_soft_ce(p, wvals, _mean_scale(4))
+        analytic = _fresh_grad_logits(p, wvals, _mean_scale(4))
 
         h = 1e-6
         for i in range(4):
@@ -176,12 +204,12 @@ def test_full_network_gradient_matches_central_differences():
     wvals = rng.uniform(0.05, 1.0, (4, 3))
     wvals /= wvals.sum(axis=1, keepdims=True)
 
-    acts, _, probs = _forward_cached(params, x)
+    acts, probs = _fresh_forward(params, x)
     gw, gb = params.split(
-        _backward(params, acts, _grad_logits_soft_ce(probs, wvals, _mean_scale(4))))
+        _fresh_backward(params, acts, _fresh_grad_logits(probs, wvals, _mean_scale(4))))
 
     def loss_with(params_mod):
-        _, _, p = _forward_cached(params_mod, x)
+        _, p = _fresh_forward(params_mod, x)
         return float(-(wvals * np.log(np.maximum(p, 1e-300))).sum(axis=1).mean())
 
     h = 1e-5
@@ -210,8 +238,8 @@ def test_parameters_are_views_of_one_vector():
     assert params.flat[1 * 8 + 2] == 42.0
     dims = params.dims
     assert params.flat.size == sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
-    acts, _, probs = _forward_cached(params, np.ones((4, 5)))
-    gw, gb = params.split(_backward(params, acts, probs))
+    acts, probs = _fresh_forward(params, np.ones((4, 5)))
+    gw, gb = params.split(_fresh_backward(params, acts, probs))
     assert [g.shape for g in gw] == [(5, 8), (8, 6), (6, 3)]
     assert [g.shape for g in gb] == [(8,), (6,), (3,)]
 
@@ -236,14 +264,62 @@ class TestStackedBackward:
         scales = (0.7 / 12, 1.3 / 5, 0.4 / 5)
         per_block, stacked_acts, stacked_d = [], [], []
         for x, scale in zip(blocks, scales):
-            acts, _, probs = _forward_cached(params, x)
+            acts, probs = _fresh_forward(params, x)
             d = (probs - _random_targets(rng, x.shape[0], 4)) * scale
-            per_block.append(_backward(params, acts, d))
+            per_block.append(_fresh_backward(params, acts, d))
             stacked_acts.append(acts)
             stacked_d.append(d)
         acts = [np.concatenate(layer) for layer in zip(*stacked_acts)]
-        grad = _backward(params, acts, np.concatenate(stacked_d))
+        grad = _fresh_backward(params, acts, np.concatenate(stacked_d))
         np.testing.assert_allclose(grad, sum(per_block), rtol=1e-12)
+
+
+class TestInPlaceKernels:
+    # A stage allocates its buffers once and every pass writes into row slices of
+    # them; BLAS and the ufuncs must give there the bits they give on fresh arrays.
+    # The sizes are the acceptance run's: 16 features, hidden (64, 64), 10 classes.
+
+    @pytest.mark.parametrize("lo", [0, 7])
+    def test_forward_on_buffer_rows_equals_the_forward_on_a_fresh_copy(self, lo):
+        rng = Rng(83)
+        params = init_params(16, (64, 64), 10, rng.child(0))
+        acts = _buffers(params, 192)
+        for a in acts:
+            a[:] = -7.0
+        acts[0][:] = rng.normal(size=(192, 16))
+        hi = lo + 64
+        probs = _forward_cached(params, [a[lo:hi] for a in acts])
+        fresh, fresh_probs = _fresh_forward(params, acts[0][lo:hi].copy())
+        np.testing.assert_array_equal(probs, fresh_probs)
+        for got, want in zip(acts, fresh, strict=True):
+            np.testing.assert_array_equal(got[lo:hi], want)
+        for a in acts[1:]:  # the rows outside [lo:hi] are left alone
+            assert (a[:lo] == -7.0).all() and (a[hi:] == -7.0).all()
+
+    def test_backward_on_buffer_views_equals_the_backward_on_concatenated_blocks(self):
+        # The step's layout: weak rows [:n], strong selected [n:n+k], mixed [n+k:m],
+        # each block's gradient at the logits scaled by one over its row count. The
+        # reference stacks fresh arrays with np.concatenate and scales by a column.
+        rng = Rng(84)
+        params = init_params(16, (64, 64), 10, rng.child(0))
+        n, k = 64, 21
+        m = n + 2 * k
+        weak, picked = rng.normal(size=(n, 16)), rng.normal(size=(2 * k, 16))
+        targets = _random_targets(rng, m, 10)
+        acts = _buffers(params, 3 * n)
+        deltas = [np.empty((3 * n, w.shape[1])) for w in params.weights]
+        acts[0][:n], acts[0][n:m] = weak, picked
+        for lo, hi, scale in ((0, n, 1.0 / n), (n, m, 1.0 / k)):
+            probs = _forward_cached(params, [a[lo:hi] for a in acts])
+            _grad_logits_soft_ce(probs, targets[lo:hi], scale, deltas[-1][lo:hi])
+        grad = np.empty_like(params.flat)
+        _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], *params.split(grad))
+
+        blocks = [_fresh_forward(params, x) for x in (weak, picked)]
+        stacked = [np.concatenate(layer) for layer in zip(*(a for a, _ in blocks))]
+        scale = np.repeat([1.0 / n, 1.0 / k, 1.0 / k], [n, k, k])[:, None]
+        dlogits = _fresh_grad_logits(stacked[-1], targets, scale)
+        np.testing.assert_array_equal(grad, _fresh_backward(params, stacked, dlogits))
 
 
 class TestSgdMomentum:
@@ -407,10 +483,10 @@ class TestMixup:
             np.testing.assert_allclose(w2.sum(axis=1), 1.0, atol=1e-12)
 
 
-def _tiny_dataset(seed=0, separation=6.0, flip=0.4):
+def _tiny_dataset(seed=0, separation=6.0, flip=0.4, test_per_class=20):
     spec = DatasetSpec(n_classes=4, head_count=40, imbalance_ratio=4.0,
                        flip_prob=flip, feature_dim=6, class_separation=separation,
-                       test_per_class=20, seed=seed)
+                       test_per_class=test_per_class, seed=seed)
     return gen_dataset(spec)
 
 
@@ -424,6 +500,17 @@ class TestTrain:
         for a, b in zip(params1.weights, params2.weights):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(est1.r.values, est2.r.values)
+
+    def test_batch_beyond_the_training_set_equals_one_full_batch(self):
+        # The stage's buffers are sized by the batch it can run, min(batch_size, N):
+        # sized by 3 * batch_size, this run asked numpy for 134 GiB.
+        ds, test = _tiny_dataset()
+        (params1, metrics1, est1), (params2, metrics2, est2) = (
+            train(ds, _quick_cfg(batch_size=size), test) for size in (10**9, ds.n_samples))
+        np.testing.assert_array_equal(params1.flat, params2.flat)
+        np.testing.assert_array_equal(est1.r.values, est2.r.values)
+        np.testing.assert_array_equal([dataclasses.astuple(m) for m in metrics1],
+                                      [dataclasses.astuple(m) for m in metrics2])
 
     def test_different_seeds_differ(self):
         ds, test = _tiny_dataset()
@@ -701,17 +788,20 @@ def test_train_metrics_are_dataclass_rows():
 REFERENCE_RTOL = 1e-9
 
 
-@pytest.mark.parametrize("overrides", [
-    pytest.param(dict(), id="plr"),
-    pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"),
+@pytest.mark.parametrize("overrides, test_per_class", [
+    pytest.param(dict(), 20, id="plr"),
+    pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"), 20,
                  id="sinkhorn-hard-pseudo"),
-    pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), id="nothing-selected"),
+    pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), 20, id="nothing-selected"),
     # pre_epochs stays 1: a given prior skips the pre-stage and every refresh.
-    pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))),
+    pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))), 20,
                  id="fixed-prior"),
+    # 160 test rows, more than the 91 training rows and the step's 3 * 16: the
+    # stage's buffers must hold the test split's forward pass too.
+    pytest.param(dict(batch_size=16), 40, id="test-split-largest"),
 ])
-def test_train_matches_the_reference_trainer(overrides):
-    ds, test = _tiny_dataset()
+def test_train_matches_the_reference_trainer(overrides, test_per_class):
+    ds, test = _tiny_dataset(test_per_class=test_per_class)
     _assert_train_matches_reference(ds, _quick_cfg(hidden=(12, 8), **overrides), test)
 
 
