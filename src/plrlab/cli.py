@@ -199,10 +199,6 @@ _TRAIN_OPTS = [
     _opt(["--weak-sigma"], "weak_sigma", float, _TRAIN.weak_noise_sigma, "weak-view noise sigma"),
     _opt(["--strong-sigma"], "strong_sigma", float, _TRAIN.strong_noise_sigma,
          "strong-view noise sigma"),
-    _opt(["--dropout"], "dropout", float, _TRAIN.strong_dropout_p,
-         "strong-view coordinate dropout probability"),
-    _opt(["--mixup-alpha"], "mixup_alpha", float, _TRAIN.mixup_alpha,
-         "Beta(alpha, alpha) mixup coefficient"),
     _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.fixed_prior is not None,
          "keep the prior uniform instead of estimating it", flag=True),
     _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
@@ -351,9 +347,7 @@ def _cmd_train(values: dict) -> int:
                                   values["ramp_epochs"]),
         prior_rule=values["prior_rule"], mu_schedule=(values["mu1"], values["mu2"]),
         pre_epochs=values["pre_epochs"], weak_noise_sigma=values["weak_sigma"],
-        strong_noise_sigma=values["strong_sigma"], strong_dropout_p=values["dropout"],
-        mixup_alpha=values["mixup_alpha"],
-        seed=values["seed"],
+        strong_noise_sigma=values["strong_sigma"], seed=values["seed"],
     )
     ds = read_dataset(values["data"])
     test_ds = read_dataset(test_path) if test_path else None

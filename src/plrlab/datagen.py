@@ -251,7 +251,7 @@ def write_dataset(ds: PartialDataset, path, comments=()) -> None:
                  for i in range(n)))
 
 
-_HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=(\d+)$")
+_HEADER_RE = re.compile(r"^plrlab-dataset v1 N=(\d+) c=(\d+) d=([1-9]\d*)$")
 
 
 def read_dataset(path) -> PartialDataset:

@@ -191,15 +191,12 @@ def read_metrics(path) -> list[EpochMetrics]:
         raise FormatError(1, f"bad metrics header; expected {_METRICS_HEADER!r}")
     out = []
     for lineno, line in body_lines(lines):
-        fields = {}
-        for token in line.split(" "):
-            key, _, val = token.partition("=")
-            fields[key] = val
-        if tuple(fields) != _METRIC_FIELDS:
+        # The keys as written, so a repeated key fails the order check too.
+        keys, _, vals = zip(*(token.partition("=") for token in line.split(" ")))
+        if keys != _METRIC_FIELDS:
             raise FormatError(lineno, "unexpected metric fields")
         try:
-            out.append(EpochMetrics(int(fields["epoch"]),
-                                    *(float(fields[k]) for k in _METRIC_FIELDS[1:])))
+            out.append(EpochMetrics(int(vals[0]), *map(float, vals[1:])))
         except ValueError as exc:
             raise FormatError(lineno, str(exc)) from None
     return out

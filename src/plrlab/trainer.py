@@ -64,6 +64,11 @@ __all__ = [
     "train",
 ]
 
+# The strong view's per-coordinate dropout probability, and the alpha of the
+# Beta(alpha, alpha) mixup coefficient: fixed parts of the training recipe.
+_STRONG_DROPOUT = 0.2
+_MIXUP_ALPHA = 4.0
+
 
 @dataclass(eq=False)
 class ModelParams(_Validated):
@@ -117,8 +122,6 @@ class TrainConfig:
     pre_epochs: int = 20
     weak_noise_sigma: float = 0.05
     strong_noise_sigma: float = 0.2
-    strong_dropout_p: float = 0.2
-    mixup_alpha: float = 4.0
     fixed_prior: ClassPrior | None = None
     # Inert: nothing reads it. It stays only because the benchmark still
     # passes timing=False (benchmarks/workloads.py:58 and
@@ -143,10 +146,6 @@ class TrainConfig:
             raise ValueError("mu_schedule entries must lie in [0, 1]")
         if not (0 <= self.weak_noise_sigma < math.inf and 0 <= self.strong_noise_sigma < math.inf):
             raise ValueError("noise sigmas must be nonnegative and finite")
-        if not 0.0 <= self.strong_dropout_p <= 1.0:
-            raise ValueError("strong_dropout_p must lie in [0, 1]")
-        if not 0 < self.mixup_alpha < math.inf:
-            raise ValueError("mixup_alpha must be positive and finite")
         if self.prior_rule not in RULES:
             raise ValueError(f"prior_rule must be one of {RULES}: {self.prior_rule!r}")
         if not isinstance(self.solver, (PlrHyperparams, SinkhornConfig)):
@@ -260,24 +259,24 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
 
 
 def augment(x: np.ndarray, rng: Rng, kind: str, cfg: TrainConfig) -> np.ndarray:
-    """Weak view: Gaussian jitter. Strong view: heavier jitter plus dropout."""
+    """Weak view: Gaussian jitter. Strong view: heavier jitter, then a fixed 0.2 dropout."""
     if kind == "weak":
         return x + cfg.weak_noise_sigma * rng.normal(size=x.shape)
     if kind == "strong":
         out = x + cfg.strong_noise_sigma * rng.normal(size=x.shape)
-        keep = rng.uniform(size=x.shape) >= cfg.strong_dropout_p
+        keep = rng.uniform(size=x.shape) >= _STRONG_DROPOUT
         return out * keep
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-def _mixup(x: np.ndarray, w: np.ndarray, alpha: float, rng: Rng):
+def _mixup(x: np.ndarray, w: np.ndarray, rng: Rng):
     """Convex combination of the batch with a permuted copy of itself.
 
-    The coefficient is Beta(alpha, alpha) and the partner permutation is
-    uniform. Target rows stay on the simplex because the combination is
-    convex.
+    The coefficient is drawn from the fixed Beta(4, 4) and the partner
+    permutation is uniform. Target rows stay on the simplex because the
+    combination is convex.
     """
-    lam_mix = rng.beta(alpha, alpha)
+    lam_mix = rng.beta(_MIXUP_ALPHA, _MIXUP_ALPHA)
     perm = rng.permutation(x.shape[0])
     return (lam_mix * x + (1.0 - lam_mix) * x[perm],
             lam_mix * w + (1.0 - lam_mix) * w[perm])
@@ -326,7 +325,7 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
         t = targets[: 2 * k]
         np.take(strong, selected, axis=0, out=acts[0][n : n + k])
         np.take(w, selected, axis=0, out=t[:k])
-        acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], cfg.mixup_alpha, rng)
+        acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], rng)
         probs_sm = _forward_cached(params, [a[n:m] for a in acts])
         losses_sm = _soft_ce(probs_sm, t)
         sums[1] = _mean_loss("consistency", losses_sm[:k], epoch, batch) * k

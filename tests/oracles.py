@@ -305,7 +305,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             x, bits = ds.features[idx], ds.candidates.bits[idx]
             weak = x + cfg.weak_noise_sigma * ep.normal(size=x.shape)
             strong = x + cfg.strong_noise_sigma * ep.normal(size=x.shape)
-            strong = strong * (ep.uniform(size=x.shape) >= cfg.strong_dropout_p)
+            strong = strong * (ep.uniform(size=x.shape) >= 0.2)
 
             _, probs = _mlp_forward(weights, biases, weak)
             w = _reference_pseudo_labels(probs, bits, est, cfg).values
@@ -313,7 +313,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             selected = select_reliable_loop(w, losses, est.r.values, rho)
             blocks = [(weak, w)]
             if selected.size:
-                lam_mix = ep.beta(cfg.mixup_alpha, cfg.mixup_alpha)
+                lam_mix = ep.beta(4.0, 4.0)
                 partner = ep.permutation(selected.size)
                 x_sel, w_sel = weak[selected], w[selected]
                 blocks += [(strong[selected], w_sel),

@@ -241,13 +241,14 @@ class TestTrain:
         assert "error: hidden layer widths must be at least 1" in capsys.readouterr().err
 
     def test_zero_feature_dim_dataset_exits_one(self, tmp_path, capsys):
-        # read_dataset accepts d=0; training died with a ZeroDivisionError traceback.
+        # Training once died here with a ZeroDivisionError traceback; the reader
+        # now refuses the d=0 header on line 1, before the model is built.
         ds = tmp_path / "ds.txt"
         ds.write_text("plrlab-dataset v1 N=3 c=2 d=0\n0\t0\t0\n1\t0\t0,1\n2\t1\t1\n")
         args = ["train", "-d", str(ds), "--epochs", "1", "--pre-epochs", "0", "--batch", "2"]
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert "error: layer widths must be at least 1, got (0, 64, 64, 2)" in err
+        assert "error: line 1: bad header 'plrlab-dataset v1 N=3 c=2 d=0'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("lineno", [1, 2, 3])
@@ -436,7 +437,9 @@ class TestHelpAndUsage:
     def test_unknown_flag_exits_one(self):
         for args in (["gen", "--bogus", "1"], ["train", "-d", "ds.txt", "--timing", "off"],
                      ["train", "-d", "ds.txt", "--restrict-losses"],
-                     ["train", "-d", "ds.txt", "--w-cons", "0"]):
+                     ["train", "-d", "ds.txt", "--w-cons", "0"],
+                     ["train", "-d", "ds.txt", "--dropout", "0.2"],
+                     ["train", "-d", "ds.txt", "--mixup-alpha", "4"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -464,7 +467,8 @@ class TestHelpAndUsage:
         assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
         assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
-        for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0")):
+        for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0"),
+                           ("dropout", "0.2"), ("mixup_alpha", "4")):
             cfg.write_text(f"{key} = {value}\n")
             assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
             assert f"error: unknown config key '{key}'" in capsys.readouterr().err

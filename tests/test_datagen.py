@@ -270,6 +270,14 @@ class TestDatasetFile:
             read_dataset(path)
         assert exc.value.line == 1
 
+    def test_zero_feature_header_rejected(self, tmp_path):
+        # gen cannot write d=0 (DatasetSpec needs feature_dim >= 1), so the reader refuses it too.
+        path = tmp_path / "ds.txt"
+        path.write_text("plrlab-dataset v1 N=3 c=2 d=0\n0\t0\t0\n1\t1\t1\n2\t0\t0,1\n")
+        with pytest.raises(FormatError, match="bad header") as exc:
+            read_dataset(path)
+        assert exc.value.line == 1
+
     def test_garbled_record_reports_line_number(self, tmp_path):
         train, _ = gen_dataset(DatasetSpec(n_classes=3, head_count=10, seed=6))
         path = tmp_path / "ds.txt"

@@ -220,6 +220,17 @@ class TestMetricsFile:
             read_metrics(path)
         assert exc.value.line == 1
 
+    def test_repeated_key_rejected_on_its_line(self, tmp_path):
+        # A later value of a key must not overwrite the earlier one unnoticed.
+        path = tmp_path / "m.txt"
+        emit_metrics(_toy_metrics(), path)
+        lines = path.read_text().splitlines()
+        lines[2] += " epoch=7 acc_few=99"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="unexpected metric fields") as exc:
+            read_metrics(path)
+        assert exc.value.line == 3
+
     @pytest.mark.parametrize("lineno", [1, 2, 4])
     def test_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
         path = tmp_path / "m.txt"
