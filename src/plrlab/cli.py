@@ -178,7 +178,6 @@ _TRAIN_OPTS = [
     _opt(["--pre-epochs"], "pre_epochs", int, _TRAIN.pre_epochs, "prior pre-estimation epochs"),
     _opt(["--batch"], "batch", int, _TRAIN.batch_size, "batch size"),
     _opt(["--lr"], "lr", float, _TRAIN.lr0, "initial learning rate (cosine-decayed)"),
-    _opt(["--momentum"], "momentum", float, _TRAIN.momentum, "SGD momentum"),
     _opt(["--hidden"], "hidden", _int_list, _TRAIN.hidden, "hidden layer sizes, comma-separated"),
     _opt(["--solver"], "solver", str, "plr", "pseudo-label solver: plr or sinkhorn"),
     _opt(["--sk-iters"], "sk_iters", int, SinkhornConfig().max_iters, "Sinkhorn iteration cap"),
@@ -187,9 +186,6 @@ _TRAIN_OPTS = [
          "Sinkhorn prediction temperature"),
     _opt(["--prior-rule"], "prior_rule", str, _TRAIN.prior_rule,
          "prior estimation rule: hard-pred, soft-pred, or hard-pseudo"),
-    _opt(["--mu1"], "mu1", float, _TRAIN.mu_schedule[0],
-         "moving-average coefficient, pre-estimation stage"),
-    _opt(["--mu2"], "mu2", float, _TRAIN.mu_schedule[1], "moving-average coefficient, main stage"),
     _opt(["--rho-start"], "rho_start", float, _TRAIN.selection.rho_start,
          "selection fraction at epoch 0"),
     _opt(["--rho-end"], "rho_end", float, _TRAIN.selection.rho_end,
@@ -340,12 +336,11 @@ def _cmd_train(values: dict) -> int:
 
     cfg = TrainConfig(
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
-        momentum=values["momentum"], hidden=tuple(values["hidden"]),
+        hidden=tuple(values["hidden"]), prior_rule=values["prior_rule"],
         solver=(PlrHyperparams(values["lam"], values["m"]) if values["solver"] == "plr" else
                 SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"])),
         selection=SelectionConfig(values["rho_start"], values["rho_end"],
                                   values["ramp_epochs"]),
-        prior_rule=values["prior_rule"], mu_schedule=(values["mu1"], values["mu2"]),
         pre_epochs=values["pre_epochs"], weak_noise_sigma=values["weak_sigma"],
         strong_noise_sigma=values["strong_sigma"], seed=values["seed"],
     )

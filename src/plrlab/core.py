@@ -312,9 +312,11 @@ def _whole_numbers(name: str, values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
 
-def _check_prior(c: int, r: ClassPrior) -> None:
-    """Raise ShapeMismatch unless the prior ``r`` covers ``c`` classes."""
-    if r.n_classes != c:
+def _check_prior(c: int | None, r: ClassPrior) -> None:
+    """Raise ValueError unless ``r`` is a ClassPrior, ShapeMismatch unless it has ``c`` classes."""
+    if not isinstance(r, ClassPrior):
+        raise ValueError(f"prior must be a ClassPrior, got {type(r).__name__}")
+    if c is not None and r.n_classes != c:
         raise ShapeMismatch(f"prior has {r.n_classes} classes, expected {c}")
 
 

@@ -30,6 +30,7 @@ from .core import (
     ShapeMismatch,
     TooFewReps,
     _check_integers,
+    _check_prior,
     _whole_numbers,
     body_lines,
     clamp_prior,
@@ -110,6 +111,7 @@ def group_accuracy(preds, truth, boundaries: tuple[int, int]) -> GroupAccuracy:
 
 def logits_adjust_predict(logits, r: ClassPrior, phi: float) -> np.ndarray:
     """Row argmax of logits_j - phi*log r_j; ties go to the smaller class."""
+    _check_prior(None, r)
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] != r.n_classes:
         raise ShapeMismatch(f"logits {logits.shape} vs {r.n_classes} classes")

@@ -5,17 +5,16 @@ solved in closed form from the weak-view predictions and the current class
 prior, then used three ways: a classification loss on the whole batch, a
 consistency loss on strong-view predictions of the reliably selected
 samples, and a mixup loss on convex combinations of the selected samples.
-One SGD step, ``_step``, works on plain arrays. Its three row blocks (the weak
-view, the strong view of the selected rows, their mix) live in one buffer that
-each stage allocates once. Two forward passes fill it (the weak view, then the
-other two blocks) and a single backward pass covers all three, each loss's mean
-folded into the gradient at the logits. The epoch loop around it, ``_run_stage``,
-packs the batches once per epoch, sums the losses, re-estimates the prior from
-full-train-set weak-view predictions and records the metrics; that refresh and
-the test-split forward pass reuse the same buffer.
-Training runs in two stages: a short pre-estimation stage whose only
-output is a coarse prior, after which the model is re-initialized and
-trained for real with that prior carried over.
+One SGD step with momentum 0.9, ``_step``, works on plain arrays. Its three row blocks
+(the weak view, the strong view of the selected rows, their mix) live in one buffer that
+each stage allocates once. Two forward passes fill it (the weak view, then the other two
+blocks) and a single backward pass covers all three, each loss's mean folded into the
+gradient at the logits. The epoch loop around it, ``_run_stage``, packs the batches once
+per epoch, sums the losses, blends the prior with a statistic of full-train-set weak-view
+predictions and records the metrics; that refresh and the test-split forward pass reuse
+the same buffer. Training runs in two stages: a short pre-estimation stage (blend
+coefficient 0.1) whose only output is a coarse prior, then a re-initialized model
+trained for real (coefficient 0.01) with that prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
 is no autodiff dependency. The parameters live in one float64 vector,
@@ -64,10 +63,13 @@ __all__ = [
     "train",
 ]
 
-# The strong view's per-coordinate dropout probability, and the alpha of the
-# Beta(alpha, alpha) mixup coefficient: fixed parts of the training recipe.
+# Fixed parts of the training recipe: the strong view's per-coordinate dropout
+# probability, the alpha of the Beta(alpha, alpha) mixup coefficient, the SGD
+# momentum, and the prior's moving-average coefficient in each stage.
 _STRONG_DROPOUT = 0.2
 _MIXUP_ALPHA = 4.0
+_MOMENTUM = 0.9
+_MU_PRE, _MU_MAIN = 0.1, 0.01
 
 
 @dataclass(eq=False)
@@ -113,20 +115,16 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
     lr0: float = 0.01
-    momentum: float = 0.9
     hidden: tuple[int, ...] = (64, 64)
     solver: PlrHyperparams | SinkhornConfig = field(default_factory=PlrHyperparams)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     prior_rule: str = "hard-pred"
-    mu_schedule: tuple[float, float] = (0.1, 0.01)
     pre_epochs: int = 20
     weak_noise_sigma: float = 0.05
     strong_noise_sigma: float = 0.2
     fixed_prior: ClassPrior | None = None
-    # Inert: nothing reads it. It stays only because the benchmark still
-    # passes timing=False (benchmarks/workloads.py:58 and
-    # benchmarks/tests/test_smoke.py:22); it goes once ROADMAP item 8
-    # stops passing it.
+    # Inert: it stays only while the benchmark passes timing=False
+    # (benchmarks/workloads.py:58, benchmarks/tests/test_smoke.py:22; ROADMAP item 8).
     timing: bool = True
     seed: int = 0
 
@@ -138,12 +136,8 @@ class TrainConfig:
         if any(width < 1 for width in self.hidden):
             raise ValueError("hidden layer widths must be at least 1")
         # Each test is negated, so NaN fails it too.
-        if not 0 < self.lr0 < math.inf or not 0.0 <= self.momentum < 1.0:
-            raise ValueError("need a finite lr0 > 0 and momentum in [0, 1)")
-        if len(self.mu_schedule) != 2:
-            raise ValueError("mu_schedule needs 2 entries")
-        if not all(0.0 <= mu <= 1.0 for mu in self.mu_schedule):
-            raise ValueError("mu_schedule entries must lie in [0, 1]")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("need a finite lr0 > 0")
         if not (0 <= self.weak_noise_sigma < math.inf and 0 <= self.strong_noise_sigma < math.inf):
             raise ValueError("noise sigmas must be nonnegative and finite")
         if self.prior_rule not in RULES:
@@ -333,7 +327,7 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
         _grad_logits_soft_ce(probs_sm, t, 1.0 / k, deltas[-1][n:m])
 
     _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], gw, gb)
-    sgd_momentum_step(params, grad, velocity, lr, cfg.momentum)
+    sgd_momentum_step(params, grad, velocity, lr, _MOMENTUM)
     return sums, k
 
 
@@ -404,7 +398,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
         raise ShapeMismatch(f"test set has {test.n_classes} classes and {test.feature_dim} "
                             f"features, training set {c} and {ds.feature_dim}")
     rng = Rng(cfg.seed)
-    est = init_uniform(c, mu=cfg.mu_schedule[0], rule=cfg.prior_rule)
+    est = init_uniform(c, mu=_MU_PRE, rule=cfg.prior_rule)
     if cfg.fixed_prior is not None:
         _check_prior(c, cfg.fixed_prior)
         est = replace(est, r=cfg.fixed_prior)
@@ -413,7 +407,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
         est, _ = _run_stage(pre_params, ds, cfg, est, cfg.pre_epochs, rng.child(1), None)
 
     params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(2))
-    est = replace(est, mu=cfg.mu_schedule[1])
+    est = replace(est, mu=_MU_MAIN)
     est, metrics = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), test)
     # With a fixed prior and no test set, nothing else checks the last step.
     if not np.isfinite(params.flat).all():

@@ -281,9 +281,10 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
     strong view of the selected rows, and the mixup loss on a Beta-weighted
     mix of the selected weak rows with a permuted copy. Each loss takes its
     own forward and backward pass; their gradients sum into one
-    out-of-place momentum SGD step. After each epoch the prior is blended
-    with its rule's statistic of full-train-set weak-view predictions. The
-    schedules are the library's public ``cosine_lr`` and ``rho_at``.
+    out-of-place SGD step with momentum 0.9. After each epoch the prior is
+    blended with its rule's statistic of full-train-set weak-view
+    predictions. The schedules are the library's public ``cosine_lr`` and
+    ``rho_at``.
 
     Draws from ``rng.child(epoch)`` in this order: the batch order, then per
     batch the weak noise, the strong noise, the strong keep mask and, if a
@@ -324,7 +325,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
                 rows, block_grad = _soft_ce_loss(weights, biases, xb, tb)
                 rows_out.append(rows)
                 grad = [g + gb for g, gb in zip(grad, block_grad)]
-            velocity = [cfg.momentum * v + g for v, g in zip(velocity, grad)]
+            velocity = [0.9 * v + g for v, g in zip(velocity, grad)]
             stepped = [a - lr * v for a, v in zip(weights + biases, velocity)]
             weights, biases = stepped[: len(weights)], stepped[len(weights) :]
 

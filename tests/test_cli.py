@@ -439,7 +439,10 @@ class TestHelpAndUsage:
                      ["train", "-d", "ds.txt", "--restrict-losses"],
                      ["train", "-d", "ds.txt", "--w-cons", "0"],
                      ["train", "-d", "ds.txt", "--dropout", "0.2"],
-                     ["train", "-d", "ds.txt", "--mixup-alpha", "4"]):
+                     ["train", "-d", "ds.txt", "--mixup-alpha", "4"],
+                     ["train", "-d", "ds.txt", "--momentum", "0.9"],
+                     ["train", "-d", "ds.txt", "--mu1", "0.1"],
+                     ["train", "-d", "ds.txt", "--mu2", "0.01"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -468,7 +471,8 @@ class TestHelpAndUsage:
         assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
                 in capsys.readouterr().err)
         for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0"),
-                           ("dropout", "0.2"), ("mixup_alpha", "4")):
+                           ("dropout", "0.2"), ("mixup_alpha", "4"), ("momentum", "0.9"),
+                           ("mu1", "0.1"), ("mu2", "0.01")):
             cfg.write_text(f"{key} = {value}\n")
             assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
             assert f"error: unknown config key '{key}'" in capsys.readouterr().err

@@ -22,7 +22,13 @@ from plrlab.core import (
     row_normalize,
     xlogx,
 )
+from plrlab.cli import write_model
 from plrlab.datagen import PartialDataset
+from plrlab.prior import PriorEstimator, init_uniform, prior_error, update_prior
+from plrlab.report import logits_adjust_predict
+from plrlab.selection import select_reliable
+from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
+from plrlab.solver import kkt_residual, plr_objective, plr_update
 from plrlab.trainer import init_params
 
 
@@ -350,3 +356,31 @@ def test_pseudo_labels_built_by_operations_revalidate():
         w = PseudoLabelMatrix(row_normalize(masked))
         PseudoLabelMatrix(w.values)
         assert not w.values[bits == 0.0].any()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda f, s, w, r, path: plr_update(f, s, r, PlrHyperparams()), id="plr_update"),
+    pytest.param(lambda f, s, w, r, path: plr_objective(w, f, r, PlrHyperparams()),
+                 id="plr_objective"),
+    pytest.param(lambda f, s, w, r, path: kkt_residual(w, f, r, PlrHyperparams(), s),
+                 id="kkt_residual"),
+    pytest.param(lambda f, s, w, r, path: solar_update(f, s, r, SinkhornConfig()),
+                 id="solar_update"),
+    pytest.param(lambda f, s, w, r, path: marginal_errors(w, r), id="marginal_errors"),
+    pytest.param(lambda f, s, w, r, path: select_reliable(w, np.ones(2), r, 0.5),
+                 id="select_reliable"),
+    pytest.param(lambda f, s, w, r, path: update_prior(PriorEstimator(r), f), id="update_prior"),
+    pytest.param(lambda f, s, w, r, path: prior_error(init_uniform(2), r), id="prior_error"),
+    pytest.param(lambda f, s, w, r, path: logits_adjust_predict(np.zeros((2, 2)), r, 0.5),
+                 id="logits_adjust_predict"),
+    pytest.param(lambda f, s, w, r, path: write_model(
+        init_params(2, (3,), 2, Rng(0)), r, path / "model.txt"), id="write_model"),
+])
+def test_raw_array_prior_raises_a_typed_error(call, tmp_path):
+    # Each used to fail with a bare AttributeError ('numpy.ndarray' object
+    # has no attribute 'n_classes'); a prior is validated as a ClassPrior.
+    f = PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
+    s = CandidateMatrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="prior must be a ClassPrior, got ndarray"):
+        call(f, s, PseudoLabelMatrix(f.values), np.array([0.5, 0.5]), tmp_path)
+    assert not list(tmp_path.iterdir())

@@ -1,10 +1,12 @@
 """Design rules of the package source, checked on its syntax tree without running it."""
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import plrlab
+from plrlab.cli import _COMMANDS
 
 SRC = Path(plrlab.__file__).resolve().parent
 
@@ -253,10 +255,32 @@ def test_every_config_field_is_read():
     assert set(classes) == _CONFIGS, f"the scan found only {sorted(classes)}"
     fields = {(name, stmt.target.id) for name, node in classes.items() for stmt in node.body
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
-    assert len(fields) > 30, f"the scan found only {len(fields)} fields"
+    declared = {(name, f.name) for name in _CONFIGS
+                for f in dataclasses.fields(getattr(plrlab, name))}
+    assert fields == declared, f"scanned {sorted(fields ^ declared)} differently"
     assert _UNREAD_FIELDS <= fields, f"no longer a field: {sorted(_UNREAD_FIELDS - fields)}"
     reads = sum((_attribute_reads(tree) for module, tree in trees.items() if module != "cli"),
                 Counter())
     unread = sorted(f"{name}.{field}" for name, field in fields - _UNREAD_FIELDS
                     if reads[field] <= _attribute_reads(classes[name])[field])
+    assert not unread, unread
+
+
+def _values_keys(node: ast.AST) -> set[str]:
+    """The constant keys read as ``values["<key>"]`` under ``node``."""
+    return {n.slice.value for n in ast.walk(node)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+            and n.value.id == "values" and isinstance(n.slice, ast.Constant)
+            and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_cli_option_is_read():
+    # No inert option: each subcommand's function reads every option it
+    # declares, as values["<dest>"]. An option it never reads would be
+    # accepted, echoed into the output files and ignored.
+    functions = {node.name: node for node in _trees()["cli"].body
+                 if isinstance(node, ast.FunctionDef)}
+    unread = [f"{command}: {opt['dest']}" for command, (run, opts, _) in _COMMANDS.items()
+              for opt in opts if opt["dest"] not in _values_keys(functions[run.__name__])]
+    assert sum(len(opts) for _, opts, _ in _COMMANDS.values()) > 40, "the scan found few options"
     assert not unread, unread
