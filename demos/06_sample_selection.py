@@ -2,18 +2,18 @@
 
 A batch is bucketed by pseudo-label argmax and each bucket keeps its
 smallest-loss members, at most ceil(rho * r_k * batch) of them. Early in
-training rho is small and selection is strict; it ramps up linearly.
+training rho is small and selection is strict; it ramps up linearly from
+0.2 at epoch 0 to 0.5 at epoch 50, a fixed part of the training recipe.
 """
 
 import numpy as np
 
-from plrlab import PseudoLabelMatrix, SelectionConfig, clamp_prior, rho_at, select_reliable
+from plrlab import PseudoLabelMatrix, clamp_prior, rho_at, select_reliable
 from plrlab.core import Rng
 
 np.set_printoptions(precision=3, suppress=True)
 
-cfg = SelectionConfig(rho_start=0.2, rho_end=0.5, ramp_epochs=50)
-print("rho schedule:", [round(rho_at(cfg, e), 3) for e in (0, 10, 25, 40, 50, 80)])
+print("rho schedule:", [round(rho_at(e), 3) for e in (0, 10, 25, 40, 50, 80)])
 print()
 
 rng = Rng(5)
@@ -30,7 +30,7 @@ print("losses:                  ", losses)
 print()
 
 for epoch in (0, 25, 80):
-    rho = rho_at(cfg, epoch)
+    rho = rho_at(epoch)
     kept = select_reliable(w, losses, r, rho)
     budgets = {k: int(np.ceil(rho * r.values[k] * batch)) for k in range(c)}
     print(f"epoch {epoch:2d} (rho={rho:.2f}): budgets per class {budgets}, "

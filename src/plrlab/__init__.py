@@ -21,7 +21,7 @@ from .core import (
 from .datagen import DatasetSpec, gen_dataset
 from .prior import init_uniform, prior_error, update_prior
 from .report import bench_pseudo
-from .selection import SelectionConfig, rho_at, select_reliable
+from .selection import rho_at, select_reliable
 from .sinkhorn import SinkhornConfig, marginal_errors, solar_update
 from .solver import (hessian_min_eigen_lower_bound, kkt_residual, plr_objective, plr_update,
                      proden_update)

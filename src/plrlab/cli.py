@@ -45,7 +45,6 @@ from .core import (
 from .datagen import DatasetSpec, gen_dataset, read_dataset, write_dataset
 from .prior import init_uniform
 from .report import bench_pseudo, emit_bench, emit_metrics, group_accuracy, logits_adjust_predict
-from .selection import SelectionConfig
 from .sinkhorn import SinkhornConfig
 from .trainer import ModelParams, TrainConfig, forward, train
 
@@ -186,12 +185,6 @@ _TRAIN_OPTS = [
          "Sinkhorn prediction temperature"),
     _opt(["--prior-rule"], "prior_rule", str, _TRAIN.prior_rule,
          "prior estimation rule: hard-pred, soft-pred, or hard-pseudo"),
-    _opt(["--rho-start"], "rho_start", float, _TRAIN.selection.rho_start,
-         "selection fraction at epoch 0"),
-    _opt(["--rho-end"], "rho_end", float, _TRAIN.selection.rho_end,
-         "selection fraction after the ramp"),
-    _opt(["--ramp-epochs"], "ramp_epochs", int, _TRAIN.selection.ramp_epochs,
-         "epochs over which rho ramps up"),
     _opt(["--weak-sigma"], "weak_sigma", float, _TRAIN.weak_noise_sigma, "weak-view noise sigma"),
     _opt(["--strong-sigma"], "strong_sigma", float, _TRAIN.strong_noise_sigma,
          "strong-view noise sigma"),
@@ -339,8 +332,6 @@ def _cmd_train(values: dict) -> int:
         hidden=tuple(values["hidden"]), prior_rule=values["prior_rule"],
         solver=(PlrHyperparams(values["lam"], values["m"]) if values["solver"] == "plr" else
                 SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"])),
-        selection=SelectionConfig(values["rho_start"], values["rho_end"],
-                                  values["ramp_epochs"]),
         pre_epochs=values["pre_epochs"], weak_noise_sigma=values["weak_sigma"],
         strong_noise_sigma=values["strong_sigma"], seed=values["seed"],
     )

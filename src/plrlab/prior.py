@@ -43,6 +43,7 @@ class PriorEstimator:
     rule: str = "hard-pred"
 
     def __post_init__(self):
+        _check_prior(None, self.r)
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
         if self.rule not in RULES:

@@ -57,8 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    """Per-epoch observables recorded during stage-2 training; loss_cons and loss_mix
-    read NaN for an epoch that selects no row, as a group accuracy does for an empty group."""
+    """Per-epoch observables recorded during stage-2 training; a group accuracy reads NaN
+    for a group with no test sample."""
 
     epoch: int
     lr: float

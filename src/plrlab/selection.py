@@ -2,44 +2,29 @@
 
 A batch is bucketed by pseudo-label argmax; each bucket keeps its
 lowest-loss samples up to min(bucket size, ceil(rho * r_k * batch)).
-The fraction rho ramps up linearly over the first epochs so that early,
-unreliable pseudo-labels admit fewer samples.
+The fraction rho ramps up linearly from 0.2 to 0.5 over the first 50
+epochs, then stays at 0.5, so that early, unreliable pseudo-labels admit
+fewer samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_integers, _check_prior
+from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior
 
-__all__ = ["SelectionConfig", "rho_at", "select_reliable"]
+__all__ = ["rho_at", "select_reliable"]
 
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Linear ramp of the selection fraction rho."""
-
-    rho_start: float = 0.2
-    rho_end: float = 0.5
-    ramp_epochs: int = 50
-
-    def __post_init__(self):
-        _check_integers(ramp_epochs=self.ramp_epochs)
-        if not 0.0 <= self.rho_start <= self.rho_end <= 1.0:
-            raise ValueError("need 0 <= rho_start <= rho_end <= 1")
-        if self.ramp_epochs < 1:
-            raise ValueError("ramp_epochs must be at least 1")
+_RHO_START, _RHO_END, _RAMP_EPOCHS = 0.2, 0.5, 50
 
 
-def rho_at(cfg: SelectionConfig, epoch: int) -> float:
+def rho_at(epoch: int) -> float:
     """Selection fraction at a given epoch: linear ramp, then constant."""
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
-    if epoch >= cfg.ramp_epochs:
-        return cfg.rho_end
-    return cfg.rho_start + (cfg.rho_end - cfg.rho_start) * epoch / cfg.ramp_epochs
+    if epoch >= _RAMP_EPOCHS:
+        return _RHO_END
+    return _RHO_START + (_RHO_END - _RHO_START) * epoch / _RAMP_EPOCHS
 
 
 def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,

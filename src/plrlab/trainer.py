@@ -48,7 +48,7 @@ from .core import (
 from .datagen import PartialDataset
 from .prior import RULES, PriorEstimator, init_uniform, prior_error, update_prior
 from .report import EpochMetrics, group_accuracy
-from .selection import SelectionConfig, _select_rows, rho_at
+from .selection import _select_rows, rho_at
 from .sinkhorn import SinkhornConfig, _solar_weights
 from .solver import _plr_weights
 
@@ -117,7 +117,6 @@ class TrainConfig:
     lr0: float = 0.01
     hidden: tuple[int, ...] = (64, 64)
     solver: PlrHyperparams | SinkhornConfig = field(default_factory=PlrHyperparams)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
     prior_rule: str = "hard-pred"
     pre_epochs: int = 20
     weak_noise_sigma: float = 0.05
@@ -312,23 +311,23 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
     selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
     k = selected.size
     m = n + 2 * k
-    sums = [_mean_loss("classification", losses, epoch, batch) * n, 0.0, 0.0]
+    cls = _mean_loss("classification", losses, epoch, batch) * n
     _grad_logits_soft_ce(probs, w, 1.0 / n, deltas[-1][:n])
-    if k:
-        # Rows [n:n+k] take the strong view of the selected rows, [n+k:m] their mix.
-        t = targets[: 2 * k]
-        np.take(strong, selected, axis=0, out=acts[0][n : n + k])
-        np.take(w, selected, axis=0, out=t[:k])
-        acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], rng)
-        probs_sm = _forward_cached(params, [a[n:m] for a in acts])
-        losses_sm = _soft_ce(probs_sm, t)
-        sums[1] = _mean_loss("consistency", losses_sm[:k], epoch, batch) * k
-        sums[2] = _mean_loss("mixup", losses_sm[k:], epoch, batch) * k
-        _grad_logits_soft_ce(probs_sm, t, 1.0 / k, deltas[-1][n:m])
+    # Rows [n:n+k] take the strong view of the selected rows, [n+k:m] their mix; k >= 1,
+    # since every label group present has a cap ceil(rho * r_k * n) >= 1.
+    t = targets[: 2 * k]
+    np.take(strong, selected, axis=0, out=acts[0][n : n + k])
+    np.take(w, selected, axis=0, out=t[:k])
+    acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], rng)
+    probs_sm = _forward_cached(params, [a[n:m] for a in acts])
+    losses_sm = _soft_ce(probs_sm, t)
+    cons = _mean_loss("consistency", losses_sm[:k], epoch, batch) * k
+    mix = _mean_loss("mixup", losses_sm[k:], epoch, batch) * k
+    _grad_logits_soft_ce(probs_sm, t, 1.0 / k, deltas[-1][n:m])
 
     _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], gw, gb)
     sgd_momentum_step(params, grad, velocity, lr, _MOMENTUM)
-    return sums, k
+    return [cls, cons, mix], k
 
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
@@ -348,7 +347,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
     for epoch in range(epochs):
         ep_rng = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
-        rho = rho_at(cfg.selection, epoch)
+        rho = rho_at(epoch)
         order = ep_rng.permutation(ds.n_samples)
         # Gathered and packed once per epoch; a batch's packed entries are one range.
         features = ds.features[order]
@@ -380,7 +379,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             preds = np.argmax(_predict(params, test.features, acts), axis=1)
             acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
-        means = [s / n if n else math.nan for s, n in zip(sums, (ds.n_samples, kept, kept))]
+        means = [s / n for s, n in zip(sums, (ds.n_samples, kept, kept))]
         metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_error(est, truth)))
     return est, metrics
 

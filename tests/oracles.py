@@ -298,7 +298,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
     for epoch in range(epochs):
         ep = rng.child(epoch)
         lr = cosine_lr(epoch, epochs, cfg.lr0)
-        rho = rho_at(cfg.selection, epoch)
+        rho = rho_at(epoch)
         order = ep.permutation(ds.n_samples)
         epoch_losses = ([], [], [])
         for start in range(0, ds.n_samples, cfg.batch_size):

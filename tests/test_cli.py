@@ -442,7 +442,10 @@ class TestHelpAndUsage:
                      ["train", "-d", "ds.txt", "--mixup-alpha", "4"],
                      ["train", "-d", "ds.txt", "--momentum", "0.9"],
                      ["train", "-d", "ds.txt", "--mu1", "0.1"],
-                     ["train", "-d", "ds.txt", "--mu2", "0.01"]):
+                     ["train", "-d", "ds.txt", "--mu2", "0.01"],
+                     ["train", "-d", "ds.txt", "--rho-start", "0.2"],
+                     ["train", "-d", "ds.txt", "--rho-end", "0.5"],
+                     ["train", "-d", "ds.txt", "--ramp-epochs", "50"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -472,7 +475,8 @@ class TestHelpAndUsage:
                 in capsys.readouterr().err)
         for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0"),
                            ("dropout", "0.2"), ("mixup_alpha", "4"), ("momentum", "0.9"),
-                           ("mu1", "0.1"), ("mu2", "0.01")):
+                           ("mu1", "0.1"), ("mu2", "0.01"), ("rho_start", "0.2"),
+                           ("rho_end", "0.5"), ("ramp_epochs", "50")):
             cfg.write_text(f"{key} = {value}\n")
             assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
             assert f"error: unknown config key '{key}'" in capsys.readouterr().err

@@ -371,6 +371,9 @@ def test_pseudo_labels_built_by_operations_revalidate():
                  id="select_reliable"),
     pytest.param(lambda f, s, w, r, path: update_prior(PriorEstimator(r), f), id="update_prior"),
     pytest.param(lambda f, s, w, r, path: prior_error(init_uniform(2), r), id="prior_error"),
+    # The estimator itself rejects the array, so prior_error never reads it.
+    pytest.param(lambda f, s, w, r, path: prior_error(PriorEstimator(r), init_uniform(2).r),
+                 id="prior_error-estimator"),
     pytest.param(lambda f, s, w, r, path: logits_adjust_predict(np.zeros((2, 2)), r, 0.5),
                  id="logits_adjust_predict"),
     pytest.param(lambda f, s, w, r, path: write_model(

@@ -2,34 +2,29 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from plrlab.core import PseudoLabelMatrix, ShapeMismatch, clamp_prior
-from plrlab.selection import SelectionConfig, rho_at, select_reliable
+from plrlab.core import PRIOR_EPS, PseudoLabelMatrix, ShapeMismatch, clamp_prior
+from plrlab.selection import rho_at, select_reliable
 
 from oracles import select_reliable_loop
 
 
 class TestRhoAt:
     def test_ramp_start(self):
-        assert rho_at(SelectionConfig(), 0) == pytest.approx(0.2)
+        assert rho_at(0) == pytest.approx(0.2)
 
     def test_after_ramp_constant(self):
-        cfg = SelectionConfig()
-        assert rho_at(cfg, 50) == pytest.approx(0.5)
-        assert rho_at(cfg, 999) == pytest.approx(0.5)
+        assert rho_at(50) == pytest.approx(0.5)
+        assert rho_at(999) == pytest.approx(0.5)
 
     def test_midpoint(self):
-        assert rho_at(SelectionConfig(), 25) == pytest.approx(0.35)
+        assert rho_at(25) == pytest.approx(0.35)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SelectionConfig(rho_start=0.6, rho_end=0.5)
-        with pytest.raises(ValueError):
-            SelectionConfig(ramp_epochs=0)
-        with pytest.raises(ValueError):
-            rho_at(SelectionConfig(), -1)
+            rho_at(-1)
 
 
 def _one_hot_rows(labels, c):
@@ -173,3 +168,26 @@ def test_vectorized_selection_matches_the_per_class_loop(case):
     expected = select_reliable_loop(w.values, losses, r.values, rho)
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def _training_batches(draw):
+    c = draw(st.integers(1, 12))
+    batch = draw(st.integers(1, 64))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=batch, max_size=batch))
+    losses = draw(st.lists(st.floats(0.0, 10.0), min_size=batch, max_size=batch))
+    # Masses at zero clamp to the prior's floor; one large mass pushes the rest down to it.
+    masses = draw(st.lists(st.sampled_from([0.0, PRIOR_EPS, 1.0, 1e9]) | st.floats(0.0, 1.0),
+                           min_size=c, max_size=c))
+    assume(sum(masses) > 0.0)
+    return labels, losses, np.array(masses), draw(st.integers(0, 60))
+
+
+@given(_training_batches())
+@example(([0], [1.0], np.array([0.0, 1.0]), 0))
+def test_the_ramp_keeps_a_row_of_every_label_group_present(case):
+    # The trainer's step relies on this: it always has a selected row to train on.
+    labels, losses, masses, epoch = case
+    w = _one_hot_rows(labels, masses.size)
+    got = select_reliable(w, np.array(losses), clamp_prior(masses), rho_at(epoch))
+    assert set(np.asarray(labels)[got].tolist()) == set(labels)

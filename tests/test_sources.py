@@ -234,7 +234,7 @@ def test_the_package_has_no_assert():
     assert not asserts, asserts
 
 
-_CONFIGS = {"TrainConfig", "SelectionConfig", "SinkhornConfig", "PlrHyperparams", "DatasetSpec"}
+_CONFIGS = {"TrainConfig", "SinkhornConfig", "PlrHyperparams", "DatasetSpec"}
 # TrainConfig.timing is inert; it stays while the benchmark passes it (ROADMAP item 8).
 _UNREAD_FIELDS = {("TrainConfig", "timing")}
 

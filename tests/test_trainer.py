@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from plrlab.core import PlrHyperparams, Rng, ShapeMismatch, clamp_prior
 from plrlab.datagen import DatasetSpec, PartialDataset, gen_candidates, gen_dataset
 from plrlab.prior import RULES, init_uniform, prior_error
-from plrlab.selection import SelectionConfig
 from plrlab.sinkhorn import SinkhornConfig
 from plrlab.trainer import (
     ModelParams,
@@ -35,8 +34,7 @@ from oracles import init_params_reference, run_stage_reference
 
 
 def _quick_cfg(**overrides):
-    base = dict(epochs=3, batch_size=64, pre_epochs=1, hidden=(16,),
-                selection=SelectionConfig(ramp_epochs=2), seed=5)
+    base = dict(epochs=3, batch_size=64, pre_epochs=1, hidden=(16,), seed=5)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -576,20 +574,6 @@ class TestTrain:
         _, reg, _ = train(ds, _quick_cfg(solver=PlrHyperparams(lam=1.0, m=2.0)), test)
         assert base != reg
 
-    def test_epoch_that_selects_no_row_reads_nan_losses(self, tmp_path):
-        # Read 0, which a reader could not tell from a zero loss.
-        from plrlab.report import emit_metrics, read_metrics
-
-        ds, test = _tiny_dataset()
-        _, metrics, _ = train(ds, _quick_cfg(selection=SelectionConfig(0.0, 0.0, 1)), test)
-        for m in metrics:
-            assert np.isnan(m.loss_cons) and np.isnan(m.loss_mix)
-            assert np.isfinite(m.loss_cls)
-        emit_metrics(metrics, tmp_path / "m.txt")
-        np.testing.assert_array_equal(  # NaN equals NaN here
-            [dataclasses.astuple(m) for m in read_metrics(tmp_path / "m.txt")],
-            [dataclasses.astuple(m) for m in metrics])
-
     def test_empty_candidate_row_raises(self):
         # train() cannot be handed an empty row: the CandidateMatrix its
         # dataset holds rejects one when it is built.
@@ -606,8 +590,8 @@ class TestTrain:
         pytest.param(dict(solver="sinkhorn"),
                      "solver must be a PlrHyperparams or SinkhornConfig: 'sinkhorn'",
                      id="solver-name"),
-        pytest.param(dict(solver=SelectionConfig()),
-                     "solver must be a PlrHyperparams or SinkhornConfig: SelectionConfig",
+        pytest.param(dict(solver=init_uniform(2)),
+                     "solver must be a PlrHyperparams or SinkhornConfig: PriorEstimator",
                      id="solver-other-config"),
         pytest.param(dict(fixed_prior=np.full(4, 0.25)),
                      r"fixed_prior must be a ClassPrior or None: array\(",
@@ -773,7 +757,6 @@ REFERENCE_RTOL = 1e-9
     pytest.param(dict(), 20, id="plr"),
     pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"), 20,
                  id="sinkhorn-hard-pseudo"),
-    pytest.param(dict(selection=SelectionConfig(0.0, 0.0, 1)), 20, id="nothing-selected"),
     # pre_epochs stays 1: a given prior skips the pre-stage and every refresh.
     pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))), 20,
                  id="fixed-prior"),
@@ -832,12 +815,11 @@ def _fuzz_dataset(draw):
 @st.composite
 def _fuzz_config(draw, n_samples: int, c: int):
     """A config for ``n_samples`` rows of ``c`` classes: every prior rule and prior source,
-    both solvers with plr's log-space branch (lam > 25.6), batch sizes that do not divide
-    N and selection fractions at 0 and 1."""
+    both solvers with plr's log-space branch (lam > 25.6) and batch sizes that do not
+    divide N."""
     solver = draw(st.sampled_from([PlrHyperparams(lam, m) for lam in (0.5, 3.0, 30.0)
                                    for m in (0.0, 2.0)]
                                   + [SinkhornConfig(max_iters=k) for k in range(1, 6)]))
-    rho = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=2)))
     drawn = clamp_prior(np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c))))
     # None twice: only a prior that is not fixed is refreshed.
     fixed_prior = draw(st.sampled_from([None, None, init_uniform(c).r, drawn]))
@@ -845,8 +827,7 @@ def _fuzz_config(draw, n_samples: int, c: int):
         epochs=draw(st.integers(1, 2)), pre_epochs=draw(st.integers(0, 1)),
         batch_size=draw(st.integers(1, n_samples + 3)), lr0=draw(st.sampled_from([0.01, 0.2])),
         hidden=tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
-        solver=solver, selection=SelectionConfig(*rho, ramp_epochs=draw(st.integers(1, 2))),
-        prior_rule=draw(st.sampled_from(RULES)), fixed_prior=fixed_prior,
+        solver=solver, prior_rule=draw(st.sampled_from(RULES)), fixed_prior=fixed_prior,
         seed=draw(st.integers(0, 2**16)))
 
 
@@ -880,9 +861,6 @@ def test_train_matches_the_reference_trainer_on_drawn_runs(data):
     pytest.param(TrainConfig, "pre_epochs", False, id="train-pre-epochs-bool"),
     pytest.param(TrainConfig, "hidden", (8, True), id="train-hidden-width-bool"),
     pytest.param(SinkhornConfig, "max_iters", True, id="sinkhorn-max-iters-bool"),
-    # ramp_epochs 2.5 ramped rho over a fractional epoch count.
-    pytest.param(SelectionConfig, "ramp_epochs", 2.5, id="selection-ramp-epochs-float"),
-    pytest.param(SelectionConfig, "ramp_epochs", True, id="selection-ramp-epochs-bool"),
 ])
 def test_integer_settings_reject_floats_and_bools(config, name, value):
     base = dict(n_classes=4, head_count=40) if config is DatasetSpec else {}
