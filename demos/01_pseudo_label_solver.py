@@ -28,7 +28,7 @@ s = CandidateMatrix(np.array([[1.0, 1.0, 1.0, 0.0]]))
 r = clamp_prior(np.array([0.60, 0.25, 0.10, 0.05]))
 
 print("predictions: ", f.values[0])
-print("candidates:  ", s.bits[0])
+print("candidates:  ", s.bits[0].astype(float))
 print("class prior: ", r.values)
 print()
 

@@ -3,11 +3,11 @@
 Everything downstream (solvers, prior estimation, training) works on the
 four matrix/vector types defined here. All types are immutable after
 construction and carry their invariants: predictions and pseudo-labels are
-row-stochastic, candidate sets are binary with no empty row, class priors
-live on the clamped simplex. Copies and unpickled instances of these types,
-and of ``PartialDataset`` and ``ModelParams``, are rebuilt by the
-constructor, so they are checked too: copying a ``ModelParams`` that has
-gone non-finite raises, as the constructor does.
+row-stochastic, candidate sets are bool masks (B x c bytes) with no empty
+row, class priors live on the clamped simplex. Copies and unpickled
+instances of these types, and of ``PartialDataset`` and ``ModelParams``, are
+rebuilt by the constructor, so they are checked too: copying a
+``ModelParams`` that has gone non-finite raises, as the constructor does.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ class NonFiniteLoss(PlrError):
     """Training produced a NaN or infinite loss."""
 
 
-def _as_float_matrix(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+def _check_matrix(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[1] < 1:
@@ -108,7 +107,8 @@ class _Validated:
 
 @dataclass(frozen=True, eq=False)
 class CandidateMatrix(_Validated):
-    """Binary indicator of which labels are plausible for each sample.
+    """Which labels are plausible for each sample: ``bits`` is a C-contiguous,
+    read-only bool mask, one byte an entry; other dtypes must hold 0 or 1.
 
     Every row must hold at least one candidate: the constructor raises
     EmptyCandidateRow naming the first empty row, so no solver needs to
@@ -118,15 +118,18 @@ class CandidateMatrix(_Validated):
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = _as_float_matrix(self.bits, "candidate matrix")
+        bits = _check_matrix(np.asarray(self.bits), "candidate matrix")
         if bits.shape[0] < 1:
             raise ShapeMismatch("candidate matrix must have at least one row")
-        if not np.all((bits == 0.0) | (bits == 1.0)):
-            raise ValueError("candidate matrix entries must be 0 or 1")
+        if bits.dtype != bool:
+            ones = bits == 1.0
+            if not (ones | (bits == 0.0)).all():  # NaN fails both
+                raise ValueError("candidate matrix entries must be 0 or 1")
+            bits = ones
         nonempty = bits.any(axis=1)
         if not nonempty.all():
             raise EmptyCandidateRow(int(np.argmin(nonempty)))
-        self._freeze(bits=bits)
+        self._freeze(bits=np.ascontiguousarray(bits))
 
     @cached_property
     def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,8 +149,8 @@ class CandidateMatrix(_Validated):
 
 
 def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat index, row, column) of each positive entry of 2-d ``bits``, in row-major order."""
-    flat = (bits > 0.0).ravel().nonzero()[0]
+    """(flat index, row, column) of each nonzero entry of 2-d ``bits``, in row-major order."""
+    flat = bits.ravel().nonzero()[0]
     return (flat, *np.divmod(flat, bits.shape[1]))
 
 
@@ -175,7 +178,7 @@ class _RowStochastic(_Validated):
 
     def __post_init__(self):
         name = type(self).__name__
-        values = _as_float_matrix(self.values, name)
+        values = _check_matrix(np.ascontiguousarray(self.values, dtype=np.float64), name)
         # BLAS matvec: faster than sum(axis=1)
         _check_row_stochastic(name, values, values @ np.ones(values.shape[1]))
         self._freeze(values=values)
@@ -312,15 +315,22 @@ def _whole_numbers(name: str, values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.int64)
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ValueError unless ``value`` is a ``kind``, such as a raw array in its place."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_prior(c: int | None, r: ClassPrior) -> None:
     """Raise ValueError unless ``r`` is a ClassPrior, ShapeMismatch unless it has ``c`` classes."""
-    if not isinstance(r, ClassPrior):
-        raise ValueError(f"prior must be a ClassPrior, got {type(r).__name__}")
+    _check_type("prior", r, ClassPrior)
     if c is not None and r.n_classes != c:
         raise ShapeMismatch(f"prior has {r.n_classes} classes, expected {c}")
 
 
 def _check_pair(f: PredictionMatrix, s: CandidateMatrix) -> None:
+    _check_type("predictions", f, PredictionMatrix)
+    _check_type("candidates", s, CandidateMatrix)
     if f.values.shape != s.bits.shape:
         raise ShapeMismatch(f"predictions {f.values.shape} vs candidates {s.bits.shape}")
 

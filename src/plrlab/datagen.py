@@ -37,6 +37,7 @@ from .core import (
     ShapeMismatch,
     _Validated,
     _check_integers,
+    _check_type,
     _whole_numbers,
     body_lines,
     read_ascii,
@@ -104,6 +105,7 @@ class PartialDataset(_Validated):
     group_boundaries: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
+        _check_type("candidates", self.candidates, CandidateMatrix)
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labels = _whole_numbers("true_labels", self.true_labels)
         if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
@@ -114,7 +116,7 @@ class PartialDataset(_Validated):
         if labels.size and (labels.min() < 0 or labels.max() >= c):
             raise ValueError("true labels out of class range")
         rows = np.arange(labels.shape[0])
-        if not np.all(self.candidates.bits[rows, labels] == 1.0):
+        if not self.candidates.bits[rows, labels].all():
             raise ValueError("every true label must be inside its candidate set")
         counts = np.bincount(labels, minlength=c)
         object.__setattr__(self, "group_boundaries", group_split(counts, c))
@@ -185,10 +187,10 @@ def gen_candidates(true_labels, flip_prob: float, rng: Rng, n_classes: int,
     labels = _whole_numbers("true_labels", true_labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"true labels must lie in range({n_classes})")
-    bits = (rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob).astype(np.float64)
+    bits = rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob
     if block is not None:
-        bits *= block[labels][:, None] == block[None, :]
-    bits[np.arange(labels.shape[0]), labels] = 1.0
+        bits &= block[labels][:, None] == block[None, :]
+    bits[np.arange(labels.shape[0]), labels] = True
     return CandidateMatrix(bits)
 
 
@@ -334,9 +336,9 @@ def _parse_records(lines: list[str], n: int, c: int, d: int):
     if not finite_rows.all():
         raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
     try:
-        bits = np.zeros((n, c))
+        bits = np.zeros((n, c), dtype=bool)
     except (MemoryError, ValueError):
         raise FormatError(1, f"N={n} x c={c} candidate bits do not fit in memory") from None
     rows = np.repeat(np.arange(n), [len(ids) for ids in cands])
-    bits[rows, [j for ids in cands for j in ids]] = 1.0
+    bits[rows, [j for ids in cands for j in ids]] = True
     return features, np.array(labels, dtype=np.int64), bits

@@ -169,7 +169,7 @@ def kkt_residual(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
     _check_prior(f.n_classes, r)
     if w.values.shape != f.values.shape:
         raise ShapeMismatch(f"pseudo-labels {w.values.shape} vs predictions {f.values.shape}")
-    support = s.bits > 0.0
+    support = s.bits
     on_support = w.values[support]
     if np.any(on_support <= 0.0):
         bad = np.argwhere(support & (w.values <= 0.0))[0]

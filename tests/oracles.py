@@ -227,9 +227,9 @@ def parse_records_loop(lines: list[str], n: int, c: int, d: int):
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         raise FormatError(record_lines[int(np.argmin(finite_rows))], "features must be finite")
-    bits = np.zeros((n, c))
+    bits = np.zeros((n, c), dtype=bool)
     for row, ids in enumerate(cands):
-        bits[row, ids] = 1.0
+        bits[row, ids] = True
     return features, np.array(labels, dtype=np.int64), bits
 
 

@@ -28,7 +28,7 @@ from plrlab.prior import PriorEstimator, init_uniform, prior_error, update_prior
 from plrlab.report import logits_adjust_predict
 from plrlab.selection import select_reliable
 from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
-from plrlab.solver import kkt_residual, plr_objective, plr_update
+from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
 from plrlab.trainer import init_params
 
 
@@ -49,6 +49,48 @@ class TestValidateCandidates:
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):
             CandidateMatrix(np.array([[0.5, 1.0]]))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda m: m.astype(np.float64), id="float"),
+        pytest.param(lambda m: m.astype(np.int64), id="int"),
+        pytest.param(lambda m: m, id="bool"),
+        pytest.param(lambda m: m.astype(int).tolist(), id="list"),
+        pytest.param(lambda m: np.asfortranarray(m.astype(np.float64)), id="fortran-float"),
+        pytest.param(lambda m: np.repeat(m, 2, axis=1)[:, ::2], id="strided-bool"),
+    ])
+    def test_bits_are_a_contiguous_read_only_bool_mask(self, make):
+        # One byte an entry, whatever the input's dtype or layout.
+        mask = np.array([[True, False, True], [False, True, False]])
+        bits = CandidateMatrix(make(mask)).bits
+        assert bits.dtype == np.bool_ and bits.flags.c_contiguous
+        assert not bits.flags.writeable
+        assert bits.nbytes == mask.size
+        np.testing.assert_array_equal(bits, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    @pytest.mark.parametrize("entries, error, match", [
+        pytest.param([1.0, 0.0, 1.0], ShapeMismatch,
+                     "^candidate matrix must be a 2-d matrix, got ndim=1$", id="1-d"),
+        pytest.param(np.zeros((2, 0)), ShapeMismatch,
+                     "^candidate matrix must have at least one column$", id="zero-columns"),
+        pytest.param(np.zeros((0, 2)), ShapeMismatch,
+                     "^candidate matrix must have at least one row$", id="zero-rows"),
+        pytest.param([[1.0, 0.0], [0.0, 0.0]], EmptyCandidateRow,
+                     "^sample 1 has an empty candidate set$", id="empty-row"),
+    ])
+    def test_bad_shapes_raise_for_every_dtype(self, entries, error, match, dtype):
+        with pytest.raises(error, match=match):
+            CandidateMatrix(np.asarray(entries, dtype=dtype))
+
+    @pytest.mark.parametrize("entry", [2.0, -1.0, np.nan, np.inf])
+    def test_entries_other_than_zero_or_one_raise(self, entry):
+        with pytest.raises(ValueError, match="^candidate matrix entries must be 0 or 1$"):
+            CandidateMatrix(np.array([[1.0, entry]]))
+
+    def test_copies_keep_the_bool_mask(self, duplicate):
+        dup = duplicate(CandidateMatrix(np.array([[1.0, 0.0], [1.0, 1.0]])))
+        assert dup.bits.dtype == np.bool_ and not dup.bits.flags.writeable
+        np.testing.assert_array_equal(dup.bits, [[True, False], [True, True]])
 
 
 class TestPackedIndex:
@@ -387,3 +429,27 @@ def test_raw_array_prior_raises_a_typed_error(call, tmp_path):
     with pytest.raises(ValueError, match="prior must be a ClassPrior, got ndarray"):
         call(f, s, PseudoLabelMatrix(f.values), np.array([0.5, 0.5]), tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda f, s, r: PartialDataset(np.zeros((2, 3)), np.array([0, 1]), s.bits),
+                 "candidates", id="PartialDataset"),
+    pytest.param(lambda f, s, r: plr_update(f, s.bits, r, PlrHyperparams()), "candidates",
+                 id="plr_update"),
+    pytest.param(lambda f, s, r: proden_update(f, s.bits), "candidates", id="proden_update"),
+    pytest.param(lambda f, s, r: kkt_residual(PseudoLabelMatrix(f.values), f, r,
+                                              PlrHyperparams(), s.bits),
+                 "candidates", id="kkt_residual"),
+    pytest.param(lambda f, s, r: solar_update(f.values, s, r, SinkhornConfig()), "predictions",
+                 id="solar_update"),
+    pytest.param(lambda f, s, r: plr_update(f.values, s, r, PlrHyperparams()), "predictions",
+                 id="plr_update-predictions"),
+])
+def test_raw_array_candidates_or_predictions_raise_a_typed_error(call, name):
+    # Each used to fail with a bare AttributeError ('numpy.ndarray' object
+    # has no attribute 'bits', 'values' or 'n_samples'), a bool mask too.
+    f = PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
+    s = CandidateMatrix(np.ones((2, 2)))
+    kind = {"candidates": "CandidateMatrix", "predictions": "PredictionMatrix"}[name]
+    with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got ndarray$"):
+        call(f, s, clamp_prior(np.array([1.0, 1.0])))

@@ -1,5 +1,6 @@
 """Long-tail profiles, candidate flipping, grouping, and the dataset file format."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -354,6 +355,23 @@ class TestDatasetFile:
         with pytest.raises(UnicodeEncodeError):
             write_dataset(train, path, comments=["out = \xe9.tsv"])
         assert not path.exists()
+
+    def test_a_wide_file_reads_into_a_one_byte_candidate_mask(self, tmp_path):
+        # 200 x 5000 candidate entries: a float64 mask alone would take 8 MB.
+        n, c = 200, 5000
+        labels = np.arange(n) * 10 // n
+        bits = np.zeros((n, c), dtype=bool)
+        bits[np.arange(n), labels] = bits[:, -1] = True
+        write_dataset(PartialDataset(np.zeros((n, 1)), labels, CandidateMatrix(bits)),
+                      tmp_path / "wide.tsv")
+        tracemalloc.start()
+        try:
+            back = read_dataset(tmp_path / "wide.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.candidates.bits, bits)
+        assert peak < 2 * n * c, peak
 
     def test_dataset_bytes_stable_across_runs(self, tmp_path):
         spec = DatasetSpec(n_classes=4, head_count=12, flip_prob=0.2, seed=9)
