@@ -152,17 +152,15 @@ _GEN_OPTS = [
     _opt(["--dim"], "dim", int, 16, "feature dimension"),
     _opt(["--sep"], "sep", float, 4.0, "class-mean hypersphere radius"),
     _opt(["--test-per-class"], "test_per_class", int, 50, "balanced test samples per class"),
-    _opt(["--superclass-size"], "superclass_size", int, 0,
-         "restrict flips to contiguous superclasses of this size (0 = off)"),
     _opt(["--seed"], "seed", int, 0, "generation seed"),
     _opt(["-o", "--out"], "out", str, None, "output path for the training split (required)"),
     _opt(["--test-out"], "test_out", str, None,
          "output path for the test split (default: <out stem>_test<ext>)"),
 ]
 
-# Train and bench defaults come from the config dataclasses, so each lives in one
-# place; "plr" is the CLI name of TrainConfig().solver's type, and a test pins that they
-# agree. gen keeps its literals: the acceptance dataset's gamma and psi are not DatasetSpec's.
+# Train defaults come from the config dataclasses, and bench times each kernel at its
+# config's defaults; "plr" is the CLI name of TrainConfig().solver's type (a test pins
+# it). gen keeps its literals: the acceptance dataset's gamma and psi are not DatasetSpec's.
 _TRAIN = TrainConfig()
 
 _TRAIN_OPTS = [
@@ -211,10 +209,6 @@ _BENCH_OPTS = [
     _opt(["--reps"], "reps", int, 10, "timed repetitions per method (min 3)"),
     _opt(["--methods"], "methods", str, "plr,proden,sinkhorn",
          "comma-separated subset of plr, proden, sinkhorn"),
-    _opt(["--lambda"], "lam", float, PlrHyperparams().lam,
-         "entropy temperature for the plr method"),
-    _opt(["--m"], "m", float, PlrHyperparams().m, "prior-penalty exponent for the plr method"),
-    _opt(["--sk-iters"], "sk_iters", int, SinkhornConfig().max_iters, "Sinkhorn iteration cap"),
     _opt(["--seed"], "seed", int, 0, "benchmark data seed"),
     _opt(["-o", "--out"], "out", str, None, "benchmark CSV path (required)"),
 ]
@@ -298,8 +292,7 @@ def _cmd_gen(values: dict) -> int:
         n_classes=values["classes"], head_count=values["head"],
         imbalance_ratio=values["gamma"], flip_prob=values["psi"],
         feature_dim=values["dim"], class_separation=values["sep"],
-        test_per_class=values["test_per_class"],
-        superclass_size=values["superclass_size"], seed=values["seed"],
+        test_per_class=values["test_per_class"], seed=values["seed"],
     )
     test_out = values["test_out"] or _companion(values["out"], "_test")
     _distinct_paths(values["out"], test_out, values["config"])
@@ -378,11 +371,8 @@ def _cmd_bench(values: dict) -> int:
     rng = Rng(values["seed"])
     for classes in values["classes"]:
         for batch in values["batch"]:
-            records.extend(bench_pseudo(
-                methods, batch, classes, values["reps"], rng.child(len(records)),
-                plr_params=PlrHyperparams(lam=values["lam"], m=values["m"]),
-                sinkhorn_cfg=SinkhornConfig(max_iters=values["sk_iters"]),
-            ))
+            records.extend(bench_pseudo(methods, batch, classes, values["reps"],
+                                        rng.child(len(records))))
     emit_bench(records, values["out"], _config_comments("bench", values))
     for rec in records:
         print(f"{rec.method:8s} B={rec.batch_size:<5d} c={rec.n_classes:<4d} "

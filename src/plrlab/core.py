@@ -94,7 +94,9 @@ def _check_matrix(arr: np.ndarray, name: str) -> np.ndarray:
 
 class _Validated:
     """Base of the validated array types: a copy or an unpickled instance is built by
-    the constructor from the dataclass init fields, so it is checked as the original was."""
+    the constructor from the dataclass init fields, so it is checked as the original was.
+    An input that already has the stored dtype and layout is kept without a copy and made
+    read-only in the caller's hands too; an input that is converted or copied stays writable."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)

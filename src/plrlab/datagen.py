@@ -4,8 +4,7 @@ Class sizes follow an exponential profile between a head count and
 head/imbalance_ratio; features are isotropic Gaussian clouds around class
 means drawn on a hypersphere whose radius sets the task difficulty.
 Candidate sets contain the true label plus each negative label flipped in
-independently with the ambiguity probability, optionally restricted to the
-true label's superclass, a block of ``superclass_size`` contiguous classes.
+independently with the ambiguity probability.
 
 Datasets serialize to a line-oriented text format::
 
@@ -67,7 +66,6 @@ class DatasetSpec:
     feature_dim: int = 16
     class_separation: float = 4.0
     test_per_class: int = 50
-    superclass_size: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -86,7 +84,6 @@ class DatasetSpec:
             raise ValueError("test_per_class must be positive")
         if not 0.0 <= self.class_separation < math.inf:
             raise ValueError("class_separation must be finite and nonnegative")
-        _superclass_of(self.superclass_size, self.n_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,32 +161,18 @@ def _sample_split(means: np.ndarray, counts: np.ndarray, rng: Rng) -> tuple[np.n
     return feats, labels
 
 
-def _superclass_of(size: int, n_classes: int) -> np.ndarray | None:
-    """Each class's superclass, j // size, or None for size 0 (unrestricted);
-    ValueError unless the size is a nonnegative integer that divides n_classes."""
-    _check_integers(superclass_size=size)
-    if size < 0 or size and n_classes % size:
-        raise ValueError(f"superclass_size {size} is not 0 or a positive divisor of {n_classes}")
-    return np.arange(n_classes) // size if size else None
-
-
-def gen_candidates(true_labels, flip_prob: float, rng: Rng, n_classes: int,
-                   superclass_size: int = 0) -> CandidateMatrix:
+def gen_candidates(true_labels, flip_prob: float, rng: Rng, n_classes: int) -> CandidateMatrix:
     """Candidate sets: the true label plus independently flipped negatives.
 
-    Labels must be whole numbers in range(n_classes). A nonzero
-    superclass_size must divide n_classes; labels outside the true label's
-    block of that many contiguous classes then never become candidates.
+    n_classes must be an integer, and labels whole numbers in range(n_classes).
     """
+    _check_integers(n_classes=n_classes)
     if not 0.0 <= flip_prob < 1.0:
         raise ValueError("flip_prob must lie in [0, 1)")
-    block = _superclass_of(superclass_size, n_classes)
     labels = _whole_numbers("true_labels", true_labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"true labels must lie in range({n_classes})")
     bits = rng.uniform(size=(labels.shape[0], n_classes)) < flip_prob
-    if block is not None:
-        bits &= block[labels][:, None] == block[None, :]
     bits[np.arange(labels.shape[0]), labels] = True
     return CandidateMatrix(bits)
 
@@ -200,6 +183,7 @@ def group_split(class_counts, n_classes: int) -> tuple[int, int]:
     Classes [0, lo) are many, [lo, hi) medium, [hi, c) few; any remainder
     goes to the middle group. Expects counts sorted non-increasing.
     """
+    _check_integers(n_classes=n_classes)
     counts = np.asarray(class_counts)
     if counts.shape[0] != n_classes:
         raise ShapeMismatch(f"{counts.shape[0]} counts for {n_classes} classes")
@@ -223,8 +207,7 @@ def gen_dataset(spec: DatasetSpec) -> tuple[PartialDataset, PartialDataset]:
     test_counts = np.full(spec.n_classes, spec.test_per_class, dtype=np.int64)
     test_x, test_y = _sample_split(means, test_counts, rng.child(2))
 
-    train_s = gen_candidates(train_y, spec.flip_prob, rng.child(3), spec.n_classes,
-                             spec.superclass_size)
+    train_s = gen_candidates(train_y, spec.flip_prob, rng.child(3), spec.n_classes)
     test_s = gen_candidates(test_y, 0.0, rng.child(4), spec.n_classes)
 
     train = PartialDataset(train_x, train_y, train_s)

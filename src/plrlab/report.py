@@ -136,11 +136,11 @@ def _bench_instance(batch_size: int, n_classes: int, rng: Rng):
     return f, s, r
 
 
-def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
-                 plr_params: PlrHyperparams = PlrHyperparams(),
-                 sinkhorn_cfg: SinkhornConfig = SinkhornConfig()) -> list[BenchRecord]:
+def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int,
+                 rng: Rng) -> list[BenchRecord]:
     """Time each pseudo-label method on one shared random batch.
 
+    plr runs at ``PlrHyperparams()`` and sinkhorn at ``SinkhornConfig()``.
     Each method gets one untimed warm-up call, then ``reps`` timed calls
     on identical inputs; reported is the mean and standard deviation of
     the per-call wall-clock seconds. The first warm-up call also builds
@@ -153,10 +153,11 @@ def bench_pseudo(methods, batch_size: int, n_classes: int, reps: int, rng: Rng,
     if reps < 3:
         raise TooFewReps(f"need at least 3 repetitions, got {reps}")
     f, s, r = _bench_instance(batch_size, n_classes, rng)
+    h, cfg = PlrHyperparams(), SinkhornConfig()
     calls = {
-        "plr": lambda: plr_update(f, s, r, plr_params),
+        "plr": lambda: plr_update(f, s, r, h),
         "proden": lambda: proden_update(f, s),
-        "sinkhorn": lambda: solar_update(f, s, r, sinkhorn_cfg),
+        "sinkhorn": lambda: solar_update(f, s, r, cfg),
     }
     records = []
     for name in methods:

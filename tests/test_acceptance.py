@@ -209,9 +209,7 @@ def test_criterion_6_kernel_runtime_gap():
     # instance; the median of five round means ignores a stall that
     # lands in one or two rounds.
     rounds = [{rec.method: rec.mean_s for rec in bench_pseudo(
-        ["plr", "proden", "sinkhorn"], 256, 100, 10, Rng(1006),
-        sinkhorn_cfg=SinkhornConfig(max_iters=50),
-    )} for _ in range(5)]
+        ["plr", "proden", "sinkhorn"], 256, 100, 10, Rng(1006))} for _ in range(5)]
     mean_s = {m: float(np.median([rnd[m] for rnd in rounds])) for m in rounds[0]}
     plr_t = mean_s["plr"]
     assert plr_t <= mean_s["sinkhorn"] / 5.0

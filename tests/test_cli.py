@@ -12,7 +12,6 @@ from plrlab.core import (
     ClassPrior,
     FormatError,
     PlrError,
-    PlrHyperparams,
     Rng,
     ShapeMismatch,
     clamp_prior,
@@ -20,7 +19,6 @@ from plrlab.core import (
 from plrlab.datagen import read_dataset
 from plrlab.prior import init_uniform
 from plrlab.report import read_metrics
-from plrlab.sinkhorn import SinkhornConfig
 from plrlab.trainer import ModelParams, TrainConfig, init_params
 
 
@@ -82,17 +80,13 @@ class TestGen:
         assert out.read_bytes() == first
 
     @pytest.mark.parametrize("flag, value", [("--sep", "nan"), ("--sep", "inf"),
-                                             ("--gamma", "nan"), ("--gamma", "inf"),
-                                             ("--superclass-size", "3"),
-                                             ("--superclass-size", "-1")])
+                                             ("--gamma", "nan"), ("--gamma", "inf")])
     def test_non_finite_spec_exits_one_and_writes_nothing(self, tmp_path, capsys, flag, value):
         # --sep nan used to exit 0 and write all-nan features.
         out = tmp_path / "bad.txt"
         assert main(["gen", "--classes", "4", "--head", "60", flag, value,
                      "-o", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert flag != "--superclass-size" or "superclass_size" in err
+        assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_non_ascii_output_path_is_echoed_escaped(self, tmp_path):
@@ -103,16 +97,6 @@ class TestGen:
         assert main(["train", "-d", str(out), "--epochs", "1", "--pre-epochs", "0",
                      "--hidden", "4", "--metrics-out", str(metrics)]) == 0
         assert len(read_metrics(metrics)) == 1
-
-    def test_superclass_flag_respected(self, tmp_path):
-        out = tmp_path / "h.txt"
-        assert main(["gen", "--classes", "6", "--head", "30", "--psi", "0.5",
-                     "--gamma", "2", "--superclass-size", "3", "-o", str(out)]) == 0
-        ds = read_dataset(out)
-        group_of = np.array([0, 0, 0, 1, 1, 1])
-        for i in range(ds.n_samples):
-            cands = np.flatnonzero(ds.candidates.bits[i])
-            assert len(set(group_of[cands])) == 1
 
 
 def _train(tmp_path, ds, extra=()):
@@ -387,17 +371,6 @@ class TestBench:
         assert len(lines) == 3
         assert [l.split(",")[2] for l in lines[1:]] == ["4", "8"]
 
-    def test_defaults_are_the_solver_config_defaults(self, tmp_path, monkeypatch):
-        seen = []
-
-        def capture(methods, batch_size, n_classes, reps, rng, plr_params, sinkhorn_cfg):
-            seen.append((plr_params, sinkhorn_cfg))
-            return []
-
-        monkeypatch.setattr("plrlab.cli.bench_pseudo", capture)
-        assert main(["bench", "-o", str(tmp_path / "b.csv")]) == 0
-        assert seen == [(PlrHyperparams(), SinkhornConfig())]
-
     def test_too_few_reps_exits_one(self, tmp_path):
         assert main(["bench", "--reps", "2", "-o", str(tmp_path / "b.csv")]) == 1
 
@@ -445,10 +418,19 @@ class TestHelpAndUsage:
                      ["train", "-d", "ds.txt", "--mu2", "0.01"],
                      ["train", "-d", "ds.txt", "--rho-start", "0.2"],
                      ["train", "-d", "ds.txt", "--rho-end", "0.5"],
-                     ["train", "-d", "ds.txt", "--ramp-epochs", "50"]):
+                     ["train", "-d", "ds.txt", "--ramp-epochs", "50"],
+                     ["gen", "-o", "ds.txt", "--superclass-size", "3"],
+                     ["bench", "-o", "b.csv", "--lambda", "3"],
+                     ["bench", "-o", "b.csv", "--sk-iters", "50"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
+
+    def test_bench_m_is_read_as_a_methods_prefix(self, tmp_path, capsys):
+        # argparse takes '--m' for '--methods', which names no method.
+        assert main(["bench", "--m", "2", "-o", str(tmp_path / "b.csv")]) == 1
+        assert "unknown method '2'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_value_exits_one_with_argparse_message(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -480,6 +462,12 @@ class TestHelpAndUsage:
             cfg.write_text(f"{key} = {value}\n")
             assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
             assert f"error: unknown config key '{key}'" in capsys.readouterr().err
+        for cmd, key in (("gen", "superclass_size"), ("bench", "lam"), ("bench", "m"),
+                         ("bench", "sk_iters")):
+            cfg.write_text(f"{key} = 3\n")
+            assert main([cmd, "--config", str(cfg), "-o", str(tmp_path / "out.txt")]) == 1
+            assert f"error: unknown config key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "out.txt").exists()
 
     def test_echoed_values_escape_all_but_printable_ascii(self):
         lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})

@@ -29,7 +29,7 @@ from plrlab.report import logits_adjust_predict
 from plrlab.selection import select_reliable
 from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
 from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
-from plrlab.trainer import init_params
+from plrlab.trainer import ModelParams, init_params
 
 
 class TestValidateCandidates:
@@ -178,6 +178,25 @@ class TestCopies:
         params.flat[0] = np.nan
         with pytest.raises(ValueError, match="model parameters must be finite"):
             duplicate(params)
+
+
+@pytest.mark.parametrize("build, inputs, kept", [
+    pytest.param(CandidateMatrix, [np.ones((2, 2), bool)], True, id="CandidateMatrix-bool"),
+    pytest.param(PredictionMatrix, [np.full((2, 2), 0.5)], True, id="PredictionMatrix"),
+    pytest.param(ClassPrior, [np.array([0.25, 0.75])], True, id="ClassPrior"),
+    pytest.param(lambda x, y: PartialDataset(x, y, CandidateMatrix(np.ones((2, 2), bool))),
+                 [np.zeros((2, 3)), np.array([0, 1])], True, id="PartialDataset"),
+    pytest.param(CandidateMatrix, [np.ones((2, 2))], False, id="CandidateMatrix-float"),
+    pytest.param(lambda w, b: ModelParams([w], [b]), [np.zeros((3, 2)), np.zeros(2)], False,
+                 id="ModelParams"),
+])
+def test_a_kept_input_is_frozen_and_a_converted_one_stays_writable(build, inputs, kept):
+    # No defensive copy: an input that already has the stored dtype and layout
+    # is held as it is, so it turns read-only for the caller as well.
+    held = list(_arrays(build(*inputs)).values())
+    for arr in inputs:
+        assert any(np.shares_memory(arr, h) for h in held) == kept
+        assert arr.flags.writeable == (not kept)
 
 
 class TestClampPrior:

@@ -122,40 +122,16 @@ class TestGenCandidates:
         sigma = np.sqrt(psi * (1 - psi) / negatives)
         assert abs(rate - psi) <= 3 * sigma
 
-    def test_superclass_blocks_cross_block_flips(self):
-        labels = Rng(5).integers(0, 10, 500)
-        s = gen_candidates(labels, 0.5, Rng(6), n_classes=10, superclass_size=5)
-        block = np.array([0] * 5 + [1] * 5)
-        for i in range(500):
-            cands = np.flatnonzero(s.bits[i])
-            assert np.all(block[cands] == block[labels[i]])
-
-    def test_superclass_draw_is_the_free_draw_masked_to_the_blocks(self):
-        # Restricting masks the same uniform draw and draws nothing more, so
-        # the rest of a dataset is the same whatever the superclass size.
-        labels = Rng(9).integers(0, 6, 200)
-        free = gen_candidates(labels, 0.6, Rng(10), n_classes=6).bits
-        got = gen_candidates(labels, 0.6, Rng(10), n_classes=6, superclass_size=2).bits
-        np.testing.assert_array_equal(got, free * (labels[:, None] // 2 == np.arange(6) // 2))
-        assert np.all(got[np.arange(200), labels] == 1.0)
-
     def test_true_label_always_candidate(self):
         labels = Rng(7).integers(0, 6, 300)
         s = gen_candidates(labels, 0.4, Rng(8), n_classes=6)
         assert np.all(s.bits[np.arange(300), labels] == 1.0)
 
-    @pytest.mark.parametrize("size, match", [
-        pytest.param(3, "superclass_size 3 is not 0 or a positive divisor of 4", id="indivisible"),
-        pytest.param(-1, "superclass_size -1 is not 0 or a positive divisor of 4", id="negative"),
-        pytest.param(True, "superclass_size takes integers only, got True", id="bool"),
-        pytest.param(1.5, "superclass_size takes integers only, got 1.5", id="float"),
-    ])
-    def test_superclass_size_must_divide_the_classes(self, size, match):
-        # True would have stood for blocks of one class.
-        with pytest.raises(ValueError, match=match):
-            gen_candidates(np.arange(4), 0.9, Rng(0), n_classes=4, superclass_size=size)
-        with pytest.raises(ValueError, match=match):
-            DatasetSpec(n_classes=4, head_count=40, superclass_size=size)
+    @pytest.mark.parametrize("n_classes", [2.0, True])
+    def test_class_count_must_be_an_integer(self, n_classes):
+        # Used to raise a bare TypeError from numpy's uniform draw.
+        with pytest.raises(ValueError, match=f"^n_classes takes integers only, got {n_classes}$"):
+            gen_candidates(np.array([0, 0]), 0.5, Rng(0), n_classes)
 
     @pytest.mark.parametrize("psi", [1.0, -0.1, float("nan")])
     def test_flip_prob_outside_the_unit_interval_rejected(self, psi):
@@ -188,6 +164,12 @@ class TestGroupSplit:
     def test_count_per_class_required(self):
         with pytest.raises(ShapeMismatch, match="3 counts for 4 classes"):
             group_split(np.array([5, 3, 1]), 4)
+
+    @pytest.mark.parametrize("n_classes", [3.0, True])
+    def test_class_count_must_be_an_integer(self, n_classes):
+        # 3.0 used to return the float boundaries (1.0, 2.0).
+        with pytest.raises(ValueError, match=f"^n_classes takes integers only, got {n_classes}$"):
+            group_split(np.array([3, 2, 1]), n_classes)
 
 
 class TestGenDataset:
