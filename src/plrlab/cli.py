@@ -392,11 +392,11 @@ _COMMANDS = {
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The plrlab parser and its subcommand parsers by name."""
-    parser = _Parser(prog="plrlab",
+    parser = _Parser(prog="plrlab", allow_abbrev=False,
                      description="Long-tailed partial-label learning experiments.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
     for name, (_, opts, about) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=about, description=about), opts)
+        _add_options(sub.add_parser(name, help=about, description=about, allow_abbrev=False), opts)
     return parser, sub.choices
 
 

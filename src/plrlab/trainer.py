@@ -9,12 +9,13 @@ One SGD step with momentum 0.9, ``_step``, works on plain arrays. Its three row 
 (the weak view, the strong view of the selected rows, their mix) live in one buffer that
 each stage allocates once. Two forward passes fill it (the weak view, then the other two
 blocks) and a single backward pass covers all three, each loss's mean folded into the
-gradient at the logits. The epoch loop around it, ``_run_stage``, packs the batches once
-per epoch, sums the losses, blends the prior with a statistic of full-train-set weak-view
-predictions and records the metrics; that refresh and the test-split forward pass reuse
-the same buffer. Training runs in two stages: a short pre-estimation stage (blend
-coefficient 0.1) whose only output is a coarse prior, then a re-initialized model
-trained for real (coefficient 0.01) with that prior carried over.
+gradient at the logits, and ``_step`` returns its step record, a vector of sums. The epoch
+loop around it, ``_run_stage``, packs each batch with ``core._pack``, adds the records,
+blends the prior with a statistic of full-train-set weak-view predictions and records the
+metrics; that refresh and the test-split forward pass reuse the same buffer. Training runs
+in two stages: a short pre-estimation stage (blend coefficient 0.1) whose only output is a
+coarse prior, then a re-initialized model trained for real (coefficient 0.01) with that
+prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
 is no autodiff dependency. The parameters live in one float64 vector,
@@ -291,11 +292,10 @@ def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
 
 
 def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, index: tuple,
-          est: PriorEstimator, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
-          epoch: int, batch: int) -> tuple[list[float], int]:
-    """One SGD step on a batch with packed candidates ``index``, in place on ``params``,
-    ``velocity`` and the stage's buffers ``ws``; returns each loss's row-weighted sum
-    (cls, cons, mix) and the selected row count."""
+          r: np.ndarray, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
+          epoch: int, batch: int) -> np.ndarray:
+    """One SGD step on a batch with packed candidates ``index`` and prior ``r``, in place
+    on ``params``, ``velocity`` and the stage's buffers ``ws``; returns its step record."""
     acts, deltas, targets, grad, gw, gb = ws
     n = x.shape[0]
     weak = augment(x, rng, "weak", cfg)
@@ -305,10 +305,10 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
     if not np.isfinite(probs).all():
         raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
                             f"batch {batch}; try a smaller learning rate")
-    w = _scatter(_pseudo_labels(probs, index, est.r.values, cfg.solver), index[0], probs.shape)
+    w = _scatter(_pseudo_labels(probs, index, r, cfg.solver), index[0], probs.shape)
 
     losses = _soft_ce(probs, w)
-    selected = _select_rows(np.argmax(w, axis=1), losses, est.r.values, rho)
+    selected = _select_rows(np.argmax(w, axis=1), losses, r, rho)
     k = selected.size
     m = n + 2 * k
     cls = _mean_loss("classification", losses, epoch, batch) * n
@@ -327,7 +327,8 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
 
     _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], gw, gb)
     sgd_momentum_step(params, grad, velocity, lr, _MOMENTUM)
-    return [cls, cons, mix], k
+    # The step record's slots: the cls, cons and mix loss sums, then the selected rows.
+    return np.array([cls, cons, mix, k], dtype=np.float64)
 
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
@@ -349,19 +350,12 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         lr = cosine_lr(epoch, epochs, cfg.lr0)
         rho = rho_at(epoch)
         order = ep_rng.permutation(ds.n_samples)
-        # Gathered and packed once per epoch; a batch's packed entries are one range.
-        features = ds.features[order]
-        flat, rows, cols = _pack(ds.candidates.bits[order])
-        starts = range(0, ds.n_samples, cfg.batch_size)
-        ends = np.searchsorted(rows, [*starts, ds.n_samples]).tolist()
-        sums, kept = [0.0, 0.0, 0.0], 0
-        for batch, start in enumerate(starts):
-            lo, hi = ends[batch], ends[batch + 1]
-            index = (flat[lo:hi] - start * ds.n_classes, rows[lo:hi] - start, cols[lo:hi])
-            step_sums, k = _step(params, velocity, ws, features[start : start + cfg.batch_size],
-                                 index, est, cfg, ep_rng, lr, rho, epoch, batch)
-            sums = [s + t for s, t in zip(sums, step_sums)]
-            kept += k
+        features, bits = ds.features[order], ds.candidates.bits[order]
+        record = np.zeros(4)
+        for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
+            end = start + cfg.batch_size
+            record += _step(params, velocity, ws, features[start:end], _pack(bits[start:end]),
+                            est.r.values, cfg, ep_rng, lr, rho, epoch, batch)
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
@@ -379,8 +373,8 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
             preds = np.argmax(_predict(params, test.features, acts), axis=1)
             acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
-        means = [s / n for s, n in zip(sums, (ds.n_samples, kept, kept))]
-        metrics.append(EpochMetrics(epoch, lr, *means, *accs, prior_error(est, truth)))
+        means = record[:3] / (ds.n_samples, record[3], record[3])
+        metrics.append(EpochMetrics(epoch, lr, *means.tolist(), *accs, prior_error(est, truth)))
     return est, metrics
 
 

@@ -421,15 +421,19 @@ class TestHelpAndUsage:
                      ["train", "-d", "ds.txt", "--ramp-epochs", "50"],
                      ["gen", "-o", "ds.txt", "--superclass-size", "3"],
                      ["bench", "-o", "b.csv", "--lambda", "3"],
-                     ["bench", "-o", "b.csv", "--sk-iters", "50"]):
+                     ["bench", "-o", "b.csv", "--sk-iters", "50"],
+                     # A prefix of a live flag (--pre-epochs) is not taken for it.
+                     ["train", "-d", "ds.txt", "--pre", "5"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
 
-    def test_bench_m_is_read_as_a_methods_prefix(self, tmp_path, capsys):
-        # argparse takes '--m' for '--methods', which names no method.
-        assert main(["bench", "--m", "2", "-o", str(tmp_path / "b.csv")]) == 1
-        assert "unknown method '2'" in capsys.readouterr().err
+    def test_bench_m_is_not_read_as_a_methods_prefix(self, tmp_path, capsys):
+        # '--m', a removed flag, is no prefix of '--methods' to argparse.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--m", "2", "-o", str(tmp_path / "b.csv")])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --m 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_value_exits_one_with_argparse_message(self, capsys):

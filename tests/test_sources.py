@@ -77,8 +77,11 @@ _SPLIT_CALLS = {"divmod", "floor_divide", "remainder", "mod", "fmod", "subtract"
 
 
 def _splits_flat(tree: ast.Module) -> list[int]:
-    """Line numbers where the name ``flat`` is split into rows or columns."""
+    """Line numbers where the name ``flat``, or a subscript of it, is split into rows or
+    columns."""
     def is_flat(node):
+        if isinstance(node, ast.Subscript):
+            return is_flat(node.value)
         return isinstance(node, ast.Name) and node.id == "flat"
 
     return [node.lineno for node in ast.walk(tree)
