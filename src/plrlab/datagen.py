@@ -185,6 +185,8 @@ def group_split(class_counts, n_classes: int) -> tuple[int, int]:
     """
     _check_integers(n_classes=n_classes)
     counts = np.asarray(class_counts)
+    if counts.ndim != 1:
+        raise ShapeMismatch(f"class counts must be 1-d, got shape {counts.shape}")
     if counts.shape[0] != n_classes:
         raise ShapeMismatch(f"{counts.shape[0]} counts for {n_classes} classes")
     if np.any(np.diff(counts) > 0):

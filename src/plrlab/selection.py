@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior
+from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior, _check_type
 
 __all__ = ["rho_at", "select_reliable"]
 
@@ -34,6 +34,7 @@ def select_reliable(w: PseudoLabelMatrix, losses: np.ndarray, r: ClassPrior,
     Ties in loss are broken toward the smaller index, which makes the
     selected set deterministic and monotone in rho.
     """
+    _check_type("pseudo-labels", w, PseudoLabelMatrix)
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.shape[0] != w.n_samples:
         raise ShapeMismatch(f"losses shape {losses.shape} vs {w.n_samples} samples")

@@ -30,6 +30,7 @@ from .core import (
     _check_integers,
     _check_pair,
     _check_prior,
+    _check_type,
 )
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "solar_update", "marginal_errors"]
@@ -75,6 +76,7 @@ class SinkhornResult:
 
 def marginal_errors(w: PseudoLabelMatrix, r: ClassPrior) -> tuple[float, float]:
     """Worst row deviation from 1 and worst column deviation from N*r_j (per sample)."""
+    _check_type("pseudo-labels", w, PseudoLabelMatrix)
     _check_prior(w.n_classes, r)
     n = w.n_samples
     row_err = float(np.abs(w.values.sum(axis=1) - 1.0).max()) if n else 0.0

@@ -39,6 +39,7 @@ from .core import (
     ShapeMismatch,
     _check_pair,
     _check_prior,
+    _check_type,
     xlogx,
 )
 
@@ -143,6 +144,8 @@ def proden_update(f: PredictionMatrix, s: CandidateMatrix) -> PseudoLabelMatrix:
 def plr_objective(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
                   h: PlrHyperparams) -> PlrObjectiveBreakdown:
     """Evaluate the three objective terms at w, using 0*log(0) = 0."""
+    _check_type("pseudo-labels", w, PseudoLabelMatrix)
+    _check_type("predictions", f, PredictionMatrix)
     if w.values.shape != f.values.shape:
         raise ShapeMismatch(f"pseudo-labels {w.values.shape} vs predictions {f.values.shape}")
     _check_prior(w.n_classes, r)
@@ -165,6 +168,7 @@ def kkt_residual(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
     Z_i = sum_j S_ij f_ij^lam r_j^(-m) as v_i = (1 - log Z_i)/lam, the
     value at which the closed-form solution is exactly stationary.
     """
+    _check_type("pseudo-labels", w, PseudoLabelMatrix)
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
     if w.values.shape != f.values.shape:
@@ -203,6 +207,7 @@ def hessian_min_eigen_lower_bound(w: PseudoLabelMatrix, h: PlrHyperparams) -> fl
     on the support, so the minimum eigenvalue is 1/(lam * max w_ij);
     strictly positive, certifying strict convexity there. No rows: EmptyBatch.
     """
+    _check_type("pseudo-labels", w, PseudoLabelMatrix)
     if w.n_samples == 0:
         raise EmptyBatch("pseudo-label matrix has no rows, so no support to bound")
     return float(1.0 / (h.lam * w.values.max()))

@@ -9,13 +9,13 @@ One SGD step with momentum 0.9, ``_step``, works on plain arrays. Its three row 
 (the weak view, the strong view of the selected rows, their mix) live in one buffer that
 each stage allocates once. Two forward passes fill it (the weak view, then the other two
 blocks) and a single backward pass covers all three, each loss's mean folded into the
-gradient at the logits, and ``_step`` returns its step record, a vector of sums. The epoch
-loop around it, ``_run_stage``, packs each batch with ``core._pack``, adds the records,
-blends the prior with a statistic of full-train-set weak-view predictions and records the
-metrics; that refresh and the test-split forward pass reuse the same buffer. Training runs
-in two stages: a short pre-estimation stage (blend coefficient 0.1) whose only output is a
-coarse prior, then a re-initialized model trained for real (coefficient 0.01) with that
-prior carried over.
+gradient at the logits, and ``_step`` returns its step record, plain sums. The epoch loop
+around it, ``_run_stage``, packs each batch with ``core._pack``, adds the records, blends
+the prior with a statistic of full-train-set weak-view predictions and records the metrics;
+that refresh and the test-split forward pass reuse the same buffer. Every forward pass is
+``_forward_cached``, the one check that predictions are finite. Training runs in two stages:
+a short pre-estimation stage (blend coefficient 0.1) whose only output is a coarse prior,
+then a re-initialized model trained for real (coefficient 0.01) with that prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
 is no autodiff dependency. The parameters live in one float64 vector,
@@ -168,10 +168,11 @@ def _buffers(params: ModelParams, rows: int) -> list[np.ndarray]:
     return [np.empty((rows, d)) for d in (*params.dims, params.dims[-1])]
 
 
-def _forward_cached(params: ModelParams, acts: list[np.ndarray]) -> np.ndarray:
+def _forward_cached(params: ModelParams, acts: list[np.ndarray], where: str) -> np.ndarray:
     """Forward pass in place on same-length row blocks laid out as :func:`_buffers`:
     from the input ``acts[0]``, each layer writes its post-ReLU activations (the last
-    its logits) into the next block, and the row softmax fills the last, returned."""
+    its logits) into the next block, and the row softmax fills the last, returned.
+    Raises NonFiniteLoss naming ``where`` when the probabilities are not finite."""
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         out = acts[layer + 1]
         np.dot(acts[layer], w, out=out)
@@ -182,15 +183,8 @@ def _forward_cached(params: ModelParams, acts: list[np.ndarray]) -> np.ndarray:
     np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=probs)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=1, keepdims=True)
-    return probs
-
-
-def _predict(params: ModelParams, x: np.ndarray, acts: list[np.ndarray]) -> np.ndarray:
-    """Probabilities of feature rows ``x``, computed in the first rows of ``acts``; raises
-    NonFiniteLoss when they are not finite, as they are once training has diverged."""
-    probs = _forward_cached(params, [x] + [a[: x.shape[0]] for a in acts[1:]])
     if not np.isfinite(probs).all():
-        raise NonFiniteLoss("forward pass gave non-finite predictions")
+        raise NonFiniteLoss(f"predictions went non-finite at {where}; try a smaller learning rate")
     return probs
 
 
@@ -204,7 +198,8 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionM
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} vs input dim {params.weights[0].shape[0]}")
     acts = _buffers(params, x.shape[0])  # fresh, so the returned arrays own their memory
-    _predict(params, x, acts)
+    acts[0] = x
+    _forward_cached(params, acts, "forward()")
     return acts[-2], PredictionMatrix(acts[-1])
 
 
@@ -284,34 +279,24 @@ def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.nd
             else _plr_weights(probs, *index, r, solver.lam, solver.m))
 
 
-def _mean_loss(name: str, losses: np.ndarray, epoch: int, batch: int) -> float:
-    value = float(np.add.reduce(losses) / losses.size)
-    if not math.isfinite(value):
-        raise NonFiniteLoss(f"{name} loss is {value} at epoch {epoch}, batch {batch}")
-    return value
-
-
 def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, index: tuple,
           r: np.ndarray, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
-          epoch: int, batch: int) -> np.ndarray:
+          where: str) -> np.ndarray:
     """One SGD step on a batch with packed candidates ``index`` and prior ``r``, in place
-    on ``params``, ``velocity`` and the stage's buffers ``ws``; returns its step record."""
+    on ``params``, ``velocity`` and the stage's buffers ``ws``; returns its step record of
+    plain sums. Either forward pass raises NonFiniteLoss naming ``where``."""
     acts, deltas, targets, grad, gw, gb = ws
     n = x.shape[0]
     weak = augment(x, rng, "weak", cfg)
     strong = augment(x, rng, "strong", cfg)
     acts[0][:n] = weak
-    probs = _forward_cached(params, [a[:n] for a in acts])
-    if not np.isfinite(probs).all():
-        raise NonFiniteLoss(f"predictions went non-finite at epoch {epoch}, "
-                            f"batch {batch}; try a smaller learning rate")
+    probs = _forward_cached(params, [a[:n] for a in acts], where)
     w = _scatter(_pseudo_labels(probs, index, r, cfg.solver), index[0], probs.shape)
 
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, r, rho)
     k = selected.size
     m = n + 2 * k
-    cls = _mean_loss("classification", losses, epoch, batch) * n
     _grad_logits_soft_ce(probs, w, 1.0 / n, deltas[-1][:n])
     # Rows [n:n+k] take the strong view of the selected rows, [n+k:m] their mix; k >= 1,
     # since every label group present has a cap ceil(rho * r_k * n) >= 1.
@@ -319,16 +304,15 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
     np.take(strong, selected, axis=0, out=acts[0][n : n + k])
     np.take(w, selected, axis=0, out=t[:k])
     acts[0][n + k : m], t[k:] = _mixup(weak[selected], t[:k], rng)
-    probs_sm = _forward_cached(params, [a[n:m] for a in acts])
+    probs_sm = _forward_cached(params, [a[n:m] for a in acts], where)
     losses_sm = _soft_ce(probs_sm, t)
-    cons = _mean_loss("consistency", losses_sm[:k], epoch, batch) * k
-    mix = _mean_loss("mixup", losses_sm[k:], epoch, batch) * k
     _grad_logits_soft_ce(probs_sm, t, 1.0 / k, deltas[-1][n:m])
 
     _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], gw, gb)
     sgd_momentum_step(params, grad, velocity, lr, _MOMENTUM)
     # The step record's slots: the cls, cons and mix loss sums, then the selected rows.
-    return np.array([cls, cons, mix, k], dtype=np.float64)
+    return np.array([np.add.reduce(losses), np.add.reduce(losses_sm[:k]),
+                     np.add.reduce(losses_sm[k:]), k], dtype=np.float64)
 
 
 def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
@@ -336,7 +320,7 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                test: PartialDataset | None) -> tuple[PriorEstimator, list[EpochMetrics]]:
     # Every pass of the stage runs in buffers allocated once: a step's rows [weak; strong
     # selected; mixed] fill at most 3 batches, and the refresh and test forward passes
-    # reuse the activations.
+    # reuse their first rows, the input included.
     b = min(cfg.batch_size, ds.n_samples)
     acts = _buffers(params, max(3 * b, ds.n_samples, 0 if test is None else test.n_samples))
     grad = np.empty_like(params.flat)
@@ -355,14 +339,15 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
             end = start + cfg.batch_size
             record += _step(params, velocity, ws, features[start:end], _pack(bits[start:end]),
-                            est.r.values, cfg, ep_rng, lr, rho, epoch, batch)
+                            est.r.values, cfg, ep_rng, lr, rho, f"epoch {epoch}, batch {batch}")
 
         # Epoch-level prior refresh from full-train-set weak-view predictions.
         # Each epoch draws from its own child rng, so skipping these draws
         # under a fixed prior leaves every later epoch unchanged.
         if cfg.fixed_prior is None:
-            weak = augment(ds.features, ep_rng, "weak", cfg)
-            source = PredictionMatrix(_predict(params, weak, acts))
+            acts[0][: ds.n_samples] = augment(ds.features, ep_rng, "weak", cfg)
+            source = PredictionMatrix(_forward_cached(
+                params, [a[: ds.n_samples] for a in acts], f"epoch {epoch}, prior refresh"))
             if est.rule == "hard-pseudo":
                 source = PseudoLabelMatrix._from_packed(_pseudo_labels(
                     source.values, ds.candidates.packed, est.r.values, cfg.solver), ds.candidates)
@@ -370,7 +355,9 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
 
         accs = (math.nan,) * 4
         if test is not None:
-            preds = np.argmax(_predict(params, test.features, acts), axis=1)
+            acts[0][: test.n_samples] = test.features
+            preds = np.argmax(_forward_cached(
+                params, [a[: test.n_samples] for a in acts], f"epoch {epoch}, test split"), axis=1)
             acc = group_accuracy(preds, test.true_labels, test.group_boundaries)
             accs = (acc.overall, acc.many, acc.medium, acc.few)
         means = record[:3] / (ds.n_samples, record[3], record[3])

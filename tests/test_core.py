@@ -28,7 +28,13 @@ from plrlab.prior import PriorEstimator, init_uniform, prior_error, update_prior
 from plrlab.report import logits_adjust_predict
 from plrlab.selection import select_reliable
 from plrlab.sinkhorn import SinkhornConfig, marginal_errors, solar_update
-from plrlab.solver import kkt_residual, plr_objective, plr_update, proden_update
+from plrlab.solver import (
+    hessian_min_eigen_lower_bound,
+    kkt_residual,
+    plr_objective,
+    plr_update,
+    proden_update,
+)
 from plrlab.trainer import ModelParams, init_params
 
 
@@ -463,12 +469,27 @@ def test_raw_array_prior_raises_a_typed_error(call, tmp_path):
                  id="solar_update"),
     pytest.param(lambda f, s, r: plr_update(f.values, s, r, PlrHyperparams()), "predictions",
                  id="plr_update-predictions"),
+    pytest.param(lambda f, s, r: plr_objective(PseudoLabelMatrix(f.values), f.values, r,
+                                               PlrHyperparams()),
+                 "predictions", id="plr_objective-predictions"),
+    # Pseudo-labels passed as the raw array of their values.
+    pytest.param(lambda f, s, r: select_reliable(f.values, np.ones(2), r, 0.5), "pseudo-labels",
+                 id="select_reliable-pseudo-labels"),
+    pytest.param(lambda f, s, r: marginal_errors(f.values, r), "pseudo-labels",
+                 id="marginal_errors-pseudo-labels"),
+    pytest.param(lambda f, s, r: plr_objective(f.values, f, r, PlrHyperparams()),
+                 "pseudo-labels", id="plr_objective-pseudo-labels"),
+    pytest.param(lambda f, s, r: kkt_residual(f.values, f, r, PlrHyperparams(), s),
+                 "pseudo-labels", id="kkt_residual-pseudo-labels"),
+    pytest.param(lambda f, s, r: hessian_min_eigen_lower_bound(f.values, PlrHyperparams()),
+                 "pseudo-labels", id="hessian_min_eigen_lower_bound-pseudo-labels"),
 ])
 def test_raw_array_candidates_or_predictions_raise_a_typed_error(call, name):
-    # Each used to fail with a bare AttributeError ('numpy.ndarray' object
-    # has no attribute 'bits', 'values' or 'n_samples'), a bool mask too.
+    # Each used to fail with a bare AttributeError ('numpy.ndarray' object has
+    # no attribute 'bits', 'values', 'n_samples' or 'n_classes'), a bool mask too.
     f = PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
     s = CandidateMatrix(np.ones((2, 2)))
-    kind = {"candidates": "CandidateMatrix", "predictions": "PredictionMatrix"}[name]
+    kind = {"candidates": "CandidateMatrix", "predictions": "PredictionMatrix",
+            "pseudo-labels": "PseudoLabelMatrix"}[name]
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got ndarray$"):
         call(f, s, clamp_prior(np.array([1.0, 1.0])))

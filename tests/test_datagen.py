@@ -164,6 +164,9 @@ class TestGroupSplit:
     def test_count_per_class_required(self):
         with pytest.raises(ShapeMismatch, match="3 counts for 4 classes"):
             group_split(np.array([5, 3, 1]), 4)
+        # A scalar used to raise a bare IndexError.
+        with pytest.raises(ShapeMismatch, match=r"^class counts must be 1-d, got shape \(\)$"):
+            group_split(5, 3)
 
     @pytest.mark.parametrize("n_classes", [3.0, True])
     def test_class_count_must_be_an_integer(self, n_classes):

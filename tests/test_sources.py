@@ -76,13 +76,17 @@ _SPLIT_OPS = (ast.Sub, ast.FloorDiv, ast.Mod)
 _SPLIT_CALLS = {"divmod", "floor_divide", "remainder", "mod", "fmod", "subtract"}
 
 
+# The names of a packed index's flat positions and of the rows and columns split from it.
+_PACKED_NAMES = {"flat", "rows", "cols"}
+
+
 def _splits_flat(tree: ast.Module) -> list[int]:
-    """Line numbers where the name ``flat``, or a subscript of it, is split into rows or
-    columns."""
+    """Line numbers where a name ``flat``, ``rows`` or ``cols``, or a subscript of one, is
+    split into rows or columns or re-based by a subtraction."""
     def is_flat(node):
         if isinstance(node, ast.Subscript):
             return is_flat(node.value)
-        return isinstance(node, ast.Name) and node.id == "flat"
+        return isinstance(node, ast.Name) and node.id in _PACKED_NAMES
 
     return [node.lineno for node in ast.walk(tree)
             if (isinstance(node, ast.BinOp) and isinstance(node.op, _SPLIT_OPS)
@@ -116,6 +120,27 @@ def test_only_packed_weights_become_pseudo_labels():
     dense = {name: lines for name, tree in trees.items()
              if (lines := _calls(tree, "PseudoLabelMatrix"))}
     assert not dense, dense
+
+
+def _raising_functions(tree: ast.Module, error: str) -> set[str]:
+    """Names of the functions whose body raises ``error`` or ``error(...)``."""
+    def raises(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == error
+
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(map(raises, ast.walk(fn)))}
+
+
+def test_only_the_forward_pass_checks_predictions():
+    # Divergence has one check: every trainer forward pass is _forward_cached,
+    # which raises when its probabilities are not finite, and every loss of
+    # finite probabilities is finite. train() checks the parameters the last
+    # step left, which no forward pass may see.
+    raising = _raising_functions(_trees()["trainer"], "NonFiniteLoss")
+    assert raising == {"_forward_cached", "train"}, raising
 
 
 def _imports_time(tree: ast.Module) -> bool:

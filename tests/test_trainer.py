@@ -120,7 +120,7 @@ def _fresh_forward(params, x):
     """The in-place forward kernel on fresh buffers: (each layer's rows, probabilities)."""
     acts = _buffers(params, x.shape[0])
     acts[0] = x
-    return acts, _forward_cached(params, acts)
+    return acts, _forward_cached(params, acts, "a test")
 
 
 def _fresh_backward(params, acts, dlogits):
@@ -286,7 +286,7 @@ class TestInPlaceKernels:
             a[:] = -7.0
         acts[0][:] = rng.normal(size=(192, 16))
         hi = lo + 64
-        probs = _forward_cached(params, [a[lo:hi] for a in acts])
+        probs = _forward_cached(params, [a[lo:hi] for a in acts], "a test")
         fresh, fresh_probs = _fresh_forward(params, acts[0][lo:hi].copy())
         np.testing.assert_array_equal(probs, fresh_probs)
         for got, want in zip(acts, fresh, strict=True):
@@ -308,7 +308,7 @@ class TestInPlaceKernels:
         deltas = [np.empty((3 * n, w.shape[1])) for w in params.weights]
         acts[0][:n], acts[0][n:m] = weak, picked
         for lo, hi, scale in ((0, n, 1.0 / n), (n, m, 1.0 / k)):
-            probs = _forward_cached(params, [a[lo:hi] for a in acts])
+            probs = _forward_cached(params, [a[lo:hi] for a in acts], "a test")
             _grad_logits_soft_ce(probs, targets[lo:hi], scale, deltas[-1][lo:hi])
         grad = np.empty_like(params.flat)
         _backward(params, [a[:m] for a in acts], [d[:m] for d in deltas], *params.split(grad))
@@ -607,9 +607,10 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_strong_view_names_the_consistency_loss(self, monkeypatch):
+    def test_overflowing_strong_view_names_the_step(self, monkeypatch):
         # The weak view stays finite, so its predictions and the pseudo-labels
-        # pass their checks; the strong rows overflow the forward pass.
+        # pass their checks; the strong rows overflow the second forward pass,
+        # which checks its own predictions.
         import plrlab.trainer as trainer_module
         from plrlab.core import NonFiniteLoss
 
@@ -621,7 +622,8 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_module, "augment", augment)
         ds, _ = _tiny_dataset()
-        with pytest.raises(NonFiniteLoss, match="consistency loss is nan at epoch 0, batch 0"):
+        with pytest.raises(NonFiniteLoss, match="^predictions went non-finite at epoch 0, "
+                                                "batch 0; try a smaller learning rate$"):
             train(ds, _quick_cfg(pre_epochs=0))
 
     def test_config_validation(self):
@@ -720,21 +722,26 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("batches, overrides, where", [
-        pytest.param(2, dict(epochs=1), "epoch 0, batch 1", id="second-batch"),
-        pytest.param(1, dict(epochs=2, fixed_prior=init_uniform(4).r), "epoch 1, batch 0",
-                     id="second-epoch"),
+    @pytest.mark.parametrize("batches, overrides, with_test, where", [
+        pytest.param(2, dict(epochs=1), False, "epoch 0, batch 1", id="second-batch"),
+        pytest.param(1, dict(epochs=2, fixed_prior=init_uniform(4).r), False,
+                     "epoch 1, batch 0", id="second-epoch"),
+        pytest.param(1, dict(epochs=1), False, "epoch 0, prior refresh", id="prior-refresh"),
+        pytest.param(1, dict(epochs=1, fixed_prior=init_uniform(4).r), True,
+                     "epoch 0, test split", id="test-split"),
     ])
-    def test_divergence_names_the_step_that_saw_it(self, batches, overrides, where):
-        # The first step leaves non-finite weights; the next step's forward
-        # pass is the first to see them, and its error says where it ran.
+    def test_divergence_names_the_step_that_saw_it(self, batches, overrides, with_test, where):
+        # The first step leaves non-finite weights; the next forward pass is the
+        # first to see them, and its error says where it ran: the next step, the
+        # epoch's prior refresh or, under a fixed prior, the test split.
         from plrlab.core import NonFiniteLoss
 
-        ds, _ = _tiny_dataset()
+        ds, test = _tiny_dataset()
         cfg = _quick_cfg(lr0=1e308, pre_epochs=0, batch_size=ds.n_samples // batches,
                          **overrides)
-        with pytest.raises(NonFiniteLoss, match=f"predictions went non-finite at {where};"):
-            train(ds, cfg)
+        with pytest.raises(NonFiniteLoss, match=f"^predictions went non-finite at {where}; "
+                                                "try a smaller learning rate$"):
+            train(ds, cfg, test if with_test else None)
 
 
 def test_train_metrics_are_dataclass_rows():
