@@ -1,12 +1,11 @@
 """Command-line frontend: dataset generation, training, evaluation, benchmarking.
 
 Four subcommands (``gen``, ``train``, ``eval``, ``bench``) share one option
-scheme: argparse holds each default and conversion, an optional config file
-of ``key = value`` lines (keys mirror the long flag names, '#' starts a
-comment) replaces the defaults, and explicit flags override both. The
-effective configuration is echoed into every output file as comment lines
-escaped to printable ASCII. Exit codes: 0 success, 1 usage or I/O failure
-(a flag value that does not convert gets argparse's message), 2 numeric failure.
+scheme: argparse holds each default and conversion, and explicit flags
+override the defaults. The effective configuration is echoed into every
+output file as comment lines escaped to printable ASCII. Exit codes: 0
+success, 1 usage or I/O failure (a flag value that does not convert gets
+argparse's message), 2 numeric failure.
 
 Model files are line-oriented::
 
@@ -125,7 +124,7 @@ def _opt(flags, dest, conv, default, help_text, flag=False):
             "help": help_text, "flag": flag}
 
 
-# The converters raise ArgumentTypeError, whose text argparse prints as
+# The converter raises ArgumentTypeError, whose text argparse prints as
 # it is; for a ValueError it prints the converter's name.
 def _int_list(text: str) -> tuple[int, ...]:
     try:
@@ -133,15 +132,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-
-
-def _bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 _GEN_OPTS = [
@@ -186,7 +176,7 @@ _TRAIN_OPTS = [
     _opt(["--weak-sigma"], "weak_sigma", float, _TRAIN.weak_noise_sigma, "weak-view noise sigma"),
     _opt(["--strong-sigma"], "strong_sigma", float, _TRAIN.strong_noise_sigma,
          "strong-view noise sigma"),
-    _opt(["--freeze-prior"], "freeze_prior", _bool, _TRAIN.fixed_prior is not None,
+    _opt(["--freeze-prior"], "freeze_prior", None, _TRAIN.fixed_prior is not None,
          "keep the prior uniform instead of estimating it", flag=True),
     _opt(["--seed"], "seed", int, _TRAIN.seed, "training seed"),
     _opt(["--metrics-out"], "metrics_out", str, None,
@@ -214,8 +204,6 @@ _BENCH_OPTS = [
 ]
 
 def _add_options(parser: argparse.ArgumentParser, opts) -> None:
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="config file of 'key = value' lines mirroring the flags")
     for opt in opts:
         common = {"dest": opt["dest"], "default": opt["default"],
                   "help": f"{opt['help']} (default: {opt['default']})"}
@@ -223,38 +211,6 @@ def _add_options(parser: argparse.ArgumentParser, opts) -> None:
             parser.add_argument(*opt["flags"], action="store_const", const=True, **common)
         else:
             parser.add_argument(*opt["flags"], type=opt["conv"], metavar="X", **common)
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    out = {}
-    for lineno, raw in enumerate(read_ascii(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FormatError(lineno, f"expected 'key = value', got {raw.strip()!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _config_defaults(opts, path: str) -> dict:
-    """A config file's values, converted and keyed by option dest."""
-    # Config keys mirror the long flag names ('lambda' as well as 'lam').
-    by_name = {}
-    for opt in opts:
-        for name in (opt["dest"], *opt["flags"]):
-            by_name[name.lstrip("-").replace("-", "_")] = opt
-    values = {}
-    for key, raw in _parse_config_file(path).items():
-        if key not in by_name:
-            raise UsageError(f"unknown config key {key!r}")
-        opt = by_name[key]
-        try:
-            values[opt["dest"]] = opt["conv"](raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"bad value for config key {key!r}: {exc}") from None
-    return values
 
 
 def _config_comments(command: str, values: dict) -> list[str]:
@@ -295,7 +251,7 @@ def _cmd_gen(values: dict) -> int:
         test_per_class=values["test_per_class"], seed=values["seed"],
     )
     test_out = values["test_out"] or _companion(values["out"], "_test")
-    _distinct_paths(values["out"], test_out, values["config"])
+    _distinct_paths(values["out"], test_out)
     train_ds, test_ds = gen_dataset(spec)
     comments = _config_comments("gen", values)
     write_dataset(train_ds, values["out"], comments)
@@ -318,7 +274,7 @@ def _cmd_train(values: dict) -> int:
     if test_path is None:
         candidate = _companion(values["data"], "_test")
         test_path = candidate if os.path.exists(candidate) else None
-    _distinct_paths(values["data"], test_path, metrics_out, model_out, values["config"])
+    _distinct_paths(values["data"], test_path, metrics_out, model_out)
 
     cfg = TrainConfig(
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
@@ -346,7 +302,7 @@ def _cmd_train(values: dict) -> int:
 def _cmd_eval(values: dict) -> int:
     _require(values, ["model", "data"])
     out = values["out"] or _companion(values["model"], "_eval")
-    _distinct_paths(values["model"], values["data"], out, values["config"])
+    _distinct_paths(values["model"], values["data"], out)
     params, prior = read_model(values["model"])
     ds = read_dataset(values["data"])
     if ds.n_classes != prior.n_classes:
@@ -365,8 +321,11 @@ def _cmd_eval(values: dict) -> int:
 
 def _cmd_bench(values: dict) -> int:
     _require(values, ["out"])
-    _distinct_paths(values["out"], values["config"])
     methods = [m.strip() for m in values["methods"].split(",") if m.strip()]
+    for name, items in (("batch", values["batch"]), ("classes", values["classes"]),
+                        ("methods", methods)):
+        if not items:
+            raise UsageError(f"--{name} needs at least one value")
     records = []
     rng = Rng(values["seed"])
     for classes in values["classes"]:
@@ -406,12 +365,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    run, opts, _ = _COMMANDS[args.command]
+    run = _COMMANDS[args.command][0]
     try:
-        if args.config is not None:
-            # The config file's values become the defaults; explicit flags still win.
-            commands[args.command].set_defaults(**_config_defaults(opts, args.config))
-            args = parser.parse_args(argv)
         return run({k: v for k, v in vars(args).items() if k != "command"})
     except NonFiniteLoss as exc:
         print(f"plrlab {args.command}: numeric failure: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .core import (
     PseudoLabelMatrix,
     _check_integers,
     _check_prior,
+    _check_type,
     clamp_prior,
 )
 
@@ -67,6 +68,7 @@ def update_prior(est: PriorEstimator,
     PseudoLabelMatrix (its argmax histogram). Any other source type
     raises ValueError.
     """
+    _check_type("estimator", est, PriorEstimator)
     kind = PseudoLabelMatrix if est.rule == "hard-pseudo" else PredictionMatrix
     if not isinstance(source, kind):
         raise ValueError(f"rule {est.rule!r} updates from a {kind.__name__}, "
@@ -86,5 +88,6 @@ def update_prior(est: PriorEstimator,
 
 def prior_error(est: PriorEstimator, truth: ClassPrior) -> float:
     """Largest per-class gap between the estimate and a reference prior."""
+    _check_type("estimator", est, PriorEstimator)
     _check_prior(est.r.n_classes, truth)
     return float(np.abs(est.r.values - truth.values).max())

@@ -96,6 +96,7 @@ def solar_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
+    _check_type("config", cfg, SinkhornConfig)
 
     weights, iterations, history, feasible = _solar_weights(f.values, *s.packed, r.values, cfg)
     w = PseudoLabelMatrix._from_packed(weights, s)

@@ -92,6 +92,7 @@ def plr_update(f: PredictionMatrix, s: CandidateMatrix, r: ClassPrior,
     """
     _check_pair(f, s)
     _check_prior(f.n_classes, r)
+    _check_type("hyperparameters", h, PlrHyperparams)
     return PseudoLabelMatrix._from_packed(
         _plr_weights(f.values, *s.packed, r.values, h.lam, h.m), s)
 
@@ -149,6 +150,7 @@ def plr_objective(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
     if w.values.shape != f.values.shape:
         raise ShapeMismatch(f"pseudo-labels {w.values.shape} vs predictions {f.values.shape}")
     _check_prior(w.n_classes, r)
+    _check_type("hyperparameters", h, PlrHyperparams)
     classification = float(-(w.values * np.log(np.maximum(f.values, PROB_EPS))).sum())
     entropy = float(xlogx(w.values).sum() / h.lam)
     prior_penalty = float((h.m / h.lam) * (w.values * np.log(r.values)).sum())
@@ -173,6 +175,7 @@ def kkt_residual(w: PseudoLabelMatrix, f: PredictionMatrix, r: ClassPrior,
     _check_prior(f.n_classes, r)
     if w.values.shape != f.values.shape:
         raise ShapeMismatch(f"pseudo-labels {w.values.shape} vs predictions {f.values.shape}")
+    _check_type("hyperparameters", h, PlrHyperparams)
     support = s.bits
     on_support = w.values[support]
     if np.any(on_support <= 0.0):
@@ -208,6 +211,7 @@ def hessian_min_eigen_lower_bound(w: PseudoLabelMatrix, h: PlrHyperparams) -> fl
     strictly positive, certifying strict convexity there. No rows: EmptyBatch.
     """
     _check_type("pseudo-labels", w, PseudoLabelMatrix)
+    _check_type("hyperparameters", h, PlrHyperparams)
     if w.n_samples == 0:
         raise EmptyBatch("pseudo-label matrix has no rows, so no support to bound")
     return float(1.0 / (h.lam * w.values.max()))

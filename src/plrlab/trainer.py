@@ -42,6 +42,7 @@ from .core import (
     _Validated,
     _check_integers,
     _check_prior,
+    _check_type,
     _pack,
     _scatter,
     clamp_prior,
@@ -373,6 +374,10 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     prior estimator; a ``cfg.fixed_prior`` replaces the first stage and is never
     refreshed. A ``test`` split or fixed prior not fitting ``ds`` raises ShapeMismatch.
     """
+    _check_type("dataset", ds, PartialDataset)
+    if test is not None:
+        _check_type("test set", test, PartialDataset)
+    _check_type("config", cfg, TrainConfig)
     c = ds.n_classes
     if test is not None and (test.n_classes, test.feature_dim) != (c, ds.feature_dim):
         raise ShapeMismatch(f"test set has {test.n_classes} classes and {test.feature_dim} "

@@ -1,4 +1,4 @@
-"""Subcommand behavior: flags, config precedence, exit codes, determinism."""
+"""Subcommand behavior: flags, defaults, exit codes, determinism."""
 
 import warnings
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plrlab.cli import _config_comments, _parse_config_file, main, read_model, write_model
+from plrlab.cli import _config_comments, main, read_model, write_model
 from plrlab.core import (
     ClassPrior,
     FormatError,
@@ -140,8 +140,8 @@ class TestTrain:
         assert not (tmp_path / "ds_metrics.txt").exists()
         assert not (tmp_path / "ds_model.txt").exists()
 
-    @pytest.mark.parametrize("text, expected", [("yes", True), ("Off", False)])
-    def test_boolean_config_keys(self, tmp_path, monkeypatch, text, expected):
+    @pytest.mark.parametrize("frozen", [True, False], ids=["flag", "no-flag"])
+    def test_freeze_prior_flag(self, tmp_path, monkeypatch, frozen):
         seen = []
 
         def capture(ds, cfg, test=None):
@@ -149,13 +149,13 @@ class TestTrain:
             raise PlrError("captured")
 
         monkeypatch.setattr("plrlab.cli.train", capture)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"freeze-prior = {text}\n")
-        assert main(["train", "-d", str(_gen(tmp_path)), "--config", str(cfg)]) == 1
-        assert (seen[0].fixed_prior is not None) == expected
-        if expected:
+        extra = ["--freeze-prior"] if frozen else []
+        assert main(["train", "-d", str(_gen(tmp_path)), *extra]) == 1
+        if frozen:
             # --freeze-prior means the uniform prior over _gen's 6 classes, bit for bit.
             assert np.array_equal(seen[0].fixed_prior.values, init_uniform(6).r.values)
+        else:
+            assert seen[0].fixed_prior is None
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["train", "-d", str(tmp_path / "nope.txt")]) == 1
@@ -185,17 +185,14 @@ class TestTrain:
         assert code == 2
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_config_file_overridden_by_flags(self, tmp_path):
+    def test_flags_are_echoed(self, tmp_path):
         ds = _gen(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 2\nseed = 9\n# comment\nlambda = 1.5\n")
-        args = ["train", "-d", str(ds), "--config", str(cfg), "--epochs", "4",
+        args = ["train", "-d", str(ds), "--seed", "9", "--lambda", "1.5", "--epochs", "4",
                 "--pre-epochs", "0"]
         assert main(args) == 0
-        metrics = read_metrics(tmp_path / "ds_metrics.txt")
-        assert len(metrics) == 4  # flag beat the config file
+        assert len(read_metrics(tmp_path / "ds_metrics.txt")) == 4
         header = (tmp_path / "ds_metrics.txt").read_text().splitlines()
-        assert "# lam = 1.5" in header  # config key survived
+        assert "# lam = 1.5" in header
         assert "# seed = 9" in header
 
     def test_defaults_are_the_train_config_defaults(self, tmp_path, monkeypatch):
@@ -235,17 +232,6 @@ class TestTrain:
         assert "error: line 1: bad header 'plrlab-dataset v1 N=3 c=2 d=0'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("lineno", [1, 2, 3])
-    def test_config_non_ascii_byte_reports_line_number(self, tmp_path, lineno):
-        cfg = tmp_path / "run.cfg"
-        for byte, match in [(b" \xe9", "non-ASCII byte"), (b"\x0c", "control character")]:
-            lines = [b"epochs = 2", b"# comment", b"seed = 9"]
-            lines[lineno - 1] += byte
-            cfg.write_bytes(b"\n".join(lines) + b"\n")
-            with pytest.raises(FormatError, match=match) as exc:
-                _parse_config_file(str(cfg))
-            assert exc.value.line == lineno
-
     def test_huge_record_count_exits_one(self, tmp_path, capsys):
         # Used to print numpy's MemoryError traceback under a memory limit.
         ds = tmp_path / "ds.txt"
@@ -259,12 +245,6 @@ class TestTrain:
         ds.write_text("plrlab-dataset v1 N=1 c=1000000000000000 d=1\n0\t0.5\t0\t0\n")
         assert main(["train", "-d", str(ds)]) == 1
         assert "error: line 1: N=1 x c=1000000000000000 candidate bits" in capsys.readouterr().err
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        ds = _gen(tmp_path)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("banana = 3\n")
-        assert main(["train", "-d", str(ds), "--config", str(cfg)]) == 1
 
 
 class TestEval:
@@ -380,6 +360,17 @@ class TestBench:
         assert "error: batch_size must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--batch", "--classes", "--methods"])
+    def test_empty_list_exits_one_and_writes_nothing(self, tmp_path, capsys, flag):
+        # Each used to exit 0 and write a CSV holding only its header.
+        args = {"--batch": "8", "--classes": "4", "--methods": "plr", flag: ","}
+        assert main(["bench", *(x for kv in args.items() for x in kv), "--reps", "3",
+                     "-o", str(tmp_path / "b.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "usage: plrlab bench" in err
+        assert f"error: {flag} needs at least one value" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHelpAndUsage:
     @pytest.mark.parametrize("cmd", ["gen", "train", "eval", "bench"])
@@ -389,7 +380,7 @@ class TestHelpAndUsage:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "default:" in text
-        assert "--config" in text
+        assert "--config" not in text
 
     @pytest.mark.parametrize("cmd", ["gen", "train", "bench"])
     def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys, cmd):
@@ -423,7 +414,8 @@ class TestHelpAndUsage:
                      ["bench", "-o", "b.csv", "--lambda", "3"],
                      ["bench", "-o", "b.csv", "--sk-iters", "50"],
                      # A prefix of a live flag (--pre-epochs) is not taken for it.
-                     ["train", "-d", "ds.txt", "--pre", "5"]):
+                     ["train", "-d", "ds.txt", "--pre", "5"],
+                     ["train", "-d", "ds.txt", "--config", "x.cfg"]):
             with pytest.raises(SystemExit) as exc:
                 main(args)
             assert exc.value.code == 1
@@ -449,30 +441,6 @@ class TestHelpAndUsage:
         assert "argument --hidden: expected comma-separated integers, got 'a,b'" in err
         assert "_int_list" not in err
 
-    def test_bad_config_value_keeps_its_usage_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("lr = abc\n")
-        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
-        assert ("error: bad value for config key 'lr': could not convert string to float: 'abc'"
-                in capsys.readouterr().err)
-        cfg.write_text("freeze_prior = maybe\n")
-        assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
-        assert ("error: bad value for config key 'freeze_prior': expected a boolean, got 'maybe'"
-                in capsys.readouterr().err)
-        for key, value in (("timing", "off"), ("restrict_losses", "on"), ("w_cons", "0"),
-                           ("dropout", "0.2"), ("mixup_alpha", "4"), ("momentum", "0.9"),
-                           ("mu1", "0.1"), ("mu2", "0.01"), ("rho_start", "0.2"),
-                           ("rho_end", "0.5"), ("ramp_epochs", "50")):
-            cfg.write_text(f"{key} = {value}\n")
-            assert main(["train", "-d", "ds.txt", "--config", str(cfg)]) == 1
-            assert f"error: unknown config key '{key}'" in capsys.readouterr().err
-        for cmd, key in (("gen", "superclass_size"), ("bench", "lam"), ("bench", "m"),
-                         ("bench", "sk_iters")):
-            cfg.write_text(f"{key} = 3\n")
-            assert main([cmd, "--config", str(cfg), "-o", str(tmp_path / "out.txt")]) == 1
-            assert f"error: unknown config key '{key}'" in capsys.readouterr().err
-            assert not (tmp_path / "out.txt").exists()
-
     def test_echoed_values_escape_all_but_printable_ascii(self):
         lines = _config_comments("gen", {"out": "\xe9\n\\ ~x", "hidden": (4, 2)})
         assert lines == ["command = gen", "hidden = 4,2", "out = \\xe9\\n\\ ~x"]
@@ -487,24 +455,26 @@ class TestHelpAndUsage:
             assert "input and output paths must be distinct" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("cmd", ["gen", "train", "eval", "bench"])
-    def test_config_file_is_never_an_output(self, tmp_path, capsys, cmd):
-        # eval and bench used to exit 0 here, having replaced the config
-        # file with their output.
+    @pytest.mark.parametrize("case", ["train-metrics-over-data", "train-model-over-metrics",
+                                      "eval-out-over-model"])
+    def test_input_is_never_an_output(self, tmp_path, capsys, case):
         ds = _gen(tmp_path)
         model = tmp_path / "model.txt"
         write_model(init_params(5, (4,), 6, Rng(0)), ClassPrior(np.full(6, 1 / 6)), model)
-        cfg = tmp_path / "c.txt"
-        cfg.write_bytes(b"# no options\n")
-        args = {"gen": ["gen", "-o", cfg],
-                "train": ["train", "-d", ds, "--metrics-out", cfg],
-                "eval": ["eval", "-m", model, "-d", tmp_path / "ds_test.txt", "-o", cfg],
-                "bench": ["bench", "--batch", "8", "--classes", "4", "--reps", "3",
-                          "--methods", "plr", "-o", cfg]}[cmd]
+        out = tmp_path / "out.txt"
+        args, kept = {
+            "train-metrics-over-data": (["train", "-d", ds, "--metrics-out", ds], ds),
+            "train-model-over-metrics": (["train", "-d", ds, "--metrics-out", out,
+                                          "--model-out", out], ds),
+            "eval-out-over-model": (["eval", "-m", model, "-d", tmp_path / "ds_test.txt",
+                                     "-o", model], model),
+        }[case]
+        before = kept.read_bytes()
         capsys.readouterr()
-        assert main([str(arg) for arg in args] + ["--config", str(cfg)]) == 1
+        assert main([str(arg) for arg in args]) == 1
         assert "input and output paths must be distinct" in capsys.readouterr().err
-        assert cfg.read_bytes() == b"# no options\n"
+        assert kept.read_bytes() == before
+        assert not out.exists()
 
 
 class TestModelFile:
@@ -616,13 +586,3 @@ def test_arbitrary_ascii_model_file_raises_only_format_error(tmp_path_factory, h
             read_model(path)
         except FormatError:
             pass
-
-
-@given(st.lists(st.text(st.sampled_from(list("ab_-=# \t")) | _ASCII, max_size=20), max_size=6))
-def test_arbitrary_ascii_config_file_raises_only_format_error(tmp_path_factory, lines):
-    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
-    path.write_bytes("\n".join(lines).encode("ascii"))
-    try:
-        _parse_config_file(str(path))
-    except FormatError:
-        pass

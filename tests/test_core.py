@@ -35,7 +35,7 @@ from plrlab.solver import (
     plr_update,
     proden_update,
 )
-from plrlab.trainer import ModelParams, init_params
+from plrlab.trainer import ModelParams, TrainConfig, init_params, train
 
 
 class TestValidateCandidates:
@@ -492,4 +492,39 @@ def test_raw_array_candidates_or_predictions_raise_a_typed_error(call, name):
     kind = {"candidates": "CandidateMatrix", "predictions": "PredictionMatrix",
             "pseudo-labels": "PseudoLabelMatrix"}[name]
     with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got ndarray$"):
+        call(f, s, clamp_prior(np.array([1.0, 1.0])))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda f, s, r: plr_update(f, s, r, (3.0, 2.0)),
+                 "hyperparameters must be a PlrHyperparams, got tuple", id="plr_update"),
+    pytest.param(lambda f, s, r: plr_objective(PseudoLabelMatrix(f.values), f, r, (3.0, 2.0)),
+                 "hyperparameters must be a PlrHyperparams, got tuple", id="plr_objective"),
+    pytest.param(lambda f, s, r: kkt_residual(PseudoLabelMatrix(f.values), f, r, (3.0, 2.0), s),
+                 "hyperparameters must be a PlrHyperparams, got tuple", id="kkt_residual"),
+    pytest.param(lambda f, s, r: hessian_min_eigen_lower_bound(PseudoLabelMatrix(f.values),
+                                                               (3.0, 2.0)),
+                 "hyperparameters must be a PlrHyperparams, got tuple",
+                 id="hessian_min_eigen_lower_bound"),
+    pytest.param(lambda f, s, r: solar_update(f, s, r, PlrHyperparams()),
+                 "config must be a SinkhornConfig, got PlrHyperparams", id="solar_update"),
+    pytest.param(lambda f, s, r: update_prior(r, f),
+                 "estimator must be a PriorEstimator, got ClassPrior", id="update_prior"),
+    pytest.param(lambda f, s, r: prior_error(r, r),
+                 "estimator must be a PriorEstimator, got ClassPrior", id="prior_error"),
+    pytest.param(lambda f, s, r: train(np.zeros((3, 3)), TrainConfig()),
+                 "dataset must be a PartialDataset, got ndarray", id="train-dataset"),
+    pytest.param(lambda f, s, r: train(PartialDataset(np.zeros((2, 3)), np.array([0, 1]), s),
+                                       TrainConfig(), np.zeros((3, 3))),
+                 "test set must be a PartialDataset, got ndarray", id="train-test"),
+    pytest.param(lambda f, s, r: train(PartialDataset(np.zeros((2, 3)), np.array([0, 1]), s),
+                                       PlrHyperparams()),
+                 "config must be a TrainConfig, got PlrHyperparams", id="train-config"),
+])
+def test_wrong_settings_or_estimator_type_raises_a_typed_error(call, message):
+    # Each used to fail with a bare AttributeError ('tuple' object has no
+    # attribute 'lam'; no attribute 'max_iters', 'rule', 'r' or 'n_classes').
+    f = PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
+    s = CandidateMatrix(np.ones((2, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call(f, s, clamp_prior(np.array([1.0, 1.0])))

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import plrlab
-from plrlab.cli import _COMMANDS
+from plrlab.cli import _COMMANDS, build_parser
 
 SRC = Path(plrlab.__file__).resolve().parent
 
@@ -318,7 +318,8 @@ def _values_keys(node: ast.AST) -> set[str]:
 def test_every_cli_option_is_read():
     # No inert option: each subcommand's function reads every option it
     # declares, as values["<dest>"]. An option it never reads would be
-    # accepted, echoed into the output files and ignored.
+    # accepted, echoed into the output files and ignored. Each parser takes
+    # the table's flags and no others, so no option bypasses the table.
     functions = {node.name: node for node in _trees()["cli"].body
                  if isinstance(node, ast.FunctionDef)}
     unread = [f"{command}: {opt['dest']}" for command, (run, opts, _) in _COMMANDS.items()
@@ -326,3 +327,7 @@ def test_every_cli_option_is_read():
     counts = {command: len(opts) for command, (_, opts, _) in _COMMANDS.items()}
     assert counts == {"gen": 10, "train": 20, "eval": 4, "bench": 6}, counts
     assert not unread, unread
+    parsers = build_parser()[1]
+    for command, (_, opts, _) in _COMMANDS.items():
+        parsed = {flag for action in parsers[command]._actions for flag in action.option_strings}
+        assert parsed == {"-h", "--help", *(f for opt in opts for f in opt["flags"])}, command
