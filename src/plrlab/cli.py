@@ -236,9 +236,11 @@ def _require(values: dict, keys) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + k for k in missing)}")
 
 
-def _distinct_paths(*paths) -> None:
-    named = [os.path.realpath(p) for p in paths if p is not None]
-    if len(set(named)) != len(named):
+def _distinct_paths(inputs, outputs) -> None:
+    """Each output must differ from every input and every other output; inputs may repeat."""
+    read = {os.path.realpath(p) for p in inputs if p is not None}
+    written = [os.path.realpath(p) for p in outputs]
+    if len(set(written)) != len(written) or read.intersection(written):
         raise UsageError("input and output paths must be distinct")
 
 
@@ -251,7 +253,7 @@ def _cmd_gen(values: dict) -> int:
         test_per_class=values["test_per_class"], seed=values["seed"],
     )
     test_out = values["test_out"] or _companion(values["out"], "_test")
-    _distinct_paths(values["out"], test_out)
+    _distinct_paths((), (values["out"], test_out))
     train_ds, test_ds = gen_dataset(spec)
     comments = _config_comments("gen", values)
     write_dataset(train_ds, values["out"], comments)
@@ -274,7 +276,7 @@ def _cmd_train(values: dict) -> int:
     if test_path is None:
         candidate = _companion(values["data"], "_test")
         test_path = candidate if os.path.exists(candidate) else None
-    _distinct_paths(values["data"], test_path, metrics_out, model_out)
+    _distinct_paths((values["data"], test_path), (metrics_out, model_out))
 
     cfg = TrainConfig(
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
@@ -302,7 +304,7 @@ def _cmd_train(values: dict) -> int:
 def _cmd_eval(values: dict) -> int:
     _require(values, ["model", "data"])
     out = values["out"] or _companion(values["model"], "_eval")
-    _distinct_paths(values["model"], values["data"], out)
+    _distinct_paths((values["model"], values["data"]), (out,))
     params, prior = read_model(values["model"])
     ds = read_dataset(values["data"])
     if ds.n_classes != prior.n_classes:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_prior, _check_type
+from .core import (ClassPrior, PseudoLabelMatrix, ShapeMismatch, _check_integers, _check_prior,
+                   _check_type)
 
 __all__ = ["rho_at", "select_reliable"]
 
@@ -20,6 +21,7 @@ _RHO_START, _RHO_END, _RAMP_EPOCHS = 0.2, 0.5, 50
 
 def rho_at(epoch: int) -> float:
     """Selection fraction at a given epoch: linear ramp, then constant."""
+    _check_integers(epoch=epoch)
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
     if epoch >= _RAMP_EPOCHS:

@@ -121,22 +121,17 @@ def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.n
     log K = lam * log f is formed on the candidate entries once. A row pass
     exps log K + log v less each row's max into a zero B x c buffer, the only
     dense write: numpy's pairwise row sums there fix the bits of log u and of
-    the output, and no packed sum reproduces them. A column pass, on the
-    entries gathered once in column order, exps log K + log u less each
-    column's max and sums it with ``np.bincount``, which adds a column in
-    row order, as a dense column sum does. One row pass runs before the
-    loop and one after each column update, so a converged call returns the
-    pass it holds. The weights equal a dense loop's bit for bit.
+    the output, and no packed sum reproduces them. A column pass exps
+    log K + log u less each column's max and sums it with ``np.bincount``,
+    which adds a column in row order, as a dense column sum does. Both maxima
+    come from ``np.maximum.at``, exact in any order. One row pass runs before
+    the loop and one after each column update, so a converged call returns
+    the pass it holds. The weights equal a dense loop's bit for bit.
     """
     n, c = f.shape
     fs = np.maximum(f.ravel()[flat], PROB_EPS)
-    row_starts = np.searchsorted(rows, np.arange(n))
     log_k = cfg.lam * np.log(fs)
-    # Column-major order: the keys are unique, so any sort gives the stable one.
-    by_col = np.argsort(cols * n + rows)
-    log_k_c, rows_c, cols_c = log_k[by_col], rows[by_col], cols[by_col]
     feasible = np.bincount(cols, minlength=c) > 0
-    col_starts = np.searchsorted(cols_c, np.flatnonzero(feasible))
     col_target = n * r
     log_target = np.log(col_target)
 
@@ -144,13 +139,13 @@ def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.n
 
     def row_pass(log_v):
         z = log_k + log_v[cols]
-        row_max = np.maximum.reduceat(z, row_starts)
+        row_max = np.full(n, -np.inf)
+        np.maximum.at(row_max, rows, z)
         z -= row_max[rows]
         dense[flat] = np.exp(z, out=z)
         return z, row_max, dense.reshape(n, c).sum(axis=1)
 
     log_v = np.zeros(c)
-    col_max = np.zeros(c)  # stays 0 on infeasible columns
     history = []
     kernel, row_max, row_sums = row_pass(log_v)
     # log(0) = -inf is the column logsumexp of an infeasible column; its
@@ -158,10 +153,11 @@ def _solar_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.n
     with np.errstate(divide="ignore"):
         for iterations in range(1, cfg.max_iters + 1):
             log_u = -(np.log(row_sums) + row_max)
-            z = log_k_c + log_u[rows_c]
-            col_max[feasible] = np.maximum.reduceat(z, col_starts)
-            z -= col_max[cols_c]
-            log_col = np.log(np.bincount(cols_c, weights=np.exp(z, out=z), minlength=c)) + col_max
+            z = log_k + log_u[rows]
+            col_max = np.full(c, -np.inf)
+            np.maximum.at(col_max, cols, z)
+            z -= col_max[cols]
+            log_col = np.log(np.bincount(cols, weights=np.exp(z, out=z), minlength=c)) + col_max
             col_err = float(np.abs(np.exp(log_col + log_v) - col_target).max() / n)
             history.append(col_err)
             if col_err <= cfg.tol:

@@ -122,9 +122,9 @@ def _plr_weights(f: np.ndarray, flat: np.ndarray, rows: np.ndarray, cols: np.nda
     else:
         z = lam * np.log(fs)
         z -= (m * np.log(r))[cols]
-        # Every row holds a candidate, so each row's entries start at its
-        # first index in ``rows`` and the reduceat segments are the rows.
-        z -= np.maximum.reduceat(z, np.searchsorted(rows, np.arange(n)))[rows]
+        row_max = np.full(n, -np.inf)
+        np.maximum.at(row_max, rows, z)
+        z -= row_max[rows]
         kernel = np.exp(z)
     kernel /= np.bincount(rows, weights=kernel)[rows]
     return kernel

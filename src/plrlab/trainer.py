@@ -192,12 +192,14 @@ def _forward_cached(params: ModelParams, acts: list[np.ndarray], where: str) -> 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, PredictionMatrix]:
     """Logits and row-softmax probabilities for a feature batch.
 
-    Raises NonFiniteLoss when the probabilities are not finite, as they
-    are once training has diverged.
+    Raises ValueError on non-finite features, and NonFiniteLoss when the
+    probabilities are not finite, as they are once training has diverged.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} vs input dim {params.weights[0].shape[0]}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     acts = _buffers(params, x.shape[0])  # fresh, so the returned arrays own their memory
     acts[0] = x
     _forward_cached(params, acts, "forward()")
@@ -243,6 +245,7 @@ def sgd_momentum_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarra
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     """Half-cosine decay from lr0 at epoch 0 toward 0 at total_epochs."""
+    _check_integers(epoch=epoch, total_epochs=total_epochs)
     if not 0 <= epoch < total_epochs:
         raise ValueError("epoch must lie in [0, total_epochs)")
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))

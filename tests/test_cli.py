@@ -476,6 +476,14 @@ class TestHelpAndUsage:
         assert kept.read_bytes() == before
         assert not out.exists()
 
+    def test_an_input_may_repeat(self, tmp_path):
+        # Evaluating on the training file reads it twice and writes neither.
+        ds = _gen(tmp_path)
+        before = ds.read_bytes()
+        assert main(["train", "-d", str(ds), "--test", str(ds), "--epochs", "1",
+                     "--pre-epochs", "0"]) == 0
+        assert ds.read_bytes() == before
+
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):

@@ -26,6 +26,11 @@ class TestRhoAt:
         with pytest.raises(ValueError):
             rho_at(-1)
 
+    @pytest.mark.parametrize("epoch", [float("nan"), True, 2.5, 3.0])
+    def test_epoch_takes_integers_only(self, epoch):
+        with pytest.raises(ValueError, match="epoch takes integers only"):
+            rho_at(epoch)
+
 
 def _one_hot_rows(labels, c):
     w = np.zeros((len(labels), c))

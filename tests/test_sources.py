@@ -122,6 +122,18 @@ def test_only_packed_weights_become_pseudo_labels():
     assert not dense, dense
 
 
+def test_kernels_keep_the_packed_index_order():
+    # The plr and Sinkhorn kernels work in the row-major order core._pack
+    # gives: segment maxima come from np.maximum.at, so no kernel sorts the
+    # index, finds segment starts or reduces over them.
+    trees = _trees()
+    for name in ("solver", "sinkhorn"):
+        assert _calls(trees[name], "at"), f"the scan found no maximum.at call in {name}"
+        found = {call: lines for call in ("reduceat", "searchsorted", "argsort")
+                 if (lines := _calls(trees[name], call))}
+        assert not found, (name, found)
+
+
 def _raising_functions(tree: ast.Module, error: str) -> set[str]:
     """Names of the functions whose body raises ``error`` or ``error(...)``."""
     def raises(node):

@@ -81,6 +81,14 @@ class TestForward:
         with pytest.raises(NonFiniteLoss):
             forward(params, np.ones((2, 6)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_named(self, bad):
+        # Not NonFiniteLoss, whose advice (a smaller learning rate) would not help.
+        x = np.ones((2, 6))
+        x[1, 4] = bad
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            forward(init_params(6, (9,), 4, Rng(1)), x)
+
     @pytest.mark.parametrize("weights, biases, error, match", [
         pytest.param([np.ones((2, 3))], [], ShapeMismatch, "weights and biases must pair up",
                      id="unpaired"),
@@ -402,6 +410,14 @@ class TestCosineLr:
     def test_range_check(self):
         with pytest.raises(ValueError):
             cosine_lr(10, 10, 0.01)
+
+    @pytest.mark.parametrize("epoch, total, name", [
+        (float("nan"), 10, "epoch"), (True, 10, "epoch"), (2.5, 10, "epoch"),
+        (2, 10.0, "total_epochs"), (0, True, "total_epochs"), (2, float("inf"), "total_epochs"),
+    ])
+    def test_epochs_take_integers_only(self, epoch, total, name):
+        with pytest.raises(ValueError, match=f"^{name} takes integers only"):
+            cosine_lr(epoch, total, 0.01)
 
 
 class TestAugment:
