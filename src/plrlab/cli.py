@@ -148,9 +148,9 @@ _GEN_OPTS = [
          "output path for the test split (default: <out stem>_test<ext>)"),
 ]
 
-# Train defaults come from the config dataclasses, and bench times each kernel at its
-# config's defaults; "plr" is the CLI name of TrainConfig().solver's type (a test pins
-# it). gen keeps its literals: the acceptance dataset's gamma and psi are not DatasetSpec's.
+# Train defaults come from the config dataclasses; train's Sinkhorn solver and bench's
+# kernels run at their config's defaults. "plr" names TrainConfig().solver's type (a test
+# pins it). gen keeps its literals: the acceptance gamma and psi are not DatasetSpec's.
 _TRAIN = TrainConfig()
 
 _TRAIN_OPTS = [
@@ -167,10 +167,6 @@ _TRAIN_OPTS = [
     _opt(["--lr"], "lr", float, _TRAIN.lr0, "initial learning rate (cosine-decayed)"),
     _opt(["--hidden"], "hidden", _int_list, _TRAIN.hidden, "hidden layer sizes, comma-separated"),
     _opt(["--solver"], "solver", str, "plr", "pseudo-label solver: plr or sinkhorn"),
-    _opt(["--sk-iters"], "sk_iters", int, SinkhornConfig().max_iters, "Sinkhorn iteration cap"),
-    _opt(["--sk-tol"], "sk_tol", float, SinkhornConfig().tol, "Sinkhorn marginal tolerance"),
-    _opt(["--sk-lambda"], "sk_lambda", float, SinkhornConfig().lam,
-         "Sinkhorn prediction temperature"),
     _opt(["--prior-rule"], "prior_rule", str, _TRAIN.prior_rule,
          "prior estimation rule: hard-pred, soft-pred, or hard-pseudo"),
     _opt(["--weak-sigma"], "weak_sigma", float, _TRAIN.weak_noise_sigma, "weak-view noise sigma"),
@@ -282,7 +278,7 @@ def _cmd_train(values: dict) -> int:
         epochs=values["epochs"], batch_size=values["batch"], lr0=values["lr"],
         hidden=tuple(values["hidden"]), prior_rule=values["prior_rule"],
         solver=(PlrHyperparams(values["lam"], values["m"]) if values["solver"] == "plr" else
-                SinkhornConfig(values["sk_iters"], values["sk_tol"], values["sk_lambda"])),
+                SinkhornConfig()),
         pre_epochs=values["pre_epochs"], weak_noise_sigma=values["weak_sigma"],
         strong_noise_sigma=values["strong_sigma"], seed=values["seed"],
     )

@@ -88,7 +88,7 @@ class DatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class PartialDataset(_Validated):
-    """Feature matrix, hidden true labels, and candidate sets for one split.
+    """Finite feature matrix, hidden true labels, and candidate sets for one split.
 
     The constructor derives ``class_counts``, the true labels per class,
     and ``group_boundaries``, the many/medium/few split points; classes are
@@ -109,6 +109,8 @@ class PartialDataset(_Validated):
             raise ShapeMismatch("features and labels disagree on the sample count")
         if feats.shape[0] != self.candidates.n_samples:
             raise ShapeMismatch("candidates disagree with features on the sample count")
+        if not np.isfinite(feats).all():
+            raise ValueError("features must be finite")
         c = self.candidates.n_classes
         if labels.size and (labels.min() < 0 or labels.max() >= c):
             raise ValueError("true labels out of class range")

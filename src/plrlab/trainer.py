@@ -235,8 +235,11 @@ def sgd_momentum_step(params: ModelParams, grad: np.ndarray, velocity: np.ndarra
                       lr: float, momentum: float) -> ModelParams:
     """In-place SGD with momentum on ``params.flat``: v = momentum*v + grad; p -= lr*v.
 
-    The caller owns ``velocity``; it is updated in place.
+    The caller owns ``velocity``; it is updated in place. A non-finite or
+    negative ``lr`` or ``momentum`` raises ValueError before anything changes.
     """
+    if not (0 <= lr < math.inf and 0 <= momentum < math.inf):
+        raise ValueError(f"need a finite lr >= 0 and momentum >= 0, got {lr!r} and {momentum!r}")
     velocity *= momentum
     velocity += grad
     params.flat -= lr * velocity
@@ -248,6 +251,8 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     _check_integers(epoch=epoch, total_epochs=total_epochs)
     if not 0 <= epoch < total_epochs:
         raise ValueError("epoch must lie in [0, total_epochs)")
+    if not 0 < lr0 < math.inf:
+        raise ValueError("need a finite lr0 > 0")
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 

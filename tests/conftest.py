@@ -8,7 +8,9 @@ from hypothesis import settings
 
 # Property tests parse files and run solver loops on shared hosts, where one
 # stalled example says nothing about correctness: no per-example deadline.
-settings.register_profile("plrlab", deadline=None)
+# No example database either, so a run neither replays nor saves examples and
+# its time does not depend on what earlier runs in the checkout left behind.
+settings.register_profile("plrlab", deadline=None, database=None)
 settings.load_profile("plrlab")
 
 

@@ -180,7 +180,8 @@ def test_criterion_4_full_mlp_gradient_check():
     acts = _buffers(params, x.shape[0])
     acts[0] = x
     probs = _forward_cached(params, acts, "a test")
-    # The per-row weights of a mean over the batch, as the SGD step passes them.
+    # The per-row weights of a mean over the batch, as a column; the SGD step
+    # passes the same weights as the scalar 1/B.
     row_scale = np.full((x.shape[0], 1), 1.0 / x.shape[0])
     deltas = [np.empty_like(a) for a in acts[1:-1]]
     _grad_logits_soft_ce(probs, wvals, row_scale, deltas[-1])

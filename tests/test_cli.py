@@ -19,7 +19,8 @@ from plrlab.core import (
 from plrlab.datagen import read_dataset
 from plrlab.prior import init_uniform
 from plrlab.report import read_metrics
-from plrlab.trainer import ModelParams, TrainConfig, init_params
+from plrlab.sinkhorn import SinkhornConfig
+from plrlab.trainer import ModelParams, TrainConfig, init_params, train
 
 
 def _gen(tmp_path, name="ds.txt", extra=()):
@@ -128,10 +129,19 @@ class TestTrain:
         ds = _gen(tmp_path)
         _train(tmp_path, ds, ["--m", "0", "--lambda", "1"])
 
-    def test_sinkhorn_solver_switch(self, tmp_path):
+    def test_sinkhorn_solver_switch(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(ds, cfg, test=None):
+            seen.append(cfg)
+            return train(ds, cfg, test)
+
+        monkeypatch.setattr("plrlab.cli.train", capture)
         ds = _gen(tmp_path)
         metrics_path, _ = _train(tmp_path, ds, ["--solver", "sinkhorn"])
         assert len(read_metrics(metrics_path)) == 3
+        # The baseline has one configuration: its config's defaults.
+        assert seen[0].solver == SinkhornConfig()
 
     def test_unknown_solver_exits_one_naming_both(self, tmp_path, capsys):
         ds = _gen(tmp_path)
@@ -413,6 +423,9 @@ class TestHelpAndUsage:
                      ["gen", "-o", "ds.txt", "--superclass-size", "3"],
                      ["bench", "-o", "b.csv", "--lambda", "3"],
                      ["bench", "-o", "b.csv", "--sk-iters", "50"],
+                     ["train", "-d", "ds.txt", "--sk-iters", "50"],
+                     ["train", "-d", "ds.txt", "--sk-tol", "0.01"],
+                     ["train", "-d", "ds.txt", "--sk-lambda", "2"],
                      # A prefix of a live flag (--pre-epochs) is not taken for it.
                      ["train", "-d", "ds.txt", "--pre", "5"],
                      ["train", "-d", "ds.txt", "--config", "x.cfg"]):

@@ -388,6 +388,29 @@ def test_partial_dataset_rejects_truth_outside_candidates():
         PartialDataset(feats, labels, cands)
 
 
+_NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+def test_partial_dataset_rejects_non_finite_features(bad):
+    # Unchecked, a NaN feature surfaces in train() as NonFiniteLoss, which blames the learning rate.
+    feats = np.zeros((2, 3))
+    feats[1, 2] = bad
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        PartialDataset(feats, np.array([0, 1]), CandidateMatrix(np.ones((2, 2))))
+
+
+@_NON_FINITE
+def test_copying_non_finite_features_raises_as_the_constructor_does(bad, duplicate):
+    feats = np.zeros((2, 3))
+    ds = PartialDataset(feats, np.array([0, 1]), CandidateMatrix(np.ones((2, 2))))
+    assert ds.features is feats
+    feats.setflags(write=True)
+    feats[1, 2] = bad
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        duplicate(ds)
+
+
 _LABEL_TAKERS = {
     "PartialDataset": lambda y: PartialDataset(np.zeros((2, 3)), y, CandidateMatrix(np.ones((2, 2)))),
     "gen_candidates": lambda y: gen_candidates(y, 0.0, Rng(0), n_classes=2),

@@ -396,6 +396,19 @@ class TestSgdMomentum:
         sgd_momentum_step(params, g, np.zeros(2), 0.0, 0.9)
         assert params.weights[0][0, 0] == 2.0
 
+    @pytest.mark.parametrize("lr, momentum", [
+        (float("nan"), 0.9), (float("inf"), 0.9), (-0.1, 0.9),
+        (0.1, float("nan")), (0.1, float("inf")), (0.1, -0.5),
+    ])
+    def test_bad_lr_or_momentum_raises_before_any_change(self, lr, momentum):
+        # Unchecked, lr=nan or momentum=inf makes params.flat NaN with no error.
+        params = ModelParams([np.array([[2.0]])], [np.array([1.0])])
+        velocity = np.array([0.5, -0.5])
+        with pytest.raises(ValueError, match="^need a finite lr >= 0 and momentum >= 0"):
+            sgd_momentum_step(params, np.array([5.0, 5.0]), velocity, lr, momentum)
+        np.testing.assert_array_equal(params.flat, [2.0, 1.0])
+        np.testing.assert_array_equal(velocity, [0.5, -0.5])
+
 
 class TestCosineLr:
     def test_start(self):
@@ -410,6 +423,11 @@ class TestCosineLr:
     def test_range_check(self):
         with pytest.raises(ValueError):
             cosine_lr(10, 10, 0.01)
+
+    @pytest.mark.parametrize("lr0", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_lr0_follows_train_configs_rule(self, lr0):
+        with pytest.raises(ValueError, match="^need a finite lr0 > 0$"):
+            cosine_lr(0, 10, lr0)
 
     @pytest.mark.parametrize("epoch, total, name", [
         (float("nan"), 10, "epoch"), (True, 10, "epoch"), (2.5, 10, "epoch"),
