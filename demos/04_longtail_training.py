@@ -6,14 +6,14 @@ times: with the prior-punishing update (m=2), degenerate to plain masked
 renormalization (m=0), and with the Sinkhorn baseline, which scales the
 pseudo-labels toward the estimated class prior; then m=2 and Sinkhorn
 again, each given the true class prior as ``TrainConfig.fixed_prior`` (no
-pre-estimation, no refresh). Reported is the test accuracy overall and per
+pre-estimation, no prior update). Reported is the test accuracy overall and per
 class-frequency group, and the final prior's mass on the few-shot group
 (the true share is about 0.02). Given the true prior, Sinkhorn scales its
 pseudo-labels toward it and has the better overall accuracy of the two
 true-prior arms, yet its few-group accuracy stays below m=2's on the same
 prior: the tail's total weight under the prior is too small to learn from.
 m=2 on the true prior pays for its tail gain with the head. These findings
-come from seed 1 alone. One run of this script took 9.4-11.3 s on a 2-core
+come from seed 1 alone. One run of this script took 5.8-8.7 s on a 2-core
 machine (three repetitions, one BLAS thread).
 """
 

@@ -287,7 +287,9 @@ def _cmd_train(values: dict) -> int:
     if values["freeze_prior"]:
         cfg = replace(cfg, fixed_prior=init_uniform(ds.n_classes).r)
     params, metrics, est = train(ds, cfg, test_ds)
-    comments = _config_comments("train", values)
+    # A Sinkhorn run reads neither --lambda nor --m, so its headers do not echo them.
+    unread = ("lam", "m") if values["solver"] == "sinkhorn" else ()
+    comments = _config_comments("train", {k: v for k, v in values.items() if k not in unread})
     emit_metrics(metrics, metrics_out, comments)
     write_model(params, est.r, model_out, comments)
     last = metrics[-1]

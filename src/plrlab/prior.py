@@ -1,10 +1,10 @@
 """Moving-average estimation of the marginal class prior.
 
 The prior starts uniform and is blended once per epoch with an empirical
-component drawn from the training set: the histogram of predicted classes
-(``hard-pred``, the default), the mean predicted probabilities
-(``soft-pred``), or the histogram of pseudo-label argmaxes
-(``hard-pseudo``). Every update lands back on the clamped simplex.
+component of the weak-view predictions the epoch's steps made: the
+histogram of predicted classes (``hard-pred``, the default), the mean
+predicted probabilities (``soft-pred``), or the histogram of the steps'
+pseudo-label argmaxes (``hard-pseudo``). Every update lands on the clamped simplex.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ each stage allocates once. Two forward passes fill it (the weak view, then the o
 blocks) and a single backward pass covers all three, each loss's mean folded into the
 gradient at the logits, and ``_step`` returns its step record, plain sums. The epoch loop
 around it, ``_run_stage``, packs each batch with ``core._pack``, adds the records, blends
-the prior with a statistic of full-train-set weak-view predictions and records the metrics;
-that refresh and the test-split forward pass reuse the same buffer. Every forward pass is
-``_forward_cached``, the one check that predictions are finite. Training runs in two stages:
-a short pre-estimation stage (blend coefficient 0.1) whose only output is a coarse prior,
-then a re-initialized model trained for real (coefficient 0.01) with that prior carried over.
+the prior with a statistic of the weak-view predictions (under ``hard-pseudo``, the
+pseudo-labels) its steps made, and records the metrics; the test-split forward pass reuses
+the buffer. Every forward pass is ``_forward_cached``, the one check that predictions are
+finite. Training runs in two stages: a short pre-estimation stage (blend coefficient 0.1)
+whose only output is a coarse prior, then a re-initialized model trained for real
+(coefficient 0.01) with that prior carried over.
 
 Backpropagation through the ReLU MLP is written out analytically; there
 is no autodiff dependency. The parameters live in one float64 vector,
@@ -32,6 +33,7 @@ import numpy as np
 
 from .core import (
     PROB_EPS,
+    CandidateMatrix,
     ClassPrior,
     NonFiniteLoss,
     PlrHyperparams,
@@ -290,10 +292,12 @@ def _pseudo_labels(probs: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.nd
 
 def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, index: tuple,
           r: np.ndarray, cfg: TrainConfig, rng: Rng, lr: float, rho: float,
-          where: str) -> np.ndarray:
+          seen: np.ndarray, where: str) -> np.ndarray:
     """One SGD step on a batch with packed candidates ``index`` and prior ``r``, in place
-    on ``params``, ``velocity`` and the stage's buffers ``ws``; returns its step record of
-    plain sums. Either forward pass raises NonFiniteLoss naming ``where``."""
+    on ``params``, ``velocity`` and the stage's buffers ``ws``; writes the batch's rows of
+    the prior's source, its weak-view predictions (pseudo-labels under ``hard-pseudo``), into
+    ``seen`` and returns its step record of plain sums. Either forward pass raises
+    NonFiniteLoss naming ``where``."""
     acts, deltas, targets, grad, gw, gb = ws
     n = x.shape[0]
     weak = augment(x, rng, "weak", cfg)
@@ -301,6 +305,7 @@ def _step(params: ModelParams, velocity: np.ndarray, ws: tuple, x: np.ndarray, i
     acts[0][:n] = weak
     probs = _forward_cached(params, [a[:n] for a in acts], where)
     w = _scatter(_pseudo_labels(probs, index, r, cfg.solver), index[0], probs.shape)
+    seen[...] = w if cfg.prior_rule == "hard-pseudo" else probs
 
     losses = _soft_ce(probs, w)
     selected = _select_rows(np.argmax(w, axis=1), losses, r, rho)
@@ -328,10 +333,10 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
                est: PriorEstimator, epochs: int, rng: Rng,
                test: PartialDataset | None) -> tuple[PriorEstimator, list[EpochMetrics]]:
     # Every pass of the stage runs in buffers allocated once: a step's rows [weak; strong
-    # selected; mixed] fill at most 3 batches, and the refresh and test forward passes
-    # reuse their first rows, the input included.
+    # selected; mixed] fill at most 3 batches, and the test forward pass reuses their first
+    # rows, the input included.
     b = min(cfg.batch_size, ds.n_samples)
-    acts = _buffers(params, max(3 * b, ds.n_samples, 0 if test is None else test.n_samples))
+    acts = _buffers(params, max(3 * b, 0 if test is None else test.n_samples))
     grad = np.empty_like(params.flat)
     ws = (acts, [np.empty((3 * b, w.shape[1])) for w in params.weights],
           np.empty((2 * b, ds.n_classes)), grad, *params.split(grad))
@@ -345,22 +350,16 @@ def _run_stage(params: ModelParams, ds: PartialDataset, cfg: TrainConfig,
         order = ep_rng.permutation(ds.n_samples)
         features, bits = ds.features[order], ds.candidates.bits[order]
         record = np.zeros(4)
+        # The prior's source in epoch order; fresh, since the matrix built from it freezes it.
+        seen = np.empty((ds.n_samples, ds.n_classes))
         for batch, start in enumerate(range(0, ds.n_samples, cfg.batch_size)):
             end = start + cfg.batch_size
             record += _step(params, velocity, ws, features[start:end], _pack(bits[start:end]),
-                            est.r.values, cfg, ep_rng, lr, rho, f"epoch {epoch}, batch {batch}")
-
-        # Epoch-level prior refresh from full-train-set weak-view predictions.
-        # Each epoch draws from its own child rng, so skipping these draws
-        # under a fixed prior leaves every later epoch unchanged.
+                            est.r.values, cfg, ep_rng, lr, rho, seen[start:end],
+                            f"epoch {epoch}, batch {batch}")
         if cfg.fixed_prior is None:
-            acts[0][: ds.n_samples] = augment(ds.features, ep_rng, "weak", cfg)
-            source = PredictionMatrix(_forward_cached(
-                params, [a[: ds.n_samples] for a in acts], f"epoch {epoch}, prior refresh"))
-            if est.rule == "hard-pseudo":
-                source = PseudoLabelMatrix._from_packed(_pseudo_labels(
-                    source.values, ds.candidates.packed, est.r.values, cfg.solver), ds.candidates)
-            est = update_prior(est, source)
+            est = update_prior(est, PredictionMatrix(seen) if cfg.prior_rule != "hard-pseudo" else
+                               PseudoLabelMatrix._from_packed(seen[bits], CandidateMatrix(bits)))
 
         accs = (math.nan,) * 4
         if test is not None:
@@ -402,7 +401,7 @@ def train(ds: PartialDataset, cfg: TrainConfig,
     params = init_params(ds.feature_dim, cfg.hidden, c, rng.child(2))
     est = replace(est, mu=_MU_MAIN)
     est, metrics = _run_stage(params, ds, cfg, est, cfg.epochs, rng.child(3), test)
-    # With a fixed prior and no test set, nothing else checks the last step.
+    # Without a test set, no forward pass sees the parameters the last step left.
     if not np.isfinite(params.flat).all():
         raise NonFiniteLoss("training left non-finite parameters; try a smaller learning rate")
     return params, metrics, est

@@ -17,6 +17,7 @@ from plrlab.core import (
     CandidateMatrix,
     FormatError,
     PredictionMatrix,
+    PseudoLabelMatrix,
     body_lines,
     clamp_prior,
 )
@@ -282,15 +283,16 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
     mix of the selected weak rows with a permuted copy. Each loss takes its
     own forward and backward pass; their gradients sum into one
     out-of-place SGD step with momentum 0.9. After each epoch the prior is
-    blended with its rule's statistic of full-train-set weak-view
-    predictions. The schedules are the library's public ``cosine_lr`` and
-    ``rho_at``.
+    blended with its rule's statistic of the weak-view predictions the
+    epoch's batches made (under ``hard-pseudo``, of their pseudo-labels),
+    stacked in batch order. The schedules are the library's public
+    ``cosine_lr`` and ``rho_at``.
 
     Draws from ``rng.child(epoch)`` in this order: the batch order, then per
     batch the weak noise, the strong noise, the strong keep mask and, if a
-    row is selected, the mixup coefficient and partner permutation; last,
-    the weak noise of the prior refresh. Returns the weights, biases, prior
-    estimator and one EpochMetrics per epoch (NaN accuracies without test).
+    row is selected, the mixup coefficient and partner permutation. Returns
+    the weights, biases, prior estimator and one EpochMetrics per epoch (NaN
+    accuracies without test).
     """
     velocity = [np.zeros_like(a) for a in weights + biases]
     truth = clamp_prior(ds.class_counts.astype(np.float64))
@@ -300,7 +302,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
         lr = cosine_lr(epoch, epochs, cfg.lr0)
         rho = rho_at(epoch)
         order = ep.permutation(ds.n_samples)
-        epoch_losses = ([], [], [])
+        epoch_losses, epoch_rows = ([], [], []), []
         for start in range(0, ds.n_samples, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x, bits = ds.features[idx], ds.candidates.bits[idx]
@@ -310,6 +312,7 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
 
             _, probs = _mlp_forward(weights, biases, weak)
             w = _reference_pseudo_labels(probs, bits, est, cfg).values
+            epoch_rows.append(w if est.rule == "hard-pseudo" else probs)
             losses = -(w * np.log(np.maximum(probs, PROB_EPS))).sum(axis=1)
             selected = select_reliable_loop(w, losses, est.r.values, rho)
             blocks = [(weak, w)]
@@ -330,12 +333,8 @@ def run_stage_reference(weights, biases, ds, cfg, est, epochs, rng, test):
             weights, biases = stepped[: len(weights)], stepped[len(weights) :]
 
         if cfg.fixed_prior is None:
-            x_full = ds.features + cfg.weak_noise_sigma * ep.normal(size=ds.features.shape)
-            _, probs = _mlp_forward(weights, biases, x_full)
-            source = PredictionMatrix(probs)
-            if est.rule == "hard-pseudo":
-                source = _reference_pseudo_labels(probs, ds.candidates.bits, est, cfg)
-            est = update_prior(est, source)
+            kind = PseudoLabelMatrix if est.rule == "hard-pseudo" else PredictionMatrix
+            est = update_prior(est, kind(np.concatenate(epoch_rows)))
 
         accs = (math.nan,) * 4
         if test is not None:

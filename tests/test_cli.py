@@ -205,6 +205,15 @@ class TestTrain:
         assert "# lam = 1.5" in header
         assert "# seed = 9" in header
 
+    @pytest.mark.parametrize("solver", ["plr", "sinkhorn"])
+    def test_headers_echo_lambda_and_m_only_when_read(self, tmp_path, solver):
+        # A Sinkhorn run reads neither option; both of its headers used to echo them.
+        for path in _train(tmp_path, _gen(tmp_path), ["--solver", solver]):
+            lines = path.read_text().splitlines()
+            assert f"# solver = {solver}" in lines
+            echoed = [line for line in lines if line.startswith(("# lam =", "# m ="))]
+            assert echoed == (["# lam = 3.0", "# m = 2.0"] if solver == "plr" else []), echoed
+
     def test_defaults_are_the_train_config_defaults(self, tmp_path, monkeypatch):
         seen = []
 

@@ -11,12 +11,20 @@ from plrlab.cli import _COMMANDS, build_parser
 SRC = Path(plrlab.__file__).resolve().parent
 
 
+def _callees(func: ast.expr) -> list[ast.expr]:
+    """What a call may call: each branch of a conditional ``(a if c else b)``, else itself."""
+    if isinstance(func, ast.IfExp):
+        return _callees(func.body) + _callees(func.orelse)
+    return [func]
+
+
 def _calls(tree: ast.Module, name: str) -> list[int]:
-    """Line numbers of every ``name(...)`` or ``<x>.name(...)`` call in a module."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name) and node.func.id == name)
-                or (isinstance(node.func, ast.Attribute) and node.func.attr == name))]
+    """Line numbers of every ``name(...)`` or ``<x>.name(...)`` call in a module, counting
+    a call of a conditional expression as a call of each branch."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for func in _callees(node.func)
+            if (isinstance(func, ast.Name) and func.id == name)
+            or (isinstance(func, ast.Attribute) and func.attr == name)]
 
 
 def _opens(path: Path) -> list[int]:

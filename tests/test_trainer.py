@@ -743,13 +743,15 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_frozen_prior_divergence_without_test_set_aborts(self):
+    @pytest.mark.parametrize("fixed_prior", [init_uniform(4).r, None], ids=["frozen", "estimated"])
+    def test_frozen_prior_divergence_without_test_set_aborts(self, fixed_prior):
         # One SGD step to non-finite weights that no later pass looks at: no
-        # second batch, no prior refresh (frozen) and no test set.
+        # second batch and no test set. The prior update reads the step's own
+        # predictions, so an estimated prior adds no pass either.
         from plrlab.core import NonFiniteLoss
 
         ds, _ = _tiny_dataset()
-        cfg = _quick_cfg(lr0=1e308, epochs=1, pre_epochs=0, fixed_prior=init_uniform(4).r,
+        cfg = _quick_cfg(lr0=1e308, epochs=1, pre_epochs=0, fixed_prior=fixed_prior,
                          batch_size=ds.n_samples)
         with pytest.raises(NonFiniteLoss):
             train(ds, cfg)
@@ -760,14 +762,13 @@ class TestTrain:
         pytest.param(2, dict(epochs=1), False, "epoch 0, batch 1", id="second-batch"),
         pytest.param(1, dict(epochs=2, fixed_prior=init_uniform(4).r), False,
                      "epoch 1, batch 0", id="second-epoch"),
-        pytest.param(1, dict(epochs=1), False, "epoch 0, prior refresh", id="prior-refresh"),
         pytest.param(1, dict(epochs=1, fixed_prior=init_uniform(4).r), True,
                      "epoch 0, test split", id="test-split"),
     ])
     def test_divergence_names_the_step_that_saw_it(self, batches, overrides, with_test, where):
         # The first step leaves non-finite weights; the next forward pass is the
-        # first to see them, and its error says where it ran: the next step, the
-        # epoch's prior refresh or, under a fixed prior, the test split.
+        # first to see them, and its error says where it ran: the next step or
+        # the test split.
         from plrlab.core import NonFiniteLoss
 
         ds, test = _tiny_dataset()
@@ -776,6 +777,27 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss, match=f"^predictions went non-finite at {where}; "
                                                 "try a smaller learning rate$"):
             train(ds, cfg, test if with_test else None)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_an_epoch_makes_two_forward_passes_and_one_solve_per_batch(monkeypatch, rule):
+    # The prior update reads the predictions (or pseudo-labels) the steps
+    # made, so no pass over the training set is added at the end of an epoch.
+    import plrlab.trainer as trainer_module
+
+    calls = {"_forward_cached": 0, "_pseudo_labels": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(trainer_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(trainer_module, name, counting)
+    ds, _ = _tiny_dataset()
+    cfg = _quick_cfg(epochs=1, pre_epochs=0, batch_size=32, prior_rule=rule)
+    _, _, est = train(ds, cfg)
+    batches = -(-ds.n_samples // cfg.batch_size)
+    assert batches > 1
+    assert calls == {"_forward_cached": 2 * batches, "_pseudo_labels": batches}
+    assert not np.array_equal(est.r.values, init_uniform(4).r.values), "no prior update ran"
 
 
 def test_train_metrics_are_dataclass_rows():
@@ -798,7 +820,7 @@ REFERENCE_RTOL = 1e-9
     pytest.param(dict(), 20, id="plr"),
     pytest.param(dict(solver=SinkhornConfig(max_iters=20), prior_rule="hard-pseudo"), 20,
                  id="sinkhorn-hard-pseudo"),
-    # pre_epochs stays 1: a given prior skips the pre-stage and every refresh.
+    # pre_epochs stays 1: a given prior skips the pre-stage and every prior update.
     pytest.param(dict(fixed_prior=clamp_prior(np.array([0.4, 0.3, 0.2, 0.1]))), 20,
                  id="fixed-prior"),
     # 160 test rows, more than the 91 training rows and the step's 3 * 16: the
@@ -862,7 +884,7 @@ def _fuzz_config(draw, n_samples: int, c: int):
                                    for m in (0.0, 2.0)]
                                   + [SinkhornConfig(max_iters=k) for k in range(1, 6)]))
     drawn = clamp_prior(np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=c, max_size=c))))
-    # None twice: only a prior that is not fixed is refreshed.
+    # None twice: only a prior that is not fixed is updated.
     fixed_prior = draw(st.sampled_from([None, None, init_uniform(c).r, drawn]))
     return TrainConfig(
         epochs=draw(st.integers(1, 2)), pre_epochs=draw(st.integers(0, 1)),
